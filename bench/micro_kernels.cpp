@@ -1,7 +1,7 @@
 // Micro-benchmarks for the algorithmic kernels: CSR assembly, modularity
-// evaluation, one Louvain sweep (hash-map baseline vs the flat
-// ScatterAccumulator kernel the engines use), coarsening, and the generators
-// feeding the table harnesses.
+// evaluation, one Louvain sweep (hash-map baseline, the flat
+// ScatterAccumulator kernel, and the segmented kernel the engines use),
+// coarsening, and the generators feeding the table harnesses.
 //
 // Besides the usual Google-Benchmark mode, `--pr3_json=<path>` switches to a
 // self-timed run that writes the machine-readable perf trail committed as
@@ -10,23 +10,11 @@
 // default 16), `--pr3_reps=N` (best-of repetitions, default 5),
 // `--pr3_dist_scale=N` (RMAT scale for the breakdown run, default 12).
 //
-// `--pr5_json=<path>` writes the BENCH_PR5.json trail instead: the same
-// kernel numbers plus the overlap on/off ablation (ISSUE 5) -- a distributed
-// run per mode reporting the TimeBreakdown and the fraction of exchange
-// latency the interior-first schedule hid behind compute, with an on==off
-// result-identity cross-check. Knobs: `--pr5_scale=N` (kernel RMAT scale,
-// default 16), `--pr5_reps=N` (default 5), `--pr5_dist_scale=N` (ablation
-// RMAT scale, default 16), `--pr5_ranks=N` (default 8), `--pr5_delay_ms=X`
-// (simulated per-message wire latency for the headline rows, default 1.0).
-//
-// `--pr8_json=<path>` writes the BENCH_PR8.json trail (ISSUE 8): the kernel
-// table grows the segmented and SIMD sweep lanes (util/segmented.hpp)
-// against the flat gather kernel, and an `overlap_auto` section runs the
-// distributed algorithm under --overlap off/on/auto at zero and `delay_ms`
-// simulated wire latency -- auto's wall must land within tolerance of the
-// better forced mode, and its cost-model decision is recorded. Knobs mirror
-// pr5: `--pr8_scale`, `--pr8_reps`, `--pr8_dist_scale`, `--pr8_ranks`,
-// `--pr8_delay_ms`.
+// `--pr8_json=<path>` writes the BENCH_PR8.json trail layout: the hash, flat
+// and segmented sweep kernels (util/segmented.hpp, the kernel every engine
+// runs) timed round-robin in one rep loop, the segmented kernel reported as
+// `local_move_simd` with its `flat_over_best_lane` ratio. Knobs:
+// `--pr8_scale=N` (RMAT scale, default 16), `--pr8_reps=N` (default 5).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -179,12 +167,12 @@ std::int64_t sweep_flat(const SweepInput& in, std::vector<CommunityId>& curr,
   return moved;
 }
 
-/// The segmented/SIMD lanes of the same sweep (ISSUE 8): arcs grouped by
+/// The segmented kernel the engines run, on the same sweep: arcs grouped by
 /// destination-community segment in first-touch order, argmax via
 /// util::best_segment. Bitwise identical to sweep_flat by construction --
 /// `moved` doubles as the cross-check.
 std::int64_t sweep_segmented(const SweepInput& in, std::vector<CommunityId>& curr,
-                             std::vector<Weight>& a, util::SweepLane lane) {
+                             std::vector<Weight>& a) {
   const VertexId n = in.csr.num_vertices();
   const Weight m = in.m;
   util::SegmentedAccumulator<Weight> nbr_weight;
@@ -200,8 +188,7 @@ std::int64_t sweep_segmented(const SweepInput& in, std::vector<CommunityId>& cur
     const Weight e_own = nbr_weight.sum_of(own);
     const Weight a_own_less_v = a[static_cast<std::size_t>(own)] - kv;
     const auto pick = util::best_segment(
-        lane, nbr_weight, nbr_weight.segment_of(own), e_own, a_own_less_v, kv,
-        m, 1.0,
+        nbr_weight, nbr_weight.segment_of(own), e_own, a_own_less_v, kv, m, 1.0,
         [&](std::int64_t slot) { return a[static_cast<std::size_t>(slot)]; },
         [](std::int64_t slot) { return static_cast<CommunityId>(slot); });
     const CommunityId best =
@@ -372,29 +359,15 @@ void BM_LocalMoveSweepSegmented(benchmark::State& state) {
   for (auto _ : state) {
     std::iota(curr.begin(), curr.end(), CommunityId{0});
     a = in.a_init;
-    benchmark::DoNotOptimize(
-        sweep_segmented(in, curr, a, util::SweepLane::kSegmented));
+    benchmark::DoNotOptimize(sweep_segmented(in, curr, a));
   }
   state.SetItemsProcessed(state.iterations() * in.csr.num_arcs());
 }
 BENCHMARK(BM_LocalMoveSweepSegmented)->Arg(10)->Arg(12);
 
-void BM_LocalMoveSweepSimd(benchmark::State& state) {
-  const auto in = make_sweep_input(rmat_graph(static_cast<int>(state.range(0))));
-  std::vector<CommunityId> curr(in.k.size());
-  std::vector<Weight> a;
-  for (auto _ : state) {
-    std::iota(curr.begin(), curr.end(), CommunityId{0});
-    a = in.a_init;
-    benchmark::DoNotOptimize(sweep_segmented(in, curr, a, util::SweepLane::kSimd));
-  }
-  state.SetItemsProcessed(state.iterations() * in.csr.num_arcs());
-}
-BENCHMARK(BM_LocalMoveSweepSimd)->Arg(10)->Arg(12);
+// ---- the BENCH_PR3 json emitter ---------------------------------------------
 
-// ---- the BENCH_PR3/PR5 json emitters ----------------------------------------
-
-/// Best-of-`reps` kernel timings shared by the PR3 and PR5 emitters.
+/// Best-of-`reps` kernel timings of the hash and flat kernels.
 struct KernelNumbers {
   double hash_ns{0};
   double flat_ns{0};
@@ -431,9 +404,9 @@ bool measure_kernels(const SweepInput& in, int reps, KernelNumbers& out) {
   return true;
 }
 
-/// Emit the shared "graph"/"kernels"/"ratios" sections (identical layout in
-/// BENCH_PR3.json and BENCH_PR5.json so check_bench_regression.py can compare
-/// any pair of perf trails kernel-by-kernel).
+/// Emit the "graph"/"kernels"/"ratios" sections (the layout every kernel
+/// trail shares, so check_bench_regression.py can compare any pair of perf
+/// trails kernel-by-kernel).
 void emit_kernel_sections(std::ostream& out, const SweepInput& in, int scale,
                           int reps, const KernelNumbers& k) {
   const auto arcs = static_cast<double>(in.csr.num_arcs());
@@ -504,214 +477,21 @@ int run_pr3(const std::string& json_path, int scale, int reps, int dist_scale) {
   return 0;
 }
 
-// ---- the BENCH_PR5.json emitter (overlap on/off ablation, ISSUE 5) ----------
+// ---- the BENCH_PR8.json emitter (sweep kernels, interleaved) ---------------
 
-/// One distributed run with the given overlap mode; returns root's result.
-/// `delay_ms > 0` runs on a simulated-latency transport: every message's
-/// visibility is pushed back by that much wall time via the deterministic
-/// fault injector -- the in-process stand-in for wire latency (the transport
-/// itself delivers at memcpy speed, so with zero delay the only hideable
-/// latency is scheduler skew).
-core::DistResult dist_run(const graph::Csr& csr, int ranks,
-                          core::OverlapMode mode, double delay_ms) {
-  core::DistResult root_result;
-  comm::RunOptions options;
-  if (delay_ms > 0) {
-    options.faults = std::make_shared<comm::FaultInjector>(
-        comm::FaultPlan().with_seed(5).delay(1.0, delay_ms));
-  }
-  comm::run(ranks, [&](comm::Comm& comm) {
-    auto dist = graph::DistGraph::from_replicated(comm, csr);
-    core::DistConfig cfg;
-    cfg.overlap = mode;
-    auto result = core::dist_louvain(comm, std::move(dist), cfg);
-    if (comm.is_root()) root_result = std::move(result);
-  }, options);
-  return root_result;
-}
-
-double hidden_fraction_of(const core::DistResult& on) {
-  const double wall = on.breakdown.ghost_exchange + on.breakdown.delta_exchange;
-  const double total = wall + on.breakdown.comm_hidden;
-  return total > 0 ? on.breakdown.comm_hidden / total : 0.0;
-}
-
-/// Best-of-`reps` distributed run. Overlap-off reps are ranked by wall time
-/// (the usual min-time estimator). Overlap-on reps are ranked by hidden
-/// fraction: the schedule itself is deterministic, but on a timeshared
-/// machine a rep's measured overlap collapses whenever the scheduler parks a
-/// rank between an exchange's launch and its wait, so max-of-N reports the
-/// least-perturbed measurement -- the same reasoning that makes min-time the
-/// right timing estimator.
-core::DistResult best_dist_run(const graph::Csr& csr, int ranks,
-                               core::OverlapMode mode, double delay_ms,
-                               int reps) {
-  core::DistResult best;
-  for (int rep = 0; rep < reps; ++rep) {
-    auto r = dist_run(csr, ranks, mode, delay_ms);
-    const bool better = mode == core::OverlapMode::kOn
-                            ? hidden_fraction_of(r) > hidden_fraction_of(best)
-                            : r.seconds < best.seconds;
-    if (rep == 0 || better) best = std::move(r);
-  }
-  return best;
-}
-
-void emit_breakdown(std::ostream& out, const char* key,
-                    const core::DistResult& r) {
-  const auto& b = r.breakdown;
-  out << "    \"" << key << "\": {\"seconds\": " << r.seconds
-      << ", \"ghost_exchange\": " << b.ghost_exchange
-      << ", \"community_info\": " << b.community_info
-      << ", \"compute\": " << b.compute
-      << ", \"delta_exchange\": " << b.delta_exchange
-      << ", \"allreduce\": " << b.allreduce
-      << ", \"rebuild\": " << b.rebuild
-      << ", \"comm_hidden\": " << b.comm_hidden
-      << ", \"modularity\": " << r.modularity
-      << ", \"communities\": " << r.num_communities << "}";
-}
-
-int run_pr5(const std::string& json_path, int scale, int reps, int dist_scale,
-            int ranks, double delay_ms) {
-  const auto g = rmat_graph(scale);
-  const auto in = make_sweep_input(g);
-
-  KernelNumbers kn;
-  if (!measure_kernels(in, reps, kn)) return 1;
-
-  // Overlap ablation: the same distributed run with the blocking schedule
-  // (overlap off) and the interior-first schedule (overlap on), each on the
-  // raw transport (zero latency) AND with `delay_ms` of simulated wire
-  // latency per message. Results must be bitwise identical across all four
-  // configurations -- the knob only moves where the rank blocks and the
-  // delay injector preserves FIFO -- so any divergence fails the bench.
-  // Off timings are best-of-`reps` by wall time; on timings best-of-`reps`
-  // by hidden fraction (see best_dist_run).
-  const auto gd = rmat_graph(dist_scale);
-  const auto csrd = graph::from_edges(gd.num_vertices, gd.edges);
-  const auto off0 = best_dist_run(csrd, ranks, core::OverlapMode::kOff, 0, reps);
-  const auto on0 = best_dist_run(csrd, ranks, core::OverlapMode::kOn, 0, reps);
-  const auto off = best_dist_run(csrd, ranks, core::OverlapMode::kOff, delay_ms, reps);
-  const auto on = best_dist_run(csrd, ranks, core::OverlapMode::kOn, delay_ms, reps);
-  for (const auto* r : {&on0, &off, &on}) {
-    if (off0.community != r->community || off0.modularity != r->modularity) {
-      std::cerr << "micro_kernels: overlap ablation runs diverged (Q "
-                << off0.modularity << " vs " << r->modularity << ")\n";
-      return 1;
-    }
-  }
-
-  // Fraction of the total exchange latency (blocked wall + hidden) the
-  // interior-first schedule hid behind compute. `comm_hidden` is latency that
-  // elapsed while the rank was sweeping interior batches; the ghost/delta
-  // timers keep only the blocked remainder.
-  const double exchange_wall = on.breakdown.ghost_exchange + on.breakdown.delta_exchange;
-  const double hidden_fraction = hidden_fraction_of(on);
-
-  std::ofstream out(json_path, std::ios::trunc);
-  if (!out) {
-    std::cerr << "micro_kernels: cannot open " << json_path << " for writing\n";
-    return 1;
-  }
-  out.precision(17);
-  out << "{\n"
-      << "  \"bench\": \"micro_kernels.pr5\",\n";
-  emit_kernel_sections(out, in, scale, reps, kn);
-  out << "  \"overlap_ablation\": {\n"
-      << "    \"ranks\": " << ranks << ", \"scale\": " << dist_scale
-      << ", \"reps\": " << reps << ", \"delay_ms\": " << delay_ms << ",\n";
-  emit_breakdown(out, "off", off);
-  out << ",\n";
-  emit_breakdown(out, "on", on);
-  out << ",\n";
-  emit_breakdown(out, "off_zero_latency", off0);
-  out << ",\n";
-  emit_breakdown(out, "on_zero_latency", on0);
-  out << ",\n"
-      << "    \"identical\": true,\n"
-      << "    \"comm_hidden\": " << on.breakdown.comm_hidden << ",\n"
-      << "    \"exchange_wall\": " << exchange_wall << ",\n"
-      << "    \"hidden_fraction\": " << hidden_fraction << ",\n"
-      << "    \"zero_latency_hidden_fraction\": " << hidden_fraction_of(on0) << "\n"
-      << "  }\n"
-      << "}\n";
-  const auto& ob = off.breakdown;
-  std::cout << "delay " << delay_ms << " ms/message:\n"
-            << "  overlap off: " << off.seconds << " s (exchange "
-            << ob.ghost_exchange + ob.delta_exchange << " s)\n"
-            << "  overlap on:  " << on.seconds << " s (exchange blocked "
-            << exchange_wall << " s, hidden " << on.breakdown.comm_hidden
-            << " s)\n"
-            << "  hidden fraction: " << hidden_fraction << '\n'
-            << "zero latency: off " << off0.seconds << " s, on " << on0.seconds
-            << " s, hidden fraction " << hidden_fraction_of(on0) << '\n'
-            << "wrote " << json_path << '\n';
-  return 0;
-}
-
-// ---- the BENCH_PR8.json emitter (sweep lanes + overlap cost model) ----------
-
-/// Minimum-wall distributed run: the usual best-of-N timing estimator. The
-/// pr8 section compares WALLS across modes, so every mode is ranked the same
-/// way (unlike pr5, which ranks overlap-on reps by hidden fraction).
-core::DistResult min_wall_dist_run(const graph::Csr& csr, int ranks,
-                                   core::OverlapMode mode, double delay_ms,
-                                   int reps) {
-  core::DistResult best;
-  for (int rep = 0; rep < reps; ++rep) {
-    auto r = dist_run(csr, ranks, mode, delay_ms);
-    if (rep == 0 || r.seconds < best.seconds) best = std::move(r);
-  }
-  return best;
-}
-
-/// One delay point of the overlap_auto section: the same run forced off,
-/// forced on, and under the cost model.
-struct AutoPoint {
-  core::DistResult off;
-  core::DistResult on;
-  core::DistResult automatic;
-};
-
-void emit_auto_point(std::ostream& out, const char* key, const AutoPoint& p) {
-  const auto& t = p.automatic.overlap;
-  out << "    \"" << key << "\": {\n"
-      << "      \"off_seconds\": " << p.off.seconds
-      << ", \"on_seconds\": " << p.on.seconds
-      << ", \"auto_seconds\": " << p.automatic.seconds << ",\n"
-      << "      \"auto_decision\": \"" << t.decision << "\""
-      << ", \"auto_decided\": " << (t.decided ? "true" : "false")
-      << ", \"auto_predicted_hidden_s\": " << t.predicted_hidden_s
-      << ", \"auto_measured_latency_s\": " << t.measured_latency_s
-      << ", \"auto_probe_iterations_off\": " << t.probe_iterations_off
-      << ", \"auto_probe_iterations_on\": " << t.probe_iterations_on
-      << ", \"auto_phases_engaged\": " << t.phases_engaged
-      << ", \"auto_phases_declined\": " << t.phases_declined << "\n"
-      << "    }";
-}
-
-int run_pr8(const std::string& json_path, int scale, int reps, int dist_scale,
-            int ranks, double delay_ms) {
+int run_pr8(const std::string& json_path, int scale, int reps) {
   const auto g = rmat_graph(scale);
   const auto in = make_sweep_input(g);
   const auto arcs = static_cast<double>(in.csr.num_arcs());
 
-  // All four sweep kernels interleaved in one rep loop: the flat gather
-  // baseline and the lane kernels sample the same host-noise window, so the
-  // reported ratios reflect the kernels, not vCPU steal drift between rep
-  // blocks. Same sweep, same moves -- any divergence is a lane bug.
-  std::vector<InterleavedKernel> iks(4);
+  // The three sweep kernels interleaved in one rep loop: the flat gather
+  // baseline and the segmented kernel sample the same host-noise window, so
+  // the reported ratios reflect the kernels, not vCPU steal drift between
+  // rep blocks. Same sweep, same moves -- any divergence is a kernel bug.
+  std::vector<InterleavedKernel> iks(3);
   iks[0].sweep = sweep_hash;
   iks[1].sweep = sweep_flat;
-  iks[2].sweep = [](const SweepInput& i, std::vector<CommunityId>& c,
-                    std::vector<Weight>& a) {
-    return sweep_segmented(i, c, a, util::SweepLane::kSegmented);
-  };
-  iks[3].sweep = [](const SweepInput& i, std::vector<CommunityId>& c,
-                    std::vector<Weight>& a) {
-    return sweep_segmented(i, c, a, util::SweepLane::kSimd);
-  };
+  iks[2].sweep = sweep_segmented;
   timed_sweep_interleaved(in, reps, iks);
 
   KernelNumbers kn;
@@ -719,17 +499,12 @@ int run_pr8(const std::string& json_path, int scale, int reps, int dist_scale,
   kn.flat_ns = iks[1].best_ns;
   kn.moved = iks[1].moved;
   const double segmented_ns = iks[2].best_ns;
-  const double simd_ns = iks[3].best_ns;
-  const auto segmented_moved = iks[2].moved;
-  const auto simd_moved = iks[3].moved;
-  if (iks[0].moved != kn.moved || segmented_moved != kn.moved ||
-      simd_moved != kn.moved) {
-    std::cerr << "micro_kernels: sweep lanes diverged (hash " << iks[0].moved
-              << ", flat " << kn.moved << ", segmented " << segmented_moved
-              << ", simd " << simd_moved << " moves)\n";
+  if (iks[0].moved != kn.moved || iks[2].moved != kn.moved) {
+    std::cerr << "micro_kernels: sweep kernels diverged (hash " << iks[0].moved
+              << ", flat " << kn.moved << ", segmented " << iks[2].moved
+              << " moves)\n";
     return 1;
   }
-  const double best_lane_ns = std::min(segmented_ns, simd_ns);
   {
     // Coarsen by the sweep's resulting assignment (compacted ids).
     std::vector<CommunityId> curr(in.k.size());
@@ -745,32 +520,6 @@ int run_pr8(const std::string& json_path, int scale, int reps, int dist_scale,
       const auto t1 = std::chrono::steady_clock::now();
       const double ns = std::chrono::duration<double, std::nano>(t1 - t0).count();
       if (ns < kn.coarsen_ns) kn.coarsen_ns = ns;
-    }
-  }
-
-  // The overlap cost model end to end: off / on / auto at zero simulated
-  // latency and at `delay_ms` per message. All six runs must agree bitwise
-  // (the knob only moves the blocking waits); auto's wall is recorded for
-  // the within-tolerance-of-min(on, off) acceptance bar, and its decision +
-  // model inputs land in the trail (the same fields the v4 manifest
-  // carries).
-  const auto gd = rmat_graph(dist_scale);
-  const auto csrd = graph::from_edges(gd.num_vertices, gd.edges);
-  AutoPoint zero;
-  zero.off = min_wall_dist_run(csrd, ranks, core::OverlapMode::kOff, 0, reps);
-  zero.on = min_wall_dist_run(csrd, ranks, core::OverlapMode::kOn, 0, reps);
-  zero.automatic = min_wall_dist_run(csrd, ranks, core::OverlapMode::kAuto, 0, reps);
-  AutoPoint delayed;
-  delayed.off = min_wall_dist_run(csrd, ranks, core::OverlapMode::kOff, delay_ms, reps);
-  delayed.on = min_wall_dist_run(csrd, ranks, core::OverlapMode::kOn, delay_ms, reps);
-  delayed.automatic =
-      min_wall_dist_run(csrd, ranks, core::OverlapMode::kAuto, delay_ms, reps);
-  for (const auto* r : {&zero.on, &zero.automatic, &delayed.off, &delayed.on,
-                        &delayed.automatic}) {
-    if (zero.off.community != r->community || zero.off.modularity != r->modularity) {
-      std::cerr << "micro_kernels: overlap mode runs diverged (Q "
-                << zero.off.modularity << " vs " << r->modularity << ")\n";
-      return 1;
     }
   }
 
@@ -793,40 +542,19 @@ int run_pr8(const std::string& json_path, int scale, int reps, int dist_scale,
       << "    \"local_move_flat\": {\"ns_per_op\": " << kn.flat_ns
       << ", \"ns_per_arc\": " << kn.flat_ns / arcs << ", \"moved\": " << kn.moved
       << "},\n"
-      << "    \"local_move_segmented\": {\"ns_per_op\": " << segmented_ns
-      << ", \"ns_per_arc\": " << segmented_ns / arcs
-      << ", \"moved\": " << segmented_moved << "},\n"
-      << "    \"local_move_simd\": {\"ns_per_op\": " << simd_ns
-      << ", \"ns_per_arc\": " << simd_ns / arcs << ", \"moved\": " << simd_moved
+      << "    \"local_move_simd\": {\"ns_per_op\": " << segmented_ns
+      << ", \"ns_per_arc\": " << segmented_ns / arcs << ", \"moved\": " << kn.moved
       << "},\n"
       << "    \"coarsen_flat\": {\"ns_per_op\": " << kn.coarsen_ns
       << ", \"ns_per_arc\": " << kn.coarsen_ns / arcs << "}\n"
       << "  },\n"
       << "  \"ratios\": {\"local_move_hash_over_flat\": " << kn.hash_ns / kn.flat_ns
-      << ", \"flat_over_segmented\": " << kn.flat_ns / segmented_ns
-      << ", \"flat_over_simd\": " << kn.flat_ns / simd_ns
-      << ", \"flat_over_best_lane\": " << kn.flat_ns / best_lane_ns << "},\n"
-      << "  \"overlap_auto\": {\n"
-      << "    \"ranks\": " << ranks << ", \"scale\": " << dist_scale
-      << ", \"reps\": " << reps << ", \"delay_ms\": " << delay_ms << ",\n"
-      << "    \"identical\": true,\n";
-  emit_auto_point(out, "zero_latency", zero);
-  out << ",\n";
-  emit_auto_point(out, "delayed", delayed);
-  out << "\n  }\n}\n";
+      << ", \"flat_over_best_lane\": " << kn.flat_ns / segmented_ns << "}\n"
+      << "}\n";
 
   std::cout << "local_move_flat:      " << kn.flat_ns / arcs << " ns/arc\n"
             << "local_move_segmented: " << segmented_ns / arcs << " ns/arc ("
             << kn.flat_ns / segmented_ns << "x over flat)\n"
-            << "local_move_simd:      " << simd_ns / arcs << " ns/arc ("
-            << kn.flat_ns / simd_ns << "x over flat)\n"
-            << "overlap auto, zero latency:  off " << zero.off.seconds << " s, on "
-            << zero.on.seconds << " s, auto " << zero.automatic.seconds << " s ("
-            << zero.automatic.overlap.decision << ")\n"
-            << "overlap auto, " << delay_ms << " ms delay: off "
-            << delayed.off.seconds << " s, on " << delayed.on.seconds
-            << " s, auto " << delayed.automatic.seconds << " s ("
-            << delayed.automatic.overlap.decision << ")\n"
             << "wrote " << json_path << '\n';
   return 0;
 }
@@ -835,59 +563,36 @@ int run_pr8(const std::string& json_path, int scale, int reps, int dist_scale,
 
 int main(int argc, char** argv) {
   std::string pr3_path;
-  std::string pr5_path;
   std::string pr8_path;
   int scale = 16;
   int reps = 5;
   int dist_scale = 12;
-  int pr5_dist_scale = 16;
-  int ranks = 8;
-  double delay_ms = 1.0;
   std::vector<char*> passthrough;
   passthrough.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--pr3_json=", 0) == 0) {
       pr3_path = arg.substr(std::strlen("--pr3_json="));
-    } else if (arg.rfind("--pr5_json=", 0) == 0) {
-      pr5_path = arg.substr(std::strlen("--pr5_json="));
     } else if (arg.rfind("--pr8_json=", 0) == 0) {
       pr8_path = arg.substr(std::strlen("--pr8_json="));
     } else if (arg.rfind("--pr3_scale=", 0) == 0) {
       scale = std::stoi(arg.substr(std::strlen("--pr3_scale=")));
-    } else if (arg.rfind("--pr5_scale=", 0) == 0) {
-      scale = std::stoi(arg.substr(std::strlen("--pr5_scale=")));
     } else if (arg.rfind("--pr8_scale=", 0) == 0) {
       scale = std::stoi(arg.substr(std::strlen("--pr8_scale=")));
     } else if (arg.rfind("--pr3_reps=", 0) == 0) {
       reps = std::stoi(arg.substr(std::strlen("--pr3_reps=")));
-    } else if (arg.rfind("--pr5_reps=", 0) == 0) {
-      reps = std::stoi(arg.substr(std::strlen("--pr5_reps=")));
     } else if (arg.rfind("--pr8_reps=", 0) == 0) {
       reps = std::stoi(arg.substr(std::strlen("--pr8_reps=")));
     } else if (arg.rfind("--pr3_dist_scale=", 0) == 0) {
       dist_scale = std::stoi(arg.substr(std::strlen("--pr3_dist_scale=")));
-    } else if (arg.rfind("--pr5_dist_scale=", 0) == 0) {
-      pr5_dist_scale = std::stoi(arg.substr(std::strlen("--pr5_dist_scale=")));
     } else if (arg.rfind("--pr8_dist_scale=", 0) == 0) {
-      pr5_dist_scale = std::stoi(arg.substr(std::strlen("--pr8_dist_scale=")));
-    } else if (arg.rfind("--pr5_ranks=", 0) == 0) {
-      ranks = std::stoi(arg.substr(std::strlen("--pr5_ranks=")));
-    } else if (arg.rfind("--pr8_ranks=", 0) == 0) {
-      ranks = std::stoi(arg.substr(std::strlen("--pr8_ranks=")));
-    } else if (arg.rfind("--pr5_delay_ms=", 0) == 0) {
-      delay_ms = std::stod(arg.substr(std::strlen("--pr5_delay_ms=")));
-    } else if (arg.rfind("--pr8_delay_ms=", 0) == 0) {
-      delay_ms = std::stod(arg.substr(std::strlen("--pr8_delay_ms=")));
+      // driver compat: the pr8 trail has no distributed run
     } else {
       passthrough.push_back(argv[i]);
     }
   }
   if (!pr3_path.empty()) return run_pr3(pr3_path, scale, reps, dist_scale);
-  if (!pr5_path.empty())
-    return run_pr5(pr5_path, scale, reps, pr5_dist_scale, ranks, delay_ms);
-  if (!pr8_path.empty())
-    return run_pr8(pr8_path, scale, reps, pr5_dist_scale, ranks, delay_ms);
+  if (!pr8_path.empty()) return run_pr8(pr8_path, scale, reps);
 
   int pargc = static_cast<int>(passthrough.size());
   benchmark::Initialize(&pargc, passthrough.data());

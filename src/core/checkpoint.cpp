@@ -227,10 +227,8 @@ std::optional<MetaInfo> validate_checkpoint(const std::string& dir, int phase) {
 
 std::uint64_t config_fingerprint(const DistConfig& cfg) {
   // Only fields that change the trajectory of the run; telemetry/threading
-  // knobs are deliberately absent (results are identical across them), as
-  // are ghost_exchange_mode / delta_exchange_crossover (wire format only)
-  // and overlap (only moves the blocking waits) -- a checkpoint written
-  // under any setting of those resumes under any other.
+  // knobs are deliberately absent (results are identical across them) -- a
+  // checkpoint written under any setting of those resumes under any other.
   std::uint64_t h = 0x646c6f75636b7074ULL;  // "dlouckpt"
   const auto mix = [&h](std::uint64_t v) { h = util::hash_combine(h, v); };
   const auto mix_f = [&](double v) { mix(std::bit_cast<std::uint64_t>(v)); };

@@ -331,11 +331,11 @@ void CommunityLedger::refresh(comm::Comm& comm) {
 }
 
 void CommunityLedger::flush_deltas(comm::Comm& comm) {
-  flush_deltas_begin(comm, /*overlap=*/false);
+  flush_deltas_begin(comm);
   flush_deltas_finish(comm);
 }
 
-void CommunityLedger::flush_deltas_begin(comm::Comm& comm, bool overlap) {
+void CommunityLedger::flush_deltas_begin(comm::Comm& comm) {
   if (pending_flush_.has_value())
     throw std::logic_error("CommunityLedger: delta flush already in flight");
   const int p = comm.size();
@@ -357,7 +357,6 @@ void CommunityLedger::flush_deltas_begin(comm::Comm& comm, bool overlap) {
     comm.counters()[util::Counter::kLedgerDeltaRecords] += records;
   }
   pending_flush_.emplace(comm.ialltoallv<LedgerDeltaRecord>(std::move(outbox)));
-  if (!overlap) pending_flush_->wait();
 }
 
 void CommunityLedger::flush_deltas_finish(comm::Comm& comm) {

@@ -134,12 +134,12 @@ class CommunityLedger {
   /// the incoming ones. Collective.
   void flush_deltas(comm::Comm& comm);
 
-  /// Split flush (ISSUE 5): _begin deposits the outgoing deltas and posts
-  /// the receives; with `overlap` the collective stays in flight while the
-  /// caller computes (anything that reads no ledger state), else it blocks
-  /// in place. _finish completes the exchange and applies incoming deltas
-  /// in fixed rank order. flush_deltas == begin(false) + finish.
-  void flush_deltas_begin(comm::Comm& comm, bool overlap);
+  /// Split flush: _begin deposits the outgoing deltas and posts the
+  /// receives, leaving the collective in flight while the caller computes
+  /// (anything that reads no ledger state). _finish completes the exchange
+  /// and applies incoming deltas in fixed rank order. flush_deltas ==
+  /// begin + finish.
+  void flush_deltas_begin(comm::Comm& comm);
   void flush_deltas_finish(comm::Comm& comm);
 
   /// Wait/hidden timing of the last completed flush (overlap telemetry).

@@ -7,8 +7,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/exchange_mode.hpp"
-#include "core/overlap_mode.hpp"
 #include "louvain/config.hpp"
 
 namespace dlouvain::core {
@@ -61,32 +59,6 @@ struct DistConfig {
   /// instead of a dense all-to-all. Same results either way; kept as a knob
   /// for the ablation bench.
   bool use_neighbor_exchange{true};
-
-  /// Wire format of the per-iteration ghost community update: full mirror
-  /// lists (dense), changed entries only (delta), or a per-destination pick
-  /// (auto, the default). Results are identical in every mode; see
-  /// core/exchange_mode.hpp.
-  GhostExchangeMode ghost_exchange_mode{GhostExchangeMode::kAuto};
-
-  /// kAuto's crossover: a destination goes delta when 2 * changed entries
-  /// <= crossover * mirror list size.
-  double delta_exchange_crossover{0.5};
-
-  /// Overlap ghost/delta exchanges with interior compute (see
-  /// core/overlap_mode.hpp). NEVER changes results -- only where the
-  /// blocking wait sits -- so it is excluded from the checkpoint config
-  /// fingerprint, like ghost_exchange_mode.
-  OverlapMode overlap{OverlapMode::kAuto};
-
-  /// kAuto's measured cost model (core/overlap_model.hpp): probe iterations
-  /// sampled per stage (OFF first, then -- only if the OFF samples predict
-  /// hidable time -- ON) before the model locks its verdict. Like
-  /// `overlap`, never changes results; excluded from the fingerprint.
-  int overlap_probe_iters{2};
-
-  /// kAuto's engagement floor: when the OFF probe predicts fewer hidable
-  /// seconds per iteration than this, auto declines without probing ON.
-  double overlap_min_hidden_s{100e-6};
 
   /// Process vertices color class by color class (distributed distance-1
   /// coloring, recomputed per phase) so concurrently-deciding vertices are

@@ -7,7 +7,6 @@
 #include "core/coloring.hpp"
 #include "core/community_state.hpp"
 #include "core/ghost_exchange.hpp"
-#include "core/overlap_model.hpp"
 #include "core/rebuild.hpp"
 #include "louvain/early_term.hpp"
 #include "util/metrics.hpp"
@@ -122,7 +121,6 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
                       const DistConfig& cfg, int phase, double tau,
                       util::ThreadPool& pool, PhaseTimers& timers,
                       PhaseTelemetry& telemetry,
-                      OverlapCostModel* overlap_model = nullptr,
                       const WarmStart* warm = nullptr) {
   const VertexId local_n = g.local_count();
   const VertexId global_n = g.global_n();
@@ -178,39 +176,11 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
   const auto& dst_slot = g.dst_slots();
 
   // One segmented e_{v -> c} reduction per pool thread, keyed by ledger
-  // slot and reused across vertices, batches and iterations. The lane is
-  // captured once per phase (mid-run overrides land on the next phase);
-  // every lane is bitwise identical to the historical flat scatter
-  // (util/segmented.hpp).
-  const util::SweepLane lane = util::sweep_lane();
+  // slot and reused across vertices, batches and iterations; bitwise
+  // identical to the historical flat scatter (util/segmented.hpp).
   std::vector<util::SegmentedAccumulator<Weight>> scatter(
       static_cast<std::size_t>(pool.num_threads()));
-
-  // Resolve the overlap knob per ITERATION: forced modes are constant,
-  // kAuto asks the measured cost model (overlap_model.hpp) -- OFF until the
-  // model warms up (the measured-faster default per BENCH_PR5), an ON probe
-  // only when the OFF samples predict hidable time, then the locked
-  // verdict. Never changes results (see overlap_mode.hpp); the schedule
-  // below is identical either way, only the waits move, so per-iteration
-  // switching is bitwise-safe.
-  const auto overlap_now = [&cfg, overlap_model] {
-    switch (cfg.overlap) {
-      case OverlapMode::kOn: return true;
-      case OverlapMode::kOff: return false;
-      case OverlapMode::kAuto:
-        return overlap_model != nullptr && overlap_model->want_overlap();
-    }
-    return false;
-  };
-  const auto make_xcfg = [&cfg](bool on) {
-    return GhostExchangeConfig{cfg.use_neighbor_exchange, cfg.ghost_exchange_mode,
-                               cfg.delta_exchange_crossover, on};
-  };
-  // The warm-adoption exchanges before the loop and the phase-final push
-  // after it pair begin+finish back to back, so the flag is inert there;
-  // they reuse whatever the current resolution is.
-  GhostExchangeConfig xcfg = make_xcfg(overlap_now());
-  bool phase_ran_overlap = false;
+  const bool sparse = cfg.use_neighbor_exchange;
 
   // -- Warm start (incremental updates): adopt the seeded assignment -------
   // Every vertex moves from its singleton into its seed community through
@@ -253,7 +223,7 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
     {
       util::ScopedAccum scope(timers.ghost);
       const util::TraceSpan span(tb, "warm_ghost", "collective", phase);
-      state.ghosts.exchange(comm, state.owned_community, xcfg);
+      state.ghosts.exchange(comm, state.owned_community, sparse);
     }
     {
       util::ScopedAccum scope(timers.cinfo);
@@ -275,7 +245,7 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
         owned_active[static_cast<std::size_t>(lv)] =
             warm->reactivated[static_cast<std::size_t>(lv)] != 0 ? 1 : 0;
       util::ScopedAccum scope(timers.ghost);
-      ghost_active.exchange(comm, owned_active, xcfg);
+      ghost_active.exchange(comm, owned_active, sparse);
     }
     affected.assign(static_cast<std::size_t>(local_n), 0);
     for (VertexId lv = 0; lv < local_n; ++lv) {
@@ -356,19 +326,6 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
     // (phase, iter) fires here, before any of the iteration's collectives.
     comm.fault_point(phase, iter);
     const util::TraceSpan iter_span(tb, "iteration", "iteration", phase, iter);
-    // This iteration's overlap resolution, and -- while the kAuto model is
-    // still warming up -- the probe instrumentation feeding it: blocked
-    // exchange wall (latency), interior sweep wall, hidden latency, and the
-    // iteration wall, each as a delta over this iteration.
-    const bool overlap_on = overlap_now();
-    xcfg = make_xcfg(overlap_on);
-    phase_ran_overlap = phase_ran_overlap || overlap_on;
-    const bool probing = overlap_model != nullptr && overlap_model->probing();
-    const util::WallTimer probe_wall;
-    const double probe_ghost0 = timers.ghost.seconds();
-    const double probe_delta0 = timers.delta.seconds();
-    const double probe_hidden0 = timers.comm_hidden;
-    double probe_interior = 0;
     std::int64_t local_active = 0;
     std::int64_t local_moved = 0;
     std::fill(moved.begin(), moved.end(), 0);
@@ -379,9 +336,9 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
     // Interior-first schedule (ISSUE 5): stable-partition the shuffled order
     // so vertices with no ghost neighbour come first, preserving the shuffled
     // relative order within each class. The split point is a graph property
-    // -- independent of the thread count AND of the overlap knob -- so every
-    // configuration sweeps the exact same sequence. On one rank there are no
-    // ghosts, every vertex is interior and the partition is a no-op.
+    // -- independent of the thread count -- so every configuration sweeps
+    // the exact same sequence. On one rank there are no ghosts, every vertex
+    // is interior and the partition is a no-op.
     const auto interior_end = std::stable_partition(
         order.begin(), order.end(),
         [&g](VertexId lv) { return !g.is_boundary(lv); });
@@ -396,14 +353,13 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
       ++split_batch;
 
     // (i) launch the push of current community assignments for all ghost
-    // vertices (Alg. 3 l.4-5). With overlap on, the collective stays in
-    // flight through the interior batches below; off blocks right here. The
-    // payload snapshots owned_community NOW, before any of this iteration's
-    // moves, in both modes.
+    // vertices (Alg. 3 l.4-5). The collective stays in flight through the
+    // interior batches below; the payload snapshots owned_community NOW,
+    // before any of this iteration's moves.
     {
       util::ScopedAccum scope(timers.ghost);
       const util::TraceSpan span(tb, "ghost_exchange", "collective", phase, iter);
-      state.ghosts.exchange_begin(comm, state.owned_community, xcfg);
+      state.ghosts.exchange_begin(comm, state.owned_community, sparse);
     }
 
     // Local move computation (Alg. 3 l.6-9), threaded as a sequence of
@@ -475,10 +431,10 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
 
             // ∆Q argmax over the dense segment arrays. The selection (max
             // gain, strictly positive, smallest community id on ties) does
-            // not depend on visit order, so every lane picks the same
-            // winner the hash-map iteration did.
+            // not depend on visit order, so it picks the same winner the
+            // hash-map iteration did.
             const auto pick = util::best_segment(
-                lane, nbr_weight, nbr_weight.segment_of(own_slot), e_own,
+                nbr_weight, nbr_weight.segment_of(own_slot), e_own,
                 a_own_less_v, kv, m, gamma,
                 [&](std::int64_t slot) {
                   return state.ledger.info_by_slot(slot).degree;
@@ -538,19 +494,17 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
     {
       util::ScopedAccum scope(timers.compute);
       const util::TraceSpan span(tb, "overlap_interior", "overlap", phase, iter);
-      const util::WallTimer interior_timer;
       pool.reset_busy();
       run_batches(0, split_batch, static_cast<std::size_t>(state.ledger.slot_count()));
       const double busy = pool.busy_seconds();
       timers.compute_busy += busy;
       comm.counters().busy_seconds += busy;
-      probe_interior += interior_timer.seconds();
     }
 
     // (iii) complete the exchange: drain peer buffers in arrival order,
-    // absorb into the ghost slots in fixed rank order (identical in both
-    // overlap modes -- see ghost_exchange.hpp). The transfer seconds that
-    // elapsed while (ii) computed are the latency the schedule hid.
+    // absorb into the ghost slots in fixed rank order (see
+    // ghost_exchange.hpp). The transfer seconds that elapsed while (ii)
+    // computed are the latency the schedule hid.
     {
       util::ScopedAccum scope(timers.ghost);
       const util::TraceSpan span(tb, "ghost_wait", "wait", phase, iter);
@@ -595,18 +549,16 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
     {
       util::ScopedAccum scope(timers.delta);
       const util::TraceSpan span(tb, "delta_exchange", "collective", phase, iter);
-      const bool last_group = &order == &groups.back();
-      state.ledger.flush_deltas_begin(comm, overlap_on && last_group);
-      if (!last_group) state.ledger.flush_deltas_finish(comm);
+      state.ledger.flush_deltas_begin(comm);
+      if (&order != &groups.back()) state.ledger.flush_deltas_finish(comm);
     }
     }  // group loop
 
     // (vii) global modularity (Alg. 3 l.12-13). The intra-weight pass runs
     // first -- it reads communities and ghost values, never ledger records --
-    // so with overlap on it executes while the last group's delta flush is
-    // still in flight. The flush then completes (absorbing incoming deltas in
-    // fixed rank order, same point in both modes) before the owned degree
-    // term is read.
+    // so it executes while the last group's delta flush is still in flight.
+    // The flush then completes (absorbing incoming deltas in fixed rank
+    // order) before the owned degree term is read.
     Weight curr_mod;
     std::int64_t global_moved;
     Weight intra;
@@ -654,29 +606,6 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
       }
     }
 
-    // Feed the kAuto cost model one rank-identical aggregate sample (mean
-    // over ranks) of this iteration's measurements. Bounded work: at most
-    // 2 * overlap_probe_iters iterations per run ever take this collective,
-    // after which probing() stays false for good.
-    if (probing) {
-      util::ScopedAccum scope(timers.allreduce);
-      const util::TraceSpan span(tb, "overlap_probe", "overlap", phase, iter);
-      // Probe traffic is model overhead, not algorithm work: reclassify it
-      // (like checkpoint I/O) so Result::messages/bytes stay comparable
-      // across modes and across clean vs resumed runs (a resume re-probes).
-      const util::TrafficReclassScope reclass(
-          comm.counters(), util::Counter::kOverlapProbeMessages,
-          util::Counter::kOverlapProbeBytes);
-      const double latency = (timers.ghost.seconds() - probe_ghost0) +
-                             (timers.delta.seconds() - probe_delta0);
-      const auto sums = comm.allreduce_sum_vec<double>(
-          {latency, probe_interior, timers.comm_hidden - probe_hidden0,
-           probe_wall.seconds()});
-      const auto nr = static_cast<double>(comm.size());
-      overlap_model->record(OverlapSample{sums[0] / nr, sums[1] / nr,
-                                          sums[2] / nr, sums[3] / nr});
-    }
-
     // ET probability updates (Eq. 3) happen after the iteration's outcome is
     // known, for every vertex -- participation does not matter, staying put
     // does. (With warm alpha 0 this is a no-op for the frozen set and keeps
@@ -720,7 +649,7 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
   {
     util::ScopedAccum scope(timers.ghost);
     const util::TraceSpan span(tb, "ghost_exchange", "collective", phase);
-    state.ghosts.exchange(comm, state.owned_community, xcfg);
+    state.ghosts.exchange(comm, state.owned_community, sparse);
   }
   {
     util::ScopedAccum scope(timers.allreduce);
@@ -745,7 +674,6 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
   telemetry.breakdown.delta_exchange = timers.delta.seconds();
   telemetry.breakdown.allreduce = timers.allreduce.seconds();
   telemetry.breakdown.comm_hidden = timers.comm_hidden;
-  if (overlap_model != nullptr) overlap_model->note_phase(phase_ran_overlap);
   return state;
 }
 
@@ -765,13 +693,6 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
   // The rank's compute pool, shared by every phase's move scan, modularity
   // reduction, and rebuild (the per-rank half of the MPI+OpenMP hybrid).
   util::ThreadPool pool(cfg.threads_per_rank);
-
-  // kAuto's measured overlap cost model: one model per run, warmed during
-  // the first phases' iterations; forced modes bypass it entirely.
-  OverlapCostModel overlap_model(
-      OverlapCostModel::Config{cfg.overlap_probe_iters, cfg.overlap_min_hidden_s});
-  OverlapCostModel* const overlap_model_ptr =
-      cfg.overlap == OverlapMode::kAuto ? &overlap_model : nullptr;
 
   if (warm != nullptr &&
       (warm->seed_community.size() != static_cast<std::size_t>(graph.local_count()) ||
@@ -893,8 +814,8 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
     // A checkpoint resume supplies its own (coarsened) state instead, and
     // every later phase runs on a graph the seed's indices no longer match.
     const WarmStart* phase_warm = (phase == 0 && !resumed) ? warm : nullptr;
-    auto phase_state = run_phase(comm, graph, cfg, phase, tau, pool, timers,
-                                 telemetry, overlap_model_ptr, phase_warm);
+    auto phase_state =
+        run_phase(comm, graph, cfg, phase, tau, pool, timers, telemetry, phase_warm);
 
     // The exit decision depends only on collectively-identical modularities,
     // so it can be taken BEFORE the rebuild: a warm-start run that is about
@@ -1090,19 +1011,6 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
       result.restored.messages + result.counters[util::Counter::kMessages];
   result.bytes = result.restored.bytes + result.counters[util::Counter::kBytes];
 
-  // Manifest v4 "overlap" object: what the knob was, what the run did, and
-  // (kAuto) the cost-model inputs behind the decision. Forced modes report
-  // their constant; executed phases only (phase_telemetry, not restored).
-  if (cfg.overlap == OverlapMode::kAuto) {
-    result.overlap = overlap_model.telemetry(overlap_mode_label(cfg.overlap));
-  } else {
-    const bool on = cfg.overlap == OverlapMode::kOn;
-    result.overlap.mode = overlap_mode_label(cfg.overlap);
-    result.overlap.decision = on ? "on" : "off";
-    result.overlap.decided = true;
-    const auto executed = static_cast<int>(result.phase_telemetry.size());
-    (on ? result.overlap.phases_engaged : result.overlap.phases_declined) = executed;
-  }
   result.rebalance.enabled = cfg.rebalance.enabled;
   result.rebalance.threshold = cfg.rebalance.threshold;
   return result;

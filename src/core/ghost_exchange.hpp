@@ -8,8 +8,14 @@
 // pairs -- either the full value array aligned with that list (dense), or,
 // once most vertices have stopped moving, just the changed entries as
 // (list index, value) pairs (delta). Every message carries a one-element
-// header tagging its format, so the sender decides per destination and per
-// round; see core/exchange_mode.hpp. Results are identical in every mode.
+// header tagging its format, so the sender picks per destination and per
+// round: delta when 2 * changed entries <= kDeltaCrossover * list size (a
+// delta entry costs two wire elements where a dense one costs one). The
+// receiver ends up with the same ghost values either way.
+//
+// exchange_begin() leaves the collective in flight so the caller can compute
+// while messages travel; exchange_finish() completes it. The distributed
+// sweep hides the exchange behind its interior micro-batches this way.
 //
 // The field also records which of its slots changed in the last exchange
 // (last_changes(), with the previous value) -- the hook the distributed
@@ -28,33 +34,18 @@
 #include <vector>
 
 #include "comm/comm.hpp"
-#include "core/exchange_mode.hpp"
 #include "graph/dist_graph.hpp"
 #include "util/types.hpp"
 
 namespace dlouvain::core {
 
-/// Knobs for one GhostField::exchange call (see DistConfig for the run-level
-/// defaults and the CLI spellings).
-struct GhostExchangeConfig {
-  /// Sparse neighbourhood collective (default) vs dense all-to-all; the
-  /// paper's planned MPI-3 upgrade vs its baseline. Same payloads either way.
-  bool use_neighbor{true};
-  GhostExchangeMode mode{GhostExchangeMode::kDense};
-  /// kAuto picks delta for a destination when
-  ///   2 * changed_entries <= crossover * mirror_list_size
-  /// (a delta entry costs two wire elements where a dense one costs one).
-  double delta_crossover{0.5};
-  /// ISSUE 5: leave the collective in flight after exchange_begin() so the
-  /// caller can compute while messages travel; exchange_finish() completes.
-  /// Off = exchange_begin() blocks in place (the seed's synchronous order).
-  /// Identical results either way -- only the wait's position moves.
-  bool overlap{false};
-};
+/// A destination's update goes delta when
+///   2 * changed_entries <= kDeltaCrossover * mirror_list_size.
+inline constexpr double kDeltaCrossover = 0.5;
 
 /// Wait/hidden timing of the last completed exchange (overlap telemetry).
 struct GhostExchangeStats {
-  double wait_seconds{0};    ///< blocked in exchange_finish (or _begin, off)
+  double wait_seconds{0};    ///< blocked in exchange_finish
   double hidden_seconds{0};  ///< exchange latency that overlapped compute
 };
 
@@ -68,7 +59,7 @@ class GhostField {
   };
 
   /// All ghost slots start at `fill`; delta senders assume the receiver
-  /// holds `fill` too, so the first exchange already works in any mode.
+  /// holds `fill` too, so the first exchange may already ship deltas.
   GhostField(const graph::DistGraph& g, const T& fill)
       : graph_(&g),
         values_(g.ghosts().size(), fill),
@@ -106,19 +97,19 @@ class GhostField {
 
   /// Collective: push the current value of every mirrored owned vertex to
   /// the ranks ghosting it, and absorb their pushes into our slots. `owned`
-  /// maps local vertex index -> value.
-  void exchange(comm::Comm& comm, std::span<const T> owned,
-                const GhostExchangeConfig& cfg) {
-    exchange_begin(comm, owned, cfg);
+  /// maps local vertex index -> value. `use_neighbor` picks the sparse
+  /// neighbourhood collective (the paper's planned MPI-3 upgrade) over the
+  /// dense all-to-all baseline; the payloads are the same either way.
+  void exchange(comm::Comm& comm, std::span<const T> owned, bool use_neighbor = true) {
+    exchange_begin(comm, owned, use_neighbor);
     exchange_finish(comm);
   }
 
   /// First half of exchange(): deposit every outgoing update and post the
-  /// receives. With cfg.overlap the collective stays in flight (the caller
-  /// computes, then calls exchange_finish()); without it, block right here
-  /// so the order of waits matches the seed's synchronous schedule.
+  /// receives. The collective stays in flight -- the caller computes, then
+  /// calls exchange_finish().
   void exchange_begin(comm::Comm& comm, std::span<const T> owned,
-                      const GhostExchangeConfig& cfg) {
+                      bool use_neighbor = true) {
     if (pending_.has_value())
       throw std::logic_error("GhostField: exchange already in flight");
     changes_.clear();
@@ -126,29 +117,24 @@ class GhostField {
     const auto build_payload = [&](Rank r) {
       const auto& mirror_list = graph_->mirrors()[static_cast<std::size_t>(r)];
       std::vector<T> payload;
-      if (cfg.mode != GhostExchangeMode::kDense) {
-        if constexpr (std::is_integral_v<T>) {
-          std::size_t changed = 0;
-          for (const VertexId gv : mirror_list) {
-            const auto lv = static_cast<std::size_t>(graph_->to_local(gv));
-            if (owned[lv] != prev_owned_[lv]) ++changed;
-          }
-          const bool use_delta =
-              cfg.mode == GhostExchangeMode::kDelta ||
-              2.0 * static_cast<double>(changed) <=
-                  cfg.delta_crossover * static_cast<double>(mirror_list.size());
-          if (use_delta) {
-            payload.reserve(1 + 2 * changed);
-            payload.push_back(static_cast<T>(1));
-            for (std::size_t i = 0; i < mirror_list.size(); ++i) {
-              const auto lv = static_cast<std::size_t>(graph_->to_local(mirror_list[i]));
-              if (owned[lv] != prev_owned_[lv]) {
-                payload.push_back(static_cast<T>(i));
-                payload.push_back(owned[lv]);
-              }
+      if constexpr (std::is_integral_v<T>) {
+        std::size_t changed = 0;
+        for (const VertexId gv : mirror_list) {
+          const auto lv = static_cast<std::size_t>(graph_->to_local(gv));
+          if (owned[lv] != prev_owned_[lv]) ++changed;
+        }
+        if (2.0 * static_cast<double>(changed) <=
+            kDeltaCrossover * static_cast<double>(mirror_list.size())) {
+          payload.reserve(1 + 2 * changed);
+          payload.push_back(static_cast<T>(1));
+          for (std::size_t i = 0; i < mirror_list.size(); ++i) {
+            const auto lv = static_cast<std::size_t>(graph_->to_local(mirror_list[i]));
+            if (owned[lv] != prev_owned_[lv]) {
+              payload.push_back(static_cast<T>(i));
+              payload.push_back(owned[lv]);
             }
-            return payload;
           }
+          return payload;
         }
       }
       payload.reserve(1 + mirror_list.size());
@@ -158,8 +144,8 @@ class GhostField {
       return payload;
     };
 
-    // Wire-mode accounting (ISSUE 4): bytes split by format so the manifest
-    // shows what delta mode actually saves, records = ghost values carried.
+    // Wire-format accounting: bytes split by format so the manifest shows
+    // what the delta pick actually saves, records = ghost values carried.
     // Counts into this rank's block on this rank's thread (single-writer).
     util::CounterBlock& ctr = comm.counters();
     const auto count_payload = [&ctr](const std::vector<T>& payload) {
@@ -175,7 +161,7 @@ class GhostField {
       }
     };
 
-    if (cfg.use_neighbor) {
+    if (use_neighbor) {
       const auto& neighbors = graph_->neighbor_ranks();
       std::vector<std::vector<T>> outbox;
       outbox.reserve(neighbors.size());
@@ -198,7 +184,6 @@ class GhostField {
       pending_.emplace(comm.ialltoallv<T>(std::move(outbox)));
       pending_neighbor_ = false;
     }
-    if (!cfg.overlap) pending_->wait();
   }
 
   /// Second half of exchange(): complete the in-flight collective (peer
@@ -231,20 +216,6 @@ class GhostField {
   /// Timing of the last completed exchange (zeros before the first one).
   [[nodiscard]] const GhostExchangeStats& last_exchange_stats() const noexcept {
     return stats_;
-  }
-
-  /// Legacy dense-mode entry points (sparse/dense topology knob only).
-  void exchange(comm::Comm& comm, std::span<const T> owned, bool use_neighbor = true) {
-    GhostExchangeConfig cfg;
-    cfg.use_neighbor = use_neighbor;
-    exchange(comm, owned, cfg);
-  }
-  void exchange(comm::Comm& comm, const std::vector<T>& owned, bool use_neighbor = true) {
-    exchange(comm, std::span<const T>(owned), use_neighbor);
-  }
-  void exchange(comm::Comm& comm, const std::vector<T>& owned,
-                const GhostExchangeConfig& cfg) {
-    exchange(comm, std::span<const T>(owned), cfg);
   }
 
   /// Slots the last exchange() call overwrote with a DIFFERENT value, with

@@ -8,17 +8,10 @@
 // built from these helpers.
 //
 // Manifest schema (stable, versioned): see docs/OBSERVABILITY.md. The
-// top-level "schema" key is "dlouvain-run-manifest/5"; v2 added the always-
-// present "updates" section (streaming-session telemetry), v3 the
-// "recovery.ladder" section (graduated recovery telemetry: retransmits,
-// verdicts, shrinks) and the arq.*/heartbeat.* counters, v4 the "overlap"
-// object on distributed manifests (the --overlap=auto cost-model decision
-// and its inputs; core/overlap_model.hpp), v5 the "rebalance" object plus
-// per-phase load_lambda/time_lambda/rebalance records in phases_detail and
-// the rebalance.* counters (the phase-boundary load re-balancer,
-// core/rebalance.hpp). v1-v4 documents remain valid inputs for the tooling
-// (tools/check_bench_regression.py, tools/validate_trace.py accept all
-// versions).
+// top-level "schema" key is "dlouvain-run-manifest/6". The tooling
+// (tools/manifest_schema.py, shared by validate_trace.py,
+// check_bench_regression.py and service_smoke.py) validates this one version
+// against one counter catalog.
 #pragma once
 
 #include <string>
@@ -29,7 +22,7 @@
 
 namespace dlouvain::core {
 
-inline constexpr std::string_view kManifestSchema = "dlouvain-run-manifest/5";
+inline constexpr std::string_view kManifestSchema = "dlouvain-run-manifest/6";
 
 /// JSON string escaping (quotes, backslash, control characters).
 std::string json_escape(std::string_view s);
@@ -46,15 +39,11 @@ void append_counters_json(std::string& out, const util::MetricsSnapshot& counter
 /// Appends a TimeBreakdown object (the Section V-A buckets).
 void append_breakdown_json(std::string& out, const TimeBreakdown& b);
 
-/// Appends the manifest-v2 "updates" object (streaming-session telemetry;
-/// all zeros for a one-shot run).
+/// Appends the "updates" object (streaming-session telemetry; all zeros for
+/// a one-shot run).
 void append_updates_json(std::string& out, const UpdateTelemetry& u);
 
-/// Appends the manifest-v4 "overlap" object: configured mode, settled
-/// decision, and the cost-model inputs (core/overlap_model.hpp).
-void append_overlap_json(std::string& out, const OverlapTelemetry& o);
-
-/// Appends the manifest-v5 "rebalance" object: the knob, how many phase
+/// Appends the "rebalance" object: the knob, how many phase
 /// boundaries were screened / engaged / declined, the migration totals, and
 /// the worst lambdas seen (core/rebalance.hpp; per-boundary detail rides
 /// phases_detail).
@@ -67,8 +56,8 @@ void append_rebalance_json(std::string& out,
 /// totals at that moment) appended to each run manifest as an OPTIONAL
 /// "service" section, and the daemon's final drain manifest
 /// ("dlouvain-service-manifest/1"), where job_id stays -1. The run-manifest
-/// schema is unchanged by the section (dlouvain-run-manifest/5 as of the re-balancer) -- the section is additive and
-/// the tooling accepts manifests with or without it.
+/// schema is unchanged by the section -- the section is additive and the
+/// tooling accepts manifests with or without it.
 struct ServiceTelemetry {
   std::int64_t job_id{-1};       ///< admission id of this response's job; -1 daemon-wide
   bool cache_hit{false};         ///< this response was served from the result cache

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/overlap_model.hpp"
 #include "util/metrics.hpp"
 #include "util/types.hpp"
 
@@ -44,9 +43,8 @@ struct TimeBreakdown {
   /// schedule actually hid (ISSUE 5). Summed PER PEER BUFFER: each incoming
   /// buffer contributes its in-flight span from the collective's launch to
   /// the earlier of its delivery and the blocking wait (so it can exceed the
-  /// compute wall when many peers' latency is hidden at once). ~0 with
-  /// overlap off. NOT part of total(): these seconds overlap the compute
-  /// wall time by definition.
+  /// compute wall when many peers' latency is hidden at once). NOT part of
+  /// total(): these seconds overlap the compute wall time by definition.
   double comm_hidden{0};
 
   [[nodiscard]] double total() const {
@@ -162,11 +160,6 @@ struct DistResult {
   /// history is NOT folded in here; only messages/bytes/seconds above carry
   /// restored history, because only they are persisted.
   util::MetricsSnapshot counters;
-
-  /// How the communication/compute overlap knob resolved (the manifest v4
-  /// "overlap" object): the configured mode, the decision the run settled
-  /// on, and the cost-model inputs that decided it (overlap_model.hpp).
-  OverlapTelemetry overlap;
 
   /// Run-level roll-up of the phase-boundary load re-balancer (the manifest
   /// v5 "rebalance" object; per-boundary detail rides phase_telemetry).

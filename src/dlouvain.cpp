@@ -41,11 +41,6 @@ core::DistConfig Plan::dist_config() const {
   cfg.add_threshold_cycling = cycling_;
   cfg.use_coloring = coloring_;
   cfg.record_iterations = record_iterations_;
-  cfg.ghost_exchange_mode = exchange_mode_;
-  cfg.delta_exchange_crossover = exchange_crossover_;
-  cfg.overlap = overlap_;
-  cfg.overlap_probe_iters = overlap_probe_iters_;
-  cfg.overlap_min_hidden_s = overlap_min_hidden_s_;
   cfg.rebalance.enabled = rebalance_;
   cfg.rebalance.threshold = rebalance_threshold_;
   cfg.threads_per_rank = threads_;
@@ -107,8 +102,6 @@ void Plan::validate() const {
   if (max_restarts_ > 0) dist_only("max_restarts()");
   if (retransmit_max_ > 0) dist_only("retransmit()");
   if (shrink_on_rank_loss_) dist_only("shrink_on_rank_loss()");
-  if (exchange_mode_ != GhostExchangeMode::kAuto) dist_only("exchange()");
-  if (overlap_ != OverlapMode::kAuto) dist_only("overlap()");
   if (rebalance_) dist_only("rebalance()");
   if (partition_ != graph::PartitionKind::kEvenEdges) dist_only("partition()");
 }

@@ -141,13 +141,6 @@ struct UpdateStats {
 /// never open the core namespace.
 using core::Variant;
 
-/// Ghost-exchange wire modes (core/exchange_mode.hpp), re-exported likewise.
-using core::GhostExchangeMode;
-
-/// Communication/compute overlap modes (core/overlap_mode.hpp), re-exported
-/// likewise.
-using core::OverlapMode;
-
 /// Which implementation a Plan dispatches to.
 enum class Engine {
   kSerial,       ///< single-threaded reference (louvain/serial.hpp)
@@ -287,27 +280,6 @@ class Plan {
   Plan& vertex_following(bool on = true) { vertex_following_ = on; return *this; }
   /// Record per-iteration telemetry (distributed engine, Figs. 5-6 series).
   Plan& record_iterations(bool on = true) { record_iterations_ = on; return *this; }
-  /// Ghost-exchange wire format (distributed engine): dense mirror lists,
-  /// changed-entries-only deltas, or a per-destination pick (the default).
-  /// Never changes results -- a bandwidth knob.
-  Plan& exchange(GhostExchangeMode mode) { exchange_mode_ = mode; return *this; }
-  /// kAuto's delta crossover threshold (see DistConfig).
-  Plan& exchange_crossover(double c) { exchange_crossover_ = c; return *this; }
-  /// Overlap ghost/delta exchanges with interior compute (distributed
-  /// engine). Never changes results -- only where the blocking waits sit.
-  /// kAuto (the default) runs OFF until a measured cost model warms up,
-  /// then engages only when the probed hidden time beats the schedule's
-  /// measured overhead (core/overlap_model.hpp); the verdict and its inputs
-  /// land in the manifest's "overlap" object.
-  Plan& overlap(OverlapMode mode) { overlap_ = mode; return *this; }
-  /// kAuto cost-model knobs: probe iterations sampled per stage and the
-  /// minimum predicted-hidable seconds below which auto declines without an
-  /// ON probe (see DistConfig). Never change results.
-  Plan& overlap_probe(int iters, double min_hidden_s = 100e-6) {
-    overlap_probe_iters_ = iters;
-    overlap_min_hidden_s_ = min_hidden_s;
-    return *this;
-  }
   /// Phase-boundary dynamic load re-balancing (distributed engine,
   /// core/rebalance.hpp): at each rebuild, when the new coarse graph's
   /// arc-count imbalance lambda = max/mean under the default even-vertex
@@ -437,11 +409,6 @@ class Plan {
   bool coloring_{false};
   bool vertex_following_{false};
   bool record_iterations_{true};
-  GhostExchangeMode exchange_mode_{GhostExchangeMode::kAuto};
-  double exchange_crossover_{0.5};
-  OverlapMode overlap_{OverlapMode::kAuto};
-  int overlap_probe_iters_{2};
-  double overlap_min_hidden_s_{100e-6};
   bool rebalance_{false};
   double rebalance_threshold_{1.5};
   std::string checkpoint_dir_;

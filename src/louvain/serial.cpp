@@ -34,8 +34,7 @@ std::vector<CommunityId> run_phase(const graph::Csr& g, const LouvainConfig& cfg
   Weight prev_mod = modularity(g, community, gamma);
   // Segmented e_{v -> c} reduction, keyed directly by community id (ids
   // live in [0, n) on this engine); reused across every vertex of the
-  // phase. All lanes are bitwise identical (util/segmented.hpp).
-  const util::SweepLane lane = util::sweep_lane();
+  // phase (util/segmented.hpp).
   util::SegmentedAccumulator<Weight> nbr_weight;
 
   // Vertices are swept in a seeded-random order, reshuffled every iteration.
@@ -66,10 +65,10 @@ std::vector<CommunityId> run_phase(const graph::Csr& g, const LouvainConfig& cfg
       const Weight a_own_less_v = a[static_cast<std::size_t>(own)] - kv;
 
       // ∆Q argmax over the distinct neighbouring communities (strictly
-      // positive gain, ties toward the smaller id -- the lane-shared rule).
+      // positive gain, ties toward the smaller id -- the engine-shared rule).
       const auto pick = util::best_segment(
-          lane, nbr_weight, nbr_weight.segment_of(own), e_own, a_own_less_v, kv,
-          m, gamma,
+          nbr_weight, nbr_weight.segment_of(own), e_own, a_own_less_v, kv, m,
+          gamma,
           [&](std::int64_t slot) { return a[static_cast<std::size_t>(slot)]; },
           [](std::int64_t slot) { return static_cast<CommunityId>(slot); });
       const CommunityId best =

@@ -95,9 +95,7 @@ PhaseOutput run_phase(const graph::Csr& g, const LouvainConfig& cfg, int phase,
   // One segmented e_{v -> c} reduction per pool thread (community ids live
   // in [0, n) on this engine), reused across vertices and batches. Each
   // thread only ever touches its own accumulator, so the decision scan
-  // stays race-free. The lane is captured once per phase; all lanes are
-  // bitwise identical (util/segmented.hpp).
-  const util::SweepLane lane = util::sweep_lane();
+  // stays race-free (util/segmented.hpp).
   std::vector<util::SegmentedAccumulator<Weight>> scatter(
       static_cast<std::size_t>(pool.num_threads()));
 
@@ -138,8 +136,8 @@ PhaseOutput run_phase(const graph::Csr& g, const LouvainConfig& cfg, int phase,
           const Weight a_own_less_v = a[static_cast<std::size_t>(own)] - kv;
 
           const auto pick = util::best_segment(
-              lane, nbr_weight, nbr_weight.segment_of(own), e_own, a_own_less_v,
-              kv, m, gamma,
+              nbr_weight, nbr_weight.segment_of(own), e_own, a_own_less_v, kv,
+              m, gamma,
               [&](std::int64_t slot) { return a[static_cast<std::size_t>(slot)]; },
               [](std::int64_t slot) { return static_cast<CommunityId>(slot); });
           CommunityId best = own;

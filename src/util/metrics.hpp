@@ -44,8 +44,6 @@ enum class Counter : int {
   kCheckpointMessages,    ///< messages reclassified as checkpoint save/load I/O
   kCheckpointBytes,       ///< payload bytes reclassified as checkpoint I/O
   kCheckpointFileBytes,   ///< bytes persisted to checkpoint files on disk
-  kOverlapProbeMessages,  ///< messages reclassified as overlap cost-model probes
-  kOverlapProbeBytes,     ///< payload bytes reclassified as overlap probes
   kArqNacks,              ///< rung-1 retransmit requests issued by receivers
   kArqRetransmits,        ///< payload copies re-enqueued from the retained store
   kArqBackoffMs,          ///< summed ARQ backoff milliseconds scheduled
@@ -72,8 +70,6 @@ inline constexpr std::size_t kNumCounters = static_cast<std::size_t>(Counter::kC
     case Counter::kCheckpointMessages: return "checkpoint.messages";
     case Counter::kCheckpointBytes: return "checkpoint.bytes";
     case Counter::kCheckpointFileBytes: return "checkpoint.file_bytes";
-    case Counter::kOverlapProbeMessages: return "overlap.probe_messages";
-    case Counter::kOverlapProbeBytes: return "overlap.probe_bytes";
     case Counter::kArqNacks: return "arq.nacks";
     case Counter::kArqRetransmits: return "arq.retransmits";
     case Counter::kArqBackoffMs: return "arq.backoff_ms";

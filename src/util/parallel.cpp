@@ -53,9 +53,7 @@ void ThreadPool::worker_loop(int tid) {
 
 void ThreadPool::run(const std::function<void(int)>& job) {
   if (workers_.empty()) {
-    WallTimer timer;
-    job(0);
-    busy_[0] += timer.seconds();
+    run_inline([&] { job(0); });
     return;
   }
   {

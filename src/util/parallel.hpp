@@ -28,6 +28,8 @@
 #include <thread>
 #include <vector>
 
+#include "util/timer.hpp"
+
 namespace dlouvain::util {
 
 /// A fixed-size pool of worker threads with fork-join semantics. The calling
@@ -54,6 +56,15 @@ class ThreadPool {
   /// block until all are done. If any invocation throws, the first exception
   /// is rethrown on the caller after the join.
   void run(const std::function<void(int)>& job);
+
+  /// Run job() on the caller as thread 0 without waking any worker, timed
+  /// into thread 0's busy slot like run() times it.
+  template <typename Job>
+  void run_inline(Job&& job) {
+    const WallTimer timer;
+    job();
+    busy_[0] += timer.seconds();
+  }
 
   /// Sum of per-thread seconds spent inside jobs since the last reset.
   [[nodiscard]] double busy_seconds() const;
@@ -111,14 +122,19 @@ inline std::pair<std::int64_t, std::int64_t> fixed_chunk(std::int64_t n,
 
 /// Static-chunked parallel loop over [0, n): each pool thread receives at
 /// most one contiguous chunk [begin, end) and calls body(tid, begin, end).
-/// With a null pool (or one thread, or an empty range) the body runs inline
-/// on the caller.
+/// With a null pool (or one thread, or a one-element range) the body runs
+/// inline on the caller; a given pool still counts it as thread 0's busy
+/// time.
 template <typename Body>
 void parallel_for(ThreadPool* pool, std::int64_t n, Body&& body) {
   if (n <= 0) return;
   const int threads = pool == nullptr ? 1 : pool->num_threads();
   if (threads <= 1 || n == 1) {
-    body(0, std::int64_t{0}, n);
+    if (pool == nullptr) {
+      body(0, std::int64_t{0}, n);
+    } else {
+      pool->run_inline([&] { body(0, std::int64_t{0}, n); });
+    }
     return;
   }
   const std::int64_t chunk = (n + threads - 1) / threads;

@@ -1,54 +1,43 @@
-// Segmented-reduction sweep kernels (ISSUE 8): the sorted-neighbor layout
-// from Forster's GPU Louvain, adapted to the epoch-stamped scatter idiom.
+// Segmented-reduction sweep kernel: the sorted-neighbor layout from
+// Forster's GPU Louvain, adapted to the epoch-stamped scatter idiom. Every
+// engine's local-move scan runs it.
 //
-// The flat ScatterAccumulator path ("gather lane") accumulates e_{v -> c}
-// into a slot-indexed sparse array and then walks touched() gathering
-// values_[slot] + the community degree per candidate -- every read in the
-// gain loop is an indirection into slot space. The segmented lanes instead
-// group each vertex's arcs by destination-community slot as they stream by
-// (STABLE first-touch grouping), producing three dense, contiguous arrays:
+// The flat ScatterAccumulator path accumulates e_{v -> c} into a
+// slot-indexed sparse array and then walks touched() gathering values_[slot]
+// + the community degree per candidate -- every read in the gain loop is an
+// indirection into slot space. The segmented kernel instead groups each
+// vertex's arcs by destination-community slot as they stream by (STABLE
+// first-touch grouping), producing dense, contiguous arrays:
 //
 //   slots[i]  -- the i-th distinct community slot, in first-touch order
 //   sums[i]   -- e_{v -> slots[i]}, accumulated left-to-right in scan order
-//   (scratch) -- per-segment degree / gain arrays the SIMD lane fills
+//   (scratch) -- per-segment degree / gain arrays of the split passes
 //
 // Bitwise contract: first-touch segment order IS ScatterAccumulator's
 // touched() order, and each segment's sum is accumulated in the exact scan
 // order the flat path used (`values_[s] += w` becomes `sums_[seg] += w`), so
 // every floating-point bit matches the flat path. The ∆Q selection (max
 // gain, strictly positive, smallest community id on ties) is visit-order
-// independent, so the lanes may restructure that loop freely -- the SIMD
-// lane splits it into a degree gather, a dense element-wise gain pass the
-// compiler vectorizes (contiguous loads, no calls, no branches), and a
-// scalar argmax scan. Per-segment sums are NEVER tree-reduced.
-//
-// Lane selection: preferred_sweep_lane() picks the widest profitable lane
-// for the host CPU at runtime (kSimd where a vector FPU is present, else
-// kSegmented), with kScalar always available as the reference fallback.
-// set_sweep_lane() overrides the choice process-wide (tests, benches, and
-// the DLOUVAIN_SWEEP_LANE environment knob); sweeps re-read the lane at
-// phase granularity, so a mid-sweep override cannot tear a batch.
+// independent, so best_segment() splits that loop into a degree gather, a
+// dense element-wise gain pass the compiler vectorizes (contiguous loads, no
+// calls, no branches), and a scalar argmax scan. Per-segment sums are NEVER
+// tree-reduced.
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
-#include <stdexcept>
-#include <string>
-#include <type_traits>
 #include <vector>
 
 #include "util/types.hpp"
 
 // Function multiversioning for the dense gain pass: when the translation
 // unit is built for baseline x86-64 (no -mavx2), emit an additional AVX2
-// clone of the pass and pick it at runtime. target("avx2") deliberately
-// does NOT enable FMA, so the compiler cannot contract a*b+c -- the AVX2
-// clone is bitwise identical to the scalar/SSE2 code, just 4 doubles wide
-// (vdivpd halves the per-element divide throughput that bounds the pass).
+// clone of the pass and let CPU detection pick it at runtime (a platform
+// dispatch, not an option). target("avx2") deliberately does NOT enable
+// FMA, so the compiler cannot contract a*b+c -- the AVX2 clone is bitwise
+// identical to the scalar/SSE2 code, just 4 doubles wide (vdivpd halves the
+// per-element divide throughput that bounds the pass).
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
     !defined(__AVX2__)
 #define DLOUVAIN_SEGMENTED_MULTIVERSION 1
@@ -57,93 +46,6 @@
 #endif
 
 namespace dlouvain::util {
-
-/// Which implementation of the local-move inner loop a sweep runs. All
-/// three produce bitwise-identical results; they differ only in memory
-/// layout and instruction scheduling.
-enum class SweepLane : int {
-  kScalar = 0,     ///< flat ScatterAccumulator + interleaved gather gain loop
-  kSegmented = 1,  ///< dense segment arrays, fused per-segment gain loop
-  kSimd = 2,       ///< dense segments + split vectorizable gain passes
-};
-
-[[nodiscard]] inline const char* sweep_lane_label(SweepLane lane) {
-  switch (lane) {
-    case SweepLane::kScalar: return "scalar";
-    case SweepLane::kSegmented: return "segmented";
-    case SweepLane::kSimd: return "simd";
-  }
-  return "?";
-}
-
-/// Widest lane the host CPU profits from. The SIMD lane is portable C++
-/// (compiler-vectorized stride loops, no intrinsics), so this is a
-/// performance choice, not a correctness gate: prefer it wherever a vector
-/// FPU wide enough to pay for the split passes exists, fall back to the
-/// fused segmented lane otherwise.
-[[nodiscard]] inline SweepLane preferred_sweep_lane() {
-#if defined(__x86_64__) || defined(_M_X64)
-#if defined(__GNUC__) || defined(__clang__)
-  // AVX2 (4-wide double, and what the multiversioned gain-pass clone is
-  // compiled for) is where the split passes win over the fused loop; older
-  // x86-64 keeps the fused segmented lane.
-  return __builtin_cpu_supports("avx2") ? SweepLane::kSimd : SweepLane::kSegmented;
-#else
-  return SweepLane::kSegmented;
-#endif
-#elif defined(__aarch64__)
-  return SweepLane::kSimd;  // NEON (2-wide double) is architectural
-#else
-  return SweepLane::kSegmented;
-#endif
-}
-
-namespace detail {
-inline std::atomic<int>& sweep_lane_override() {
-  static std::atomic<int> lane{-1};  // -1 = no override
-  return lane;
-}
-}  // namespace detail
-
-/// Process-wide lane override (tests / benches / the DLOUVAIN_SWEEP_LANE
-/// env knob). Sweeps capture the lane once per phase, so flipping this
-/// mid-run affects the next phase, never a half-swept batch.
-inline void set_sweep_lane(SweepLane lane) {
-  detail::sweep_lane_override().store(static_cast<int>(lane),
-                                      std::memory_order_relaxed);
-}
-
-/// Drop any override and return to runtime CPU detection.
-inline void clear_sweep_lane() {
-  detail::sweep_lane_override().store(-1, std::memory_order_relaxed);
-}
-
-/// The lane sweeps should run: the override if one is set (API first, then
-/// the DLOUVAIN_SWEEP_LANE environment variable, latched on first query),
-/// otherwise the CPU-detected preference.
-[[nodiscard]] inline SweepLane sweep_lane() {
-  const int forced = detail::sweep_lane_override().load(std::memory_order_relaxed);
-  if (forced >= 0) return static_cast<SweepLane>(forced);
-  static const int env_lane = [] {
-    const char* env = std::getenv("DLOUVAIN_SWEEP_LANE");
-    if (env == nullptr) return -1;
-    if (std::strcmp(env, "scalar") == 0) return 0;
-    if (std::strcmp(env, "segmented") == 0) return 1;
-    if (std::strcmp(env, "simd") == 0) return 2;
-    return -1;  // unknown value: ignore, keep detection
-  }();
-  if (env_lane >= 0) return static_cast<SweepLane>(env_lane);
-  return preferred_sweep_lane();
-}
-
-/// Parse a lane label ("scalar" | "segmented" | "simd"); throws on unknown.
-[[nodiscard]] inline SweepLane parse_sweep_lane(const std::string& label) {
-  if (label == "scalar") return SweepLane::kScalar;
-  if (label == "segmented") return SweepLane::kSegmented;
-  if (label == "simd") return SweepLane::kSimd;
-  throw std::invalid_argument("unknown sweep lane '" + label +
-                              "' (want scalar|segmented|simd)");
-}
 
 /// Stable group-by-slot accumulator: the segmented twin of
 /// ScatterAccumulator. add() streams arcs in scan order; segments appear in
@@ -157,7 +59,7 @@ inline void clear_sweep_lane() {
 /// two (stamps_[s] + values_[s]). The dense arrays are pre-sized to the
 /// reset() capacity, which makes the first-touch path branch-free (plain
 /// overwrites, no push_back). Together these are what make the segmented
-/// lanes faster than the flat gather, not just bitwise equal to it.
+/// kernel faster than the flat gather, not just bitwise equal to it.
 template <typename V>
 class SegmentedAccumulator {
  public:
@@ -217,9 +119,8 @@ class SegmentedAccumulator {
     return seg >= 0 ? sums_[static_cast<std::size_t>(seg)] : V{};
   }
 
-  /// Dense per-segment scratch (degree gather / gain output) for the SIMD
-  /// lane's split passes; grown lazily to segments() so the fused lanes
-  /// never pay for it.
+  /// Dense per-segment scratch (degree gather / gain output) for
+  /// best_segment()'s split passes; grown lazily to segments().
   [[nodiscard]] V* deg_scratch() {
     if (deg_.size() < count_) deg_.resize(count_);
     return deg_.data();
@@ -236,8 +137,8 @@ class SegmentedAccumulator {
   std::uint32_t count_{0};
   std::vector<std::int64_t> slots_;
   std::vector<V> sums_;
-  std::vector<V> deg_;   // SIMD-lane scratch, aligned with slots_
-  std::vector<V> gain_;  // SIMD-lane scratch, aligned with slots_
+  std::vector<V> deg_;   // split-pass scratch, aligned with slots_
+  std::vector<V> gain_;  // split-pass scratch, aligned with slots_
 };
 
 /// Outcome of one vertex's ∆Q argmax: the winning segment index into the
@@ -248,9 +149,9 @@ struct BestSegment {
 
 namespace detail {
 
-/// The dense element-wise gain pass of the SIMD lane. The expression is
-/// token-for-token the one in best_segment()'s fused loop -- any edit must
-/// change all copies together or the lanes stop being bitwise identical.
+/// The dense element-wise gain pass of best_segment(). The AVX2 clone below
+/// repeats the expression token for token -- any edit must change both
+/// copies together or the platform dispatch stops being bitwise identical.
 inline void gain_pass(std::size_t n, const double* __restrict sums,
                       const double* __restrict deg, double* __restrict gain,
                       double e_own, double a_own_less_v, double kv, double m,
@@ -306,86 +207,44 @@ inline void dispatch_gain_pass(std::size_t n, const double* sums,
 ///   gain = (e_target - e_own) / m - gamma * kv * (a_target - a_own_less_v)
 ///                                   / (2 * m * m)
 ///
-/// with ties broken toward the smallest community id. The rule is
-/// visit-order independent, so all three lanes return the same segment.
-///
-/// kScalar/kSegmented fuse the gain computation into the scan (degree
-/// fetched per candidate); kSimd runs three dense passes -- gather degrees,
-/// element-wise gain (vectorizable: contiguous loads, no calls), argmax.
+/// with ties broken toward the smallest community id. Three dense passes:
+/// gather degrees, element-wise gain (vectorizable: contiguous loads, no
+/// calls), argmax.
 template <typename V, typename DegOf, typename IdOf>
-[[nodiscard]] inline BestSegment best_segment(
-    SweepLane lane, SegmentedAccumulator<V>& seg, std::int64_t own_segment,
-    V e_own, V a_own_less_v, V kv, V m, double gamma, DegOf&& deg_of,
-    IdOf&& id_of) {
+[[nodiscard]] inline BestSegment best_segment(SegmentedAccumulator<V>& seg,
+                                              std::int64_t own_segment, V e_own,
+                                              V a_own_less_v, V kv, V m,
+                                              double gamma, DegOf&& deg_of,
+                                              IdOf&& id_of) {
   const std::size_t n = seg.segments();
   const std::int64_t* slots = seg.slots();
   const V* sums = seg.sums();
 
+  V* deg = seg.deg_scratch();
+  V* gain = seg.gain_scratch();
+  for (std::size_t i = 0; i < n; ++i) deg[i] = deg_of(slots[i]);
+  // The vector pass: every operand is a contiguous load or a scalar
+  // broadcast and the expression is never reassociated, so the loop
+  // vectorizes without changing a bit -- 4-wide AVX2 via the
+  // runtime-dispatched clone where the CPU has it.
+  detail::dispatch_gain_pass(n, sums, deg, gain, e_own, a_own_less_v, kv, m, gamma);
+  // Branchless running max (compiles to maxsd, no mispredicts), then a rare
+  // resolve pass. The own segment needs no skip here: its first term is
+  // exactly +-0 (sums[own] == e_own) and its second is non-negative for
+  // non-negative weights, so its gain can never reach a strictly positive
+  // max; the resolve pass still excludes it for belt-and-braces. Selection
+  // is "max gain, then smallest community id" -- visit-order independent.
+  V max_gain = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    max_gain = gain[i] > max_gain ? gain[i] : max_gain;
+  if (!(max_gain > 0)) return BestSegment{-1};
   std::int64_t best_seg = -1;
-  V best_gain = 0;
-  CommunityId best_id = kInvalidCommunity;
-
-  if (lane == SweepLane::kSimd) {
-    V* deg = seg.deg_scratch();
-    V* gain = seg.gain_scratch();
-    for (std::size_t i = 0; i < n; ++i) deg[i] = deg_of(slots[i]);
-    // The vector pass: every operand is a contiguous load or a scalar
-    // broadcast, the expression matches the fused lanes token for token
-    // (no reassociation), so the bits agree and the loop vectorizes --
-    // 4-wide AVX2 via the runtime-dispatched clone where the CPU has it.
-    if constexpr (std::is_same_v<V, double>) {
-      detail::dispatch_gain_pass(n, sums, deg, gain, e_own, a_own_less_v, kv,
-                                 m, gamma);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        gain[i] = (sums[i] - e_own) / m -
-                  gamma * kv * (deg[i] - a_own_less_v) / (2 * m * m);
-      }
-    }
-    // Branchless running max (compiles to maxsd, no mispredicts), then a
-    // rare resolve pass. The own segment needs no skip here: its first
-    // term is exactly +-0 (sums[own] == e_own) and its second is
-    // non-negative for non-negative weights, so its gain can never reach
-    // a strictly positive max; the resolve pass still excludes it for
-    // belt-and-braces. Selection is "max gain, then smallest community
-    // id" -- visit-order independent, so this equals the fused scan.
-    V max_gain = 0;
-    for (std::size_t i = 0; i < n; ++i)
-      max_gain = gain[i] > max_gain ? gain[i] : max_gain;
-    if (!(max_gain > 0)) return BestSegment{-1};
-    CommunityId resolved_id = std::numeric_limits<CommunityId>::max();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (gain[i] == max_gain &&
-          static_cast<std::int64_t>(i) != own_segment) {
-        const CommunityId target = id_of(slots[i]);
-        if (best_seg < 0 || target < resolved_id) {
-          best_seg = static_cast<std::int64_t>(i);
-          resolved_id = target;
-        }
-      }
-    }
-    return BestSegment{best_seg};
-  }
-
-  // Fused lanes: kSegmented streams the dense segment arrays; kScalar is
-  // the same loop shape the flat path ran (the accumulator is shared, so
-  // "scalar" here means fused-gather scheduling, not a different layout).
+  CommunityId best_id = std::numeric_limits<CommunityId>::max();
   for (std::size_t i = 0; i < n; ++i) {
-    const auto si = static_cast<std::int64_t>(i);
-    if (si == own_segment) continue;
-    const V e_target = sums[i];
-    const V gain = (e_target - e_own) / m -
-                   gamma * kv * (deg_of(slots[i]) - a_own_less_v) / (2 * m * m);
-    if (gain > best_gain) {
-      best_seg = si;
-      best_gain = gain;
-      best_id = kInvalidCommunity;
-    } else if (gain == best_gain && gain > 0 && best_seg >= 0) {
-      if (best_id == kInvalidCommunity)
-        best_id = id_of(slots[static_cast<std::size_t>(best_seg)]);
+    if (gain[i] == max_gain && static_cast<std::int64_t>(i) != own_segment) {
       const CommunityId target = id_of(slots[i]);
-      if (target < best_id) {
-        best_seg = si;
+      if (best_seg < 0 || target < best_id) {
+        best_seg = static_cast<std::int64_t>(i);
         best_id = target;
       }
     }

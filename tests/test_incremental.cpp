@@ -384,9 +384,6 @@ TEST(PlanValidate, RejectsDistributedKnobsOnLocalEngines) {
   const auto csr = dg::from_edges(g.num_vertices, g.edges);
   EXPECT_THROW(Plan::serial().coloring().run(csr), PlanError);
   EXPECT_THROW(Plan::serial().threshold_cycling().run(csr), PlanError);
-  EXPECT_THROW(Plan::shared(2).overlap(dlouvain::OverlapMode::kOn).run(csr), PlanError);
-  EXPECT_THROW(Plan::shared(2).exchange(dlouvain::GhostExchangeMode::kDelta).run(csr),
-               PlanError);
   EXPECT_THROW(Plan::serial().checkpointing("/tmp/x").run(csr), PlanError);
   EXPECT_THROW(Plan::serial().inject_faults(dc::FaultPlan().delay(0.1)).run(csr),
                PlanError);
@@ -454,11 +451,11 @@ TEST(ManifestV2, UpdatesSectionAlwaysPresent) {
 
   const auto one_shot = Plan::distributed(2).run(csr);
   const auto json = one_shot.to_json();
-  EXPECT_NE(json.find("\"schema\":\"dlouvain-run-manifest/5\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\":\"dlouvain-run-manifest/6\""), std::string::npos);
   EXPECT_NE(json.find("\"updates\":{\"batches_applied\":0"), std::string::npos);
 
   const auto serial_json = Plan::serial().run(csr).to_json();
-  EXPECT_NE(serial_json.find("\"schema\":\"dlouvain-run-manifest/5\""),
+  EXPECT_NE(serial_json.find("\"schema\":\"dlouvain-run-manifest/6\""),
             std::string::npos);
   EXPECT_NE(serial_json.find("\"updates\":{\"batches_applied\":0"), std::string::npos);
 }

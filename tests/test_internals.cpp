@@ -5,7 +5,9 @@
 // full Louvain runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <memory>
 #include <numeric>
 
 #include "comm/world.hpp"
@@ -82,45 +84,55 @@ TEST(GhostField, AtThrowsForNonGhost) {
 }
 
 TEST(GhostField, DeltaExchangeMatchesDenseAndReportsChanges) {
+  // Whichever format the per-destination pick ships -- dense while a mirror
+  // list is changing, delta once it is not -- every exchange leaves each
+  // ghost slot equal to its owner's value, and last_changes() lists exactly
+  // the slots it rewrote, each with its old value. The owned pattern is a
+  // pure function of (global id, round), so every rank knows what each
+  // ghost's owner sent.
+  const auto value_of = [](VertexId gv, int round) -> std::int64_t {
+    return round >= 2 && gv % 3 == 0 ? -gv - 1 : gv;
+  };
   const auto g = path_graph(10);
-  dc::run(3, [&](dc::Comm& comm) {
-    const auto dist = dg::DistGraph::from_replicated(comm, g);
-    std::vector<std::int64_t> owned(static_cast<std::size_t>(dist.local_count()));
-    for (VertexId lv = 0; lv < dist.local_count(); ++lv)
-      owned[static_cast<std::size_t>(lv)] = dist.to_global(lv);
-
-    core::GhostField<std::int64_t> dense_field(dist, 0);
-    core::GhostField<std::int64_t> delta_field(dist, 0);
-    core::GhostExchangeConfig dense_cfg;
-    dense_cfg.mode = core::GhostExchangeMode::kDense;
-    core::GhostExchangeConfig delta_cfg;
-    delta_cfg.mode = core::GhostExchangeMode::kDelta;
-
-    // Round 1: everything differs from the fill value.
-    dense_field.exchange(comm, owned, dense_cfg);
-    delta_field.exchange(comm, owned, delta_cfg);
-    EXPECT_EQ(dense_field.values(), delta_field.values());
-    EXPECT_EQ(dense_field.last_changes().size(), delta_field.last_changes().size());
-
-    // Round 2: nothing moved; neither mode may report changes.
-    dense_field.exchange(comm, owned, dense_cfg);
-    delta_field.exchange(comm, owned, delta_cfg);
-    EXPECT_TRUE(dense_field.last_changes().empty());
-    EXPECT_TRUE(delta_field.last_changes().empty());
-
-    // Round 3: one owned value changes; both modes agree again and the
-    // change log carries the old value.
-    owned[0] = -owned[0] - 1;
-    dense_field.exchange(comm, owned, dense_cfg);
-    delta_field.exchange(comm, owned, delta_cfg);
-    EXPECT_EQ(dense_field.values(), delta_field.values());
-    EXPECT_EQ(dense_field.last_changes().size(), delta_field.last_changes().size());
-    for (std::size_t i = 0; i < dense_field.last_changes().size(); ++i) {
-      EXPECT_EQ(dense_field.last_changes()[i].slot, delta_field.last_changes()[i].slot);
-      EXPECT_EQ(dense_field.last_changes()[i].old_value,
-                delta_field.last_changes()[i].old_value);
-    }
-  });
+  dc::RunOptions options;
+  options.metrics = std::make_shared<dlouvain::util::MetricsRegistry>(3);
+  dc::run(
+      3,
+      [&](dc::Comm& comm) {
+        const auto dist = dg::DistGraph::from_replicated(comm, g);
+        const auto& ghosts = dist.ghosts();
+        core::GhostField<std::int64_t> field(dist, 0);
+        std::vector<std::int64_t> before(ghosts.size(), 0);
+        std::vector<std::int64_t> owned(static_cast<std::size_t>(dist.local_count()));
+        // Round 0 sets every value, round 1 repeats it, round 2 moves gv % 3 == 0.
+        for (int round = 0; round < 3; ++round) {
+          for (VertexId lv = 0; lv < dist.local_count(); ++lv)
+            owned[static_cast<std::size_t>(lv)] = value_of(dist.to_global(lv), round);
+          field.exchange(comm, owned);
+          std::vector<std::int64_t> expected_changes;
+          for (std::size_t s = 0; s < ghosts.size(); ++s) {
+            EXPECT_EQ(field.values()[s], value_of(ghosts[s], round)) << "round " << round;
+            if (field.values()[s] != before[s])
+              expected_changes.push_back(static_cast<std::int64_t>(s));
+          }
+          std::vector<std::int64_t> reported;
+          for (const auto& change : field.last_changes()) {
+            reported.push_back(change.slot);
+            EXPECT_EQ(change.old_value, before[static_cast<std::size_t>(change.slot)])
+                << "round " << round;
+          }
+          std::sort(reported.begin(), reported.end());
+          EXPECT_EQ(reported, expected_changes) << "round " << round;
+          if (round == 1) {
+            EXPECT_TRUE(reported.empty());
+          }
+          before = field.values();
+        }
+      },
+      options);
+  const auto totals = options.metrics->total();
+  EXPECT_GT(totals[dlouvain::util::Counter::kGhostBytesDense], 0);
+  EXPECT_GT(totals[dlouvain::util::Counter::kGhostBytesDelta], 0);
 }
 
 // ---- CommunityLedger -------------------------------------------------------------

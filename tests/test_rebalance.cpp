@@ -323,7 +323,7 @@ TEST(Rebalance, ManifestCarriesLambdasAndRebalanceObjectEvenWhenOff) {
   const auto g = balanced_graph();
   const auto r = Plan::distributed(4).seed(123).run(g);
   const std::string json = r.to_json();
-  EXPECT_NE(json.find("\"schema\":\"dlouvain-run-manifest/5\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\":\"dlouvain-run-manifest/6\""), std::string::npos);
   EXPECT_NE(json.find("\"rebalance\":{\"enabled\":false"), std::string::npos);
   EXPECT_NE(json.find("\"decided\":false"), std::string::npos);
   EXPECT_NE(json.find("\"load_lambda\":"), std::string::npos);

@@ -1,50 +1,35 @@
-// ISSUE 8 guarantees, pinned as tests:
+// The segmented sweep kernel (util/segmented.hpp), pinned as tests:
 //
-//  * the three sweep lanes (scalar / segmented / SIMD; util/segmented.hpp)
-//    are BITWISE interchangeable -- same assignment, same modularity bits,
-//    same phase/iteration counts -- on every engine, every topology class,
-//    at thread counts 1/4/16, under fault-injection delay/duplication, and
-//    across Session::update warm-start batches;
-//  * the `--overlap=auto` cost model (core/overlap_model.hpp) is a real
-//    decision, not an alias for on: it runs OFF until it warms up, declines
-//    when there is nothing worth hiding, and its verdict + inputs land in
-//    the manifest v4 "overlap" object;
+//  * best_segment() picks exactly what the selection rule says -- the
+//    strictly-positive maximum gain, smallest community id on ties, never
+//    the vertex's own segment;
+//  * the runtime-dispatched AVX2 clone of the gain pass is bitwise identical
+//    to the portable pass (no FMA contraction);
+//  * the engines that run the kernel are bitwise thread-invariant on every
+//    topology class (ring, star, RMAT, LFR);
 //  * the bounds-checked ScatterAccumulator::at() twin (util/scatter.hpp)
 //    rejects out-of-range slots that the assert-based hot path trusts.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "comm/fault.hpp"
-#include "core/overlap_model.hpp"
 #include "dlouvain.hpp"
 #include "gen/lfr.hpp"
 #include "gen/rmat.hpp"
 #include "gen/simple.hpp"
 #include "graph/csr.hpp"
+#include "util/prng.hpp"
 #include "util/scatter.hpp"
 #include "util/segmented.hpp"
 
 namespace {
 
 using namespace dlouvain;
-
-// Restores CPU-detected lane selection no matter how a test exits, so an
-// override can never leak into a sibling test sharing the process.
-struct LaneGuard {
-  explicit LaneGuard(util::SweepLane lane) { util::set_sweep_lane(lane); }
-  ~LaneGuard() { util::clear_sweep_lane(); }
-  LaneGuard(const LaneGuard&) = delete;
-  LaneGuard& operator=(const LaneGuard&) = delete;
-};
-
-constexpr util::SweepLane kLanes[] = {util::SweepLane::kScalar,
-                                      util::SweepLane::kSegmented,
-                                      util::SweepLane::kSimd};
 
 graph::Csr star(VertexId n) {
   std::vector<Edge> edges;
@@ -100,128 +85,108 @@ void expect_bitwise_equal(const Result& got, const Result& want,
   EXPECT_EQ(got.total_iterations, want.total_iterations) << label;
 }
 
-// ---- lane bitwise interchangeability ----------------------------------------
+// ---- the kernel against the selection rule -----------------------------------
 
-TEST(Lanes, SerialEngineIsLaneInvariant) {
-  for (const auto& f : fixtures()) {
-    const auto plan = Plan::serial().seed(123);
-    const auto scalar = [&] {
-      const LaneGuard guard(util::SweepLane::kScalar);
-      return plan.run(f.g);
-    }();
-    for (const auto lane : kLanes) {
-      const LaneGuard guard(lane);
-      expect_bitwise_equal(plan.run(f.g), scalar,
-                           std::string("serial ") + f.name + " " +
-                               util::sweep_lane_label(lane));
-    }
-  }
-}
-
-TEST(Lanes, SharedEngineIsLaneInvariantAcrossThreads) {
-  for (const auto& f : fixtures()) {
-    const auto scalar = [&] {
-      const LaneGuard guard(util::SweepLane::kScalar);
-      return Plan::shared(1).seed(123).run(f.g);
-    }();
-    for (const int threads : {1, 4, 16}) {
-      for (const auto lane : kLanes) {
-        const LaneGuard guard(lane);
-        expect_bitwise_equal(Plan::shared(threads).seed(123).run(f.g), scalar,
-                             std::string("shared ") + f.name + " t" +
-                                 std::to_string(threads) + " " +
-                                 util::sweep_lane_label(lane));
-      }
-    }
-  }
-}
-
-TEST(Lanes, DistributedEngineIsLaneInvariantAcrossThreads) {
-  for (const auto& f : fixtures()) {
-    const auto scalar = [&] {
-      const LaneGuard guard(util::SweepLane::kScalar);
-      return Plan::distributed(4).threads(1).seed(123).run(f.g);
-    }();
-    for (const int threads : {1, 4, 16}) {
-      for (const auto lane : kLanes) {
-        const LaneGuard guard(lane);
-        expect_bitwise_equal(
-            Plan::distributed(4).threads(threads).seed(123).run(f.g), scalar,
-            std::string("dist ") + f.name + " t" + std::to_string(threads) +
-                " " + util::sweep_lane_label(lane));
-      }
-    }
-  }
-}
-
-TEST(Lanes, SurviveFaultInjection) {
-  // A delaying, duplicating transport must not open any lane-visible window:
-  // the sweep consumes whatever ghost state the exchange settled on, and
-  // that state is lane-independent.
-  const auto g = rmat9();
-  const auto faults =
-      comm::FaultPlan().with_seed(11).delay(0.05, 0.5).duplicate(0.05);
-  const auto scalar = [&] {
-    const LaneGuard guard(util::SweepLane::kScalar);
-    return Plan::distributed(4).threads(2).seed(123).inject_faults(faults).run(g);
-  }();
-  for (const auto lane : kLanes) {
-    const LaneGuard guard(lane);
-    expect_bitwise_equal(
-        Plan::distributed(4).threads(2).seed(123).inject_faults(faults).run(g),
-        scalar, std::string("faulty ") + util::sweep_lane_label(lane));
-  }
-}
-
-TEST(Lanes, WarmStartUpdateBatchesAreLaneInvariant) {
-  // The warm re-convergence path sweeps only reactivated vertices -- a
-  // different entry into the same kernels. Replay an identical batch stream
-  // under every lane and demand identical results after every batch.
-  const auto g = rmat9();
-  const auto batches = std::vector<EdgeBatch>{
-      EdgeBatch().add(3, 500, 2.0).add(7, 400, 1.5).remove(0, 1),
-      EdgeBatch().add(10, 200, 1.0).add(11, 201, 1.0).add(12, 202, 1.0),
-      EdgeBatch().remove(3, 500).add(5, 300, 4.0),
+TEST(SegmentedKernel, ArgmaxFollowsTheSelectionRule) {
+  // Random vertices with many exact ties: segment sums and candidate degrees
+  // come from tiny value sets, so equal gains are common, and community ids
+  // are a scrambled function of the slot so the smallest id is neither the
+  // smallest slot nor the first touched. The reference scans every segment
+  // with the kernel's own gain expression.
+  util::Xoshiro256StarStar rng(2024);
+  util::SegmentedAccumulator<double> seg;
+  const auto id_of = [](std::int64_t slot) {
+    return static_cast<CommunityId>((slot * 37) % 101);
   };
+  const auto deg_of = [](std::int64_t slot) {
+    return 2.0 + static_cast<double>(slot % 3);
+  };
+  int moves = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    seg.reset(101);
+    const auto arcs = 1 + rng.next_below(12);
+    for (std::uint64_t a = 0; a < arcs; ++a)
+      seg.add(static_cast<std::int64_t>(rng.next_below(12)),
+              static_cast<double>(1 + rng.next_below(2)));
+    const auto own_slot = static_cast<std::int64_t>(rng.next_below(12));
+    const std::int64_t own_segment = seg.segment_of(own_slot);
+    const double e_own = seg.sum_of(own_slot);
+    const double kv = static_cast<double>(1 + rng.next_below(3));
+    const double a_own_less_v = deg_of(own_slot) - kv;
+    const double m = 20.0;
+    const double gamma = 1.0;
 
-  std::vector<std::vector<Result>> per_lane;
-  for (const auto lane : kLanes) {
-    const LaneGuard guard(lane);
-    auto session = Plan::distributed(4).threads(2).seed(123).open(g);
-    std::vector<Result> states;
-    states.push_back(session.result());
-    for (const auto& batch : batches) {
-      session.update(batch);
-      states.push_back(session.result());
+    std::int64_t want = -1;
+    double want_gain = 0;
+    for (std::size_t i = 0; i < seg.segments(); ++i) {
+      if (static_cast<std::int64_t>(i) == own_segment) continue;
+      const double gain = (seg.sums()[i] - e_own) / m -
+                          gamma * kv * (deg_of(seg.slots()[i]) - a_own_less_v) / (2 * m * m);
+      if (!(gain > 0)) continue;
+      if (want < 0 || gain > want_gain ||
+          (gain == want_gain && id_of(seg.slots()[i]) <
+                                    id_of(seg.slots()[static_cast<std::size_t>(want)]))) {
+        want = static_cast<std::int64_t>(i);
+        want_gain = gain;
+      }
     }
-    per_lane.push_back(std::move(states));
+    const auto got =
+        util::best_segment(seg, own_segment, e_own, a_own_less_v, kv, m, gamma, deg_of, id_of);
+    ASSERT_EQ(got.segment, want) << "trial " << trial;
+    if (want >= 0) ++moves;
   }
+  EXPECT_GT(moves, 0);  // the trials exercise real moves, not only "stay"
+}
 
-  for (std::size_t lane = 1; lane < per_lane.size(); ++lane) {
-    for (std::size_t step = 0; step < per_lane[lane].size(); ++step) {
-      expect_bitwise_equal(per_lane[lane][step], per_lane[0][step],
-                           std::string("update step ") + std::to_string(step) +
-                               " " + util::sweep_lane_label(kLanes[lane]));
+TEST(SegmentedKernel, Avx2CloneMatchesThePortablePassBitwise) {
+#if DLOUVAIN_SEGMENTED_MULTIVERSION
+  if (!util::detail::cpu_has_avx2()) GTEST_SKIP() << "CPU has no AVX2";
+  util::Xoshiro256StarStar rng(7);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{8},
+                              std::size_t{37}, std::size_t{1000}}) {
+    std::vector<double> sums(n), deg(n), portable(n), avx2(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      sums[i] = rng.next_unit() * 10.0;
+      deg[i] = rng.next_unit() * 1e4;
+    }
+    const double e_own = 1.25, a_own_less_v = 3.5, kv = 7.0, m = 12345.678, gamma = 0.9;
+    util::detail::gain_pass(n, sums.data(), deg.data(), portable.data(), e_own,
+                            a_own_less_v, kv, m, gamma);
+    util::detail::gain_pass_avx2(n, sums.data(), deg.data(), avx2.data(), e_own,
+                                 a_own_less_v, kv, m, gamma);
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(avx2[i]),
+                std::bit_cast<std::uint64_t>(portable[i]))
+          << "n " << n << " element " << i;
+  }
+#else
+  GTEST_SKIP() << "built without the multiversioned gain pass";
+#endif
+}
+
+// ---- engine thread invariance on every topology ------------------------------
+
+TEST(Sweep, SharedEngineIsThreadInvariantOnEveryTopology) {
+  for (const auto& f : fixtures()) {
+    const auto one = Plan::shared(1).seed(123).run(f.g);
+    for (const int threads : {4, 16}) {
+      expect_bitwise_equal(Plan::shared(threads).seed(123).run(f.g), one,
+                           std::string("shared ") + f.name + " t" +
+                               std::to_string(threads));
     }
   }
 }
 
-TEST(Lanes, LabelsRoundTripAndParserRejectsUnknown) {
-  for (const auto lane : kLanes) {
-    EXPECT_EQ(util::parse_sweep_lane(util::sweep_lane_label(lane)), lane);
+TEST(Sweep, DistributedEngineIsThreadInvariantOnEveryTopology) {
+  for (const auto& f : fixtures()) {
+    const auto one = Plan::distributed(4).threads(1).seed(123).run(f.g);
+    for (const int threads : {4, 16}) {
+      expect_bitwise_equal(Plan::distributed(4).threads(threads).seed(123).run(f.g),
+                           one,
+                           std::string("dist ") + f.name + " t" +
+                               std::to_string(threads));
+    }
   }
-  EXPECT_THROW(util::parse_sweep_lane("avx512"), std::invalid_argument);
-  EXPECT_THROW(util::parse_sweep_lane(""), std::invalid_argument);
-}
-
-TEST(Lanes, OverrideWinsOverDetection) {
-  for (const auto lane : kLanes) {
-    const LaneGuard guard(lane);
-    EXPECT_EQ(util::sweep_lane(), lane);
-  }
-  // No override: whatever detection picks must be a valid lane.
-  const auto detected = util::sweep_lane();
-  EXPECT_NE(util::sweep_lane_label(detected), std::string("?"));
 }
 
 // ---- checked scatter twin ---------------------------------------------------
@@ -240,154 +205,6 @@ TEST(ScatterChecked, AtMatchesGetInRangeAndThrowsOutside) {
 
   acc.reset(4);  // new epoch: the old slots read neutral again
   EXPECT_EQ(acc.at(2), 0.0);
-}
-
-// ---- overlap cost model (unit) ---------------------------------------------
-
-core::OverlapSample off_sample(double latency, double interior) {
-  core::OverlapSample s;
-  s.latency_s = latency;
-  s.interior_s = interior;
-  s.wall_s = latency + interior + 0.010;
-  return s;
-}
-
-core::OverlapSample on_sample(double hidden, double wall) {
-  core::OverlapSample s;
-  s.hidden_s = hidden;
-  s.wall_s = wall;
-  return s;
-}
-
-TEST(OverlapModel, WarmupRunsOffThenEngagesWhenOnWallWins) {
-  core::OverlapCostModel model(
-      core::OverlapModelConfig{/*probe_iterations=*/2, /*min_hidden_s=*/1e-4});
-  // Stage 1: auto must run OFF while warming up (the satellite-1 contract).
-  EXPECT_FALSE(model.want_overlap());
-  model.record(off_sample(0.004, 0.006));
-  EXPECT_FALSE(model.want_overlap());
-  EXPECT_TRUE(model.probing());
-  model.record(off_sample(0.006, 0.008));
-  // 5 ms mean latency against 7 ms mean interior: plenty to hide -> ON probe.
-  ASSERT_TRUE(model.want_overlap());
-  ASSERT_FALSE(model.decided());
-  // Stage 2: ON iterations measure faster than the OFF mean (22 ms).
-  model.record(on_sample(0.004, 0.013));
-  model.record(on_sample(0.005, 0.014));
-  EXPECT_TRUE(model.decided());
-  EXPECT_TRUE(model.engaged());
-  EXPECT_TRUE(model.want_overlap());
-
-  const auto t = model.telemetry("auto");
-  EXPECT_EQ(t.decision, "on");
-  EXPECT_TRUE(t.decided);
-  EXPECT_EQ(t.probe_iterations_off, 2);
-  EXPECT_EQ(t.probe_iterations_on, 2);
-  EXPECT_DOUBLE_EQ(t.measured_latency_s, 0.005);
-  EXPECT_DOUBLE_EQ(t.measured_interior_s, 0.007);
-  EXPECT_DOUBLE_EQ(t.predicted_hidden_s, 0.005);  // min(latency, interior)
-  EXPECT_DOUBLE_EQ(t.off_wall_s, 0.022);
-  EXPECT_DOUBLE_EQ(t.on_wall_s, 0.0135);
-  EXPECT_DOUBLE_EQ(t.measured_hidden_s, 0.0045);
-}
-
-TEST(OverlapModel, DeclinesBelowTheFloorWithoutAnOnProbe) {
-  core::OverlapCostModel model(
-      core::OverlapModelConfig{/*probe_iterations=*/2, /*min_hidden_s=*/1e-3});
-  model.record(off_sample(0.0002, 0.020));  // fast wire: almost no latency
-  model.record(off_sample(0.0004, 0.020));
-  // predicted_hidden = min(0.3 ms, 20 ms) = 0.3 ms < 1 ms floor: decline
-  // immediately, never running an ON iteration.
-  EXPECT_TRUE(model.decided());
-  EXPECT_FALSE(model.engaged());
-  EXPECT_FALSE(model.want_overlap());
-  const auto t = model.telemetry("auto");
-  EXPECT_EQ(t.decision, "off");
-  EXPECT_EQ(t.probe_iterations_on, 0);
-  EXPECT_DOUBLE_EQ(t.on_wall_s, 0.0);
-}
-
-TEST(OverlapModel, DeclinesWhenOverheadEatsTheHiddenTime) {
-  core::OverlapCostModel model(
-      core::OverlapModelConfig{/*probe_iterations=*/1, /*min_hidden_s=*/1e-4});
-  model.record(off_sample(0.005, 0.010));  // off wall = 25 ms
-  ASSERT_TRUE(model.want_overlap());       // worth probing ON
-  model.record(on_sample(0.004, 0.027));   // ...but ON is slower overall
-  EXPECT_TRUE(model.decided());
-  EXPECT_FALSE(model.engaged());
-  EXPECT_EQ(model.telemetry("auto").decision, "off");
-  // A decided model ignores further samples.
-  model.record(on_sample(0.0, 0.001));
-  EXPECT_FALSE(model.want_overlap());
-}
-
-TEST(OverlapModel, UndecidedModelReportsOff) {
-  core::OverlapCostModel model(
-      core::OverlapModelConfig{/*probe_iterations=*/8, /*min_hidden_s=*/1e-4});
-  model.record(off_sample(0.005, 0.010));  // run converged before warmup
-  const auto t = model.telemetry("auto");
-  EXPECT_FALSE(t.decided);
-  EXPECT_EQ(t.decision, "off");
-  EXPECT_EQ(t.probe_iterations_off, 1);
-}
-
-// ---- overlap auto end-to-end (the satellite-1 regression) -------------------
-
-TEST(OverlapAuto, IsNotUnconditionalOn) {
-  // The pre-ISSUE-8 kAuto was "on whenever ranks > 1". The cost model must
-  // genuinely decline: with an engagement floor no in-process transport can
-  // reach, auto stays OFF for the whole run while kOn engages every phase --
-  // and the results agree bitwise regardless (overlap never changes bits).
-  const auto g = rmat9();
-  const auto run = [&](OverlapMode mode) {
-    auto plan = Plan::distributed(4).threads(1).seed(123).overlap(mode);
-    if (mode == OverlapMode::kAuto) plan.overlap_probe(1, /*min_hidden_s=*/10.0);
-    return plan.run(g);
-  };
-
-  const auto off = run(OverlapMode::kOff);
-  const auto on = run(OverlapMode::kOn);
-  const auto automatic = run(OverlapMode::kAuto);
-
-  ASSERT_TRUE(automatic.distributed.has_value());
-  const auto& auto_t = automatic.distributed->overlap;
-  EXPECT_EQ(auto_t.mode, "auto");
-  EXPECT_EQ(auto_t.decision, "off");
-  EXPECT_TRUE(auto_t.decided);
-  EXPECT_EQ(auto_t.phases_engaged, 0);
-  EXPECT_GT(auto_t.phases_declined, 0);
-  EXPECT_GT(auto_t.probe_iterations_off, 0);
-  EXPECT_EQ(auto_t.probe_iterations_on, 0);
-
-  const auto& on_t = on.distributed->overlap;
-  EXPECT_EQ(on_t.mode, "on");
-  EXPECT_EQ(on_t.decision, "on");
-  EXPECT_GT(on_t.phases_engaged, 0);
-  EXPECT_EQ(on_t.phases_declined, 0);
-  EXPECT_NE(auto_t.decision, on_t.decision) << "auto must not alias on";
-
-  expect_bitwise_equal(on, off, "overlap on vs off");
-  expect_bitwise_equal(automatic, off, "overlap auto vs off");
-}
-
-TEST(OverlapAuto, ManifestCarriesTheOverlapObject) {
-  const auto g = rmat9();
-  const auto result =
-      Plan::distributed(2).threads(1).seed(123).overlap(OverlapMode::kAuto).run(g);
-  const auto json = result.to_json();
-  EXPECT_NE(json.find("\"schema\":\"dlouvain-run-manifest/5\""), std::string::npos);
-  EXPECT_NE(json.find("\"overlap\":{\"mode\":\"auto\""), std::string::npos);
-  EXPECT_NE(json.find("\"decision\":"), std::string::npos);
-  EXPECT_NE(json.find("\"predicted_hidden_s\":"), std::string::npos);
-  EXPECT_NE(json.find("\"measured_latency_s\":"), std::string::npos);
-
-  // Forced modes report themselves without model fields pretending to exist.
-  const auto forced =
-      Plan::distributed(2).threads(1).seed(123).overlap(OverlapMode::kOn).run(g);
-  const auto& t = forced.distributed->overlap;
-  EXPECT_EQ(t.mode, "on");
-  EXPECT_EQ(t.decision, "on");
-  EXPECT_EQ(t.probe_iterations_off, 0);
 }
 
 }  // namespace

@@ -12,15 +12,15 @@ then compares the fresh numbers against the committed baseline:
     hardware recorded the baseline).
 
 With --manifest, additionally validates a run manifest produced by
-`dlouvain_cli --metrics-out` (or Plan::metrics): schema id, counter catalog
-and internal consistency (whole-job totals == restored + executed).
+`dlouvain_cli --metrics-out` (or Plan::metrics) against the one schema in
+tools/manifest_schema.py: schema id, counter catalog, sections and internal
+consistency (whole-job totals == restored + executed).
 
-When the current results carry an `overlap_ablation` section (the PR5 trail,
-`micro_kernels --pr5_json=...`), it is validated too: the on/off runs must
-have produced identical results, overlap-off must hide ~nothing, and the
-hidden fraction (comm_hidden / total exchange latency of the overlap-on run)
-must reach --min-hidden. Use --emit pr5 with --bench to produce the PR5
-trail instead of the PR3 one (adds --ranks / --delay-ms knobs).
+When the current results carry an `overlap_ablation` section (the committed
+BENCH_PR5.json trail), it is validated too: the on/off runs must have
+produced identical results, overlap-off must hide ~nothing, and the hidden
+fraction (comm_hidden / total exchange latency of the overlap-on run) must
+reach --min-hidden.
 
 When the current results carry an `update` section (the PR6 trail, produced
 by `micro_update --pr6_json=...` or `--emit pr6 --bench build/bench/
@@ -38,14 +38,15 @@ no message may have exhausted the retry budget at the sub-threshold rate.
 Timing overheads are recorded in the trail but not asserted (wall clocks on
 shared hosts are noise).
 
-When the current results carry an `overlap_auto` section (the PR8 trail,
-`micro_kernels --pr8_json=...` or `--emit pr8`), the sweep-lane and
-cost-model acceptance bars are checked: the best segmented/SIMD lane must be
-at least --min-lane-speedup x faster than the flat gather baseline measured
-in the SAME run (interleaved reps, so the ratio is noise-robust), all six
-overlap-mode runs must have produced identical results, and `--overlap=auto`
-wall-clock must sit within --auto-tolerance of min(on, off) at both the
-zero-latency and the delayed point, with the cost-model decision recorded.
+When the current results carry a `flat_over_best_lane` ratio (the
+BENCH_PR8.json trail, `micro_kernels --pr8_json=...` or `--emit pr8`), the
+segmented sweep kernel must be at least --min-lane-speedup x faster than the
+flat gather baseline measured in the SAME run (interleaved reps, so the
+ratio is noise-robust). The committed BENCH_PR8.json also carries an `overlap_auto`
+section: all six overlap-mode runs must have produced identical results, and
+`--overlap=auto` wall-clock must sit within --auto-tolerance of min(on, off)
+at both the zero-latency and the delayed point, with the cost-model decision
+recorded.
 
 When the current results carry a `rebalance` section (the PR10 trail,
 `micro_rebalance --pr10_json=...` or `--emit pr10 --bench build/bench/
@@ -67,9 +68,8 @@ Usage:
   check_bench_regression.py --baseline BENCH_PR3.json --current fresh.json
   check_bench_regression.py --baseline BENCH_PR3.json --current fresh.json \
       --manifest run_manifest.json
-  check_bench_regression.py --baseline BENCH_PR5.json --emit pr5 \
-      --bench build/bench/micro_kernels --scale 12 --dist-scale 10 \
-      --ranks 4 --reps 2 --min-hidden 0
+  check_bench_regression.py --baseline BENCH_PR8.json --emit pr8 \
+      --bench build/bench/micro_kernels --scale 12 --reps 3
 """
 
 import argparse
@@ -78,6 +78,8 @@ import os
 import subprocess
 import sys
 import tempfile
+
+import manifest_schema
 
 
 def load(path, what):
@@ -91,132 +93,15 @@ def load(path, what):
         return json.load(handle)
 
 
-# Counters every "dlouvain-run-manifest/1" document must carry (the catalog
-# in docs/OBSERVABILITY.md; keep the two in sync).
-MANIFEST_COUNTERS = (
-    "comm.messages", "comm.bytes", "comm.duplicates_dropped",
-    "ghost.bytes_dense", "ghost.bytes_delta", "ghost.records_shipped",
-    "ledger.refresh_records", "ledger.delta_records",
-    "checkpoint.messages", "checkpoint.bytes", "checkpoint.file_bytes",
-    "pool.busy_seconds",
-)
-
-# v3 adds the recovery-ladder catalog entries (rung-1 ARQ and the rung-2
-# heartbeat lane); v1/v2 documents remain valid inputs without them.
-MANIFEST_COUNTERS_V3 = (
-    "arq.nacks", "arq.retransmits", "arq.backoff_ms", "arq.escalations",
-    "heartbeat.slow_extensions",
-)
-
-# v4 adds the overlap cost-model probe reclassification counters (probe
-# allreduce traffic is model overhead, not algorithm traffic); v1-v3
-# documents remain valid inputs without them.
-MANIFEST_COUNTERS_V4 = (
-    "overlap.probe_messages", "overlap.probe_bytes",
-)
-
-# v5 adds the load re-balancer sampling reclassification counters (the
-# step-1/step-2 allreduces are model overhead, not algorithm traffic); v1-v4
-# documents remain valid inputs without them.
-MANIFEST_COUNTERS_V5 = (
-    "rebalance.messages", "rebalance.bytes",
-)
-
-
-# Keys the optional per-response "service" section carries when a manifest
-# was replied by dlouvaind rather than written by the CLI (see
-# docs/SERVICE.md; catalog in docs/OBSERVABILITY.md).
-SERVICE_KEYS = (
-    "job_id", "cache_hit", "queue_depth", "jobs_served", "cache_hits",
-    "cache_misses", "rejected", "sessions_open", "drain",
-)
-
-
 def check_manifest(manifest, failures):
     """Validate a --metrics-out run manifest; append problems to failures."""
-    schema = manifest.get("schema", "")
-    if not schema.startswith("dlouvain-run-manifest/"):
-        failures.append(f"manifest schema '{schema}' is not a run manifest")
+    problems = manifest_schema.problems(manifest)
+    failures.extend(f"manifest {problem}" for problem in problems)
+    if problems:
         return
-    # Optional service section: present only on manifests replied by the
-    # dlouvaind daemon; when present it must carry the whole catalog.
-    if "service" in manifest:
-        service = manifest["service"]
-        if not isinstance(service, dict):
-            failures.append("manifest service section is not an object")
-        else:
-            for key in SERVICE_KEYS:
-                if key not in service:
-                    failures.append(f"manifest service section missing '{key}'")
-            if service.get("drain") not in ("none", "draining", "clean"):
-                failures.append(
-                    f"manifest service drain state "
-                    f"'{service.get('drain')}' is not none/draining/clean")
-    engine = manifest.get("engine")
-    recovery = manifest.get("recovery")
-    if not isinstance(recovery, dict):
-        failures.append("manifest carries no recovery object")
-    # v2 adds the always-present streaming "updates" section; v1 documents
-    # (no updates object) remain valid inputs.
-    version = schema.rsplit("/", 1)[-1]
-    if version.isdigit() and int(version) >= 2:
-        if not isinstance(manifest.get("updates"), dict):
-            failures.append("v2 manifest carries no updates object")
-    if engine != "distributed":
-        return  # serial/shared manifests carry no counters by design
-    # v4 adds the always-present "overlap" object recording the kOff/kOn
-    # constant or the kAuto cost-model decision + inputs.
-    if version.isdigit() and int(version) >= 4 and engine == "distributed":
-        overlap = manifest.get("overlap")
-        if not isinstance(overlap, dict):
-            failures.append("v4 distributed manifest carries no overlap object")
-        else:
-            for key in ("mode", "decision", "decided", "predicted_hidden_s",
-                        "measured_latency_s", "phases_engaged",
-                        "phases_declined"):
-                if key not in overlap:
-                    failures.append(f"manifest overlap object missing '{key}'")
-            if overlap.get("decision") not in ("on", "off", "undecided"):
-                failures.append(
-                    f"manifest overlap decision "
-                    f"'{overlap.get('decision')}' is not on/off/undecided")
-    # v5 adds the always-present "rebalance" object (knob, per-boundary
-    # verdict counts, worst lambdas) and per-phase load/time lambdas.
-    if version.isdigit() and int(version) >= 5 and engine == "distributed":
-        rebalance = manifest.get("rebalance")
-        if not isinstance(rebalance, dict):
-            failures.append("v5 distributed manifest carries no rebalance object")
-        else:
-            for key in ("enabled", "threshold", "decided", "phases_evaluated",
-                        "phases_engaged", "phases_declined", "ranges_moved",
-                        "vertices_migrated", "arcs_migrated",
-                        "max_lambda_pre", "max_lambda_post"):
-                if key not in rebalance:
-                    failures.append(f"manifest rebalance object missing '{key}'")
-        for ph in manifest.get("phases_detail", []):
-            if "load_lambda" not in ph or "time_lambda" not in ph:
-                failures.append("v5 phases_detail entry missing load/time lambda")
-                break
-    counters = manifest.get("counters", {})
-    required = MANIFEST_COUNTERS
-    if version.isdigit() and int(version) >= 3:
-        required = required + MANIFEST_COUNTERS_V3
-    if version.isdigit() and int(version) >= 4:
-        required = required + MANIFEST_COUNTERS_V4
-    if version.isdigit() and int(version) >= 5:
-        required = required + MANIFEST_COUNTERS_V5
-    for name in required:
-        if name not in counters:
-            failures.append(f"manifest counters missing '{name}'")
-    restored = manifest.get("restored", {})
-    executed = counters.get("comm.messages", 0)
-    total = manifest.get("messages", 0)
-    if restored.get("messages", 0) + executed != total:
-        failures.append(
-            f"manifest messages {total} != restored {restored.get('messages', 0)} "
-            f"+ executed {executed} (counter-semantics contract broken)")
-    print(f"manifest: {engine} run, {total} messages "
-          f"({executed} executed, {restored.get('messages', 0)} restored): ok")
+    restored = manifest.get("restored", {}).get("messages", 0)
+    print(f"manifest: {manifest['engine']} run, {manifest.get('messages', 0)} "
+          f"messages ({restored} restored): ok")
 
 
 def check_overlap_ablation(ablation, min_hidden, failures):
@@ -452,13 +337,11 @@ def main():
     parser.add_argument("--manifest",
                         help="also validate this --metrics-out run manifest")
     parser.add_argument("--emit",
-                        choices=("pr3", "pr5", "pr6", "pr7", "pr8", "pr10"),
+                        choices=("pr3", "pr6", "pr7", "pr8", "pr10"),
                         default="pr3",
                         help="which trail --bench should produce (default pr3)")
     parser.add_argument("--ranks", type=int, default=8,
-                        help="ranks for the pr5 overlap ablation / pr6 session")
-    parser.add_argument("--delay-ms", type=float, default=1.0,
-                        help="simulated per-message wire latency for pr5")
+                        help="ranks for the pr6 / pr7 / pr10 runs")
     parser.add_argument("--min-hidden", type=float, default=0.30,
                         help="required hidden fraction of exchange latency "
                              "when an overlap_ablation section is present")
@@ -473,8 +356,8 @@ def main():
                              "min(on, off) when an overlap_auto section is "
                              "present (0.05 = 5%%)")
     parser.add_argument("--min-lane-speedup", type=float, default=1.05,
-                        help="required flat/best-lane local-move ratio when "
-                             "an overlap_auto (pr8) section is present")
+                        help="required flat/segmented local-move ratio when "
+                             "a flat_over_best_lane (pr8) ratio is present")
     parser.add_argument("--wall-tolerance", type=float, default=0.10,
                         help="allowed decline-path wall excess over "
                              "rebalance-off when a rebalance (pr10) section "
@@ -502,17 +385,9 @@ def main():
             f"--{args.emit}_dist_scale={args.dist_scale}",
             f"--{args.emit}_reps={args.reps}",
         ]
-        if args.emit == "pr5":
-            cmd += [f"--pr5_ranks={args.ranks}",
-                    f"--pr5_delay_ms={args.delay_ms}"]
-        elif args.emit == "pr6":
-            cmd += [f"--pr6_ranks={args.ranks}"]
-        elif args.emit == "pr7":
-            cmd += [f"--pr7_ranks={args.ranks}"]
-        elif args.emit == "pr8":
-            cmd += [f"--pr8_ranks={args.ranks}",
-                    f"--pr8_delay_ms={args.delay_ms}"]
-        elif args.emit == "pr10":
+        if args.emit in ("pr6", "pr7", "pr10"):
+            cmd += [f"--{args.emit}_ranks={args.ranks}"]
+        if args.emit == "pr10":
             cmd += [f"--pr10_ranks={args.ranks}"]
         print("+", " ".join(cmd), flush=True)
         result = subprocess.run(cmd)
@@ -543,18 +418,16 @@ def main():
     if "overlap_auto" in current:
         check_overlap_auto(current["overlap_auto"], args.auto_tolerance,
                            failures)
-        lane_ratio = current.get("ratios", {}).get("flat_over_best_lane")
-        if lane_ratio is None:
-            failures.append("pr8 results carry no flat_over_best_lane ratio")
-        else:
-            print(f"sweep-lane speedup (flat/best-lane, same machine, "
-                  f"interleaved reps): {lane_ratio:.2f}x "
-                  f"(floor {args.min_lane_speedup:.2f}x)")
-            if lane_ratio < args.min_lane_speedup:
-                failures.append(
-                    f"best sweep lane only {lane_ratio:.2f}x faster than the "
-                    f"flat gather baseline "
-                    f"(floor {args.min_lane_speedup:.2f}x)")
+    lane_ratio = current.get("ratios", {}).get("flat_over_best_lane")
+    if lane_ratio is not None:
+        print(f"segmented-kernel speedup (flat/segmented, same machine, "
+              f"interleaved reps): {lane_ratio:.2f}x "
+              f"(floor {args.min_lane_speedup:.2f}x)")
+        if lane_ratio < args.min_lane_speedup:
+            failures.append(
+                f"segmented sweep kernel only {lane_ratio:.2f}x faster than "
+                f"the flat gather baseline "
+                f"(floor {args.min_lane_speedup:.2f}x)")
     base_kernels = baseline.get("kernels", {})
     curr_kernels = current.get("kernels", {})
     same_input = baseline.get("graph") == current.get("graph")
@@ -576,7 +449,7 @@ def main():
 
     ratio = current.get("ratios", {}).get("local_move_hash_over_flat")
     if ratio is None:
-        # The kernel-ratio floor applies to kernel trails (pr3/pr5); a pr6
+        # The kernel-ratio floor applies to kernel trails (pr3/pr5/pr8); a pr6
         # update trail carries no kernel table by design.
         if "kernels" in current or "kernels" in baseline:
             failures.append("current results carry no local_move_hash_over_flat ratio")

@@ -10,10 +10,6 @@
 //   --ranks <p>                    in-process ranks (default 4)
 //   --threads <t>                  compute threads per rank (default 1)
 //   --coloring                     colour-constrained sweeps (Section VI)
-//   --exchange dense|delta|auto    ghost update wire format (default auto)
-//   --overlap off|on|auto          hide exchange latency behind interior
-//                                  compute (default auto = on when ranks > 1;
-//                                  never changes results)
 //   --rebalance                    re-balance vertex ownership at phase
 //                                  boundaries when the measured arc-count
 //                                  imbalance exceeds the threshold
@@ -125,10 +121,6 @@ int run_cli(int argc, char** argv) {
   const int threads =
       static_cast<int>(cli.get_int("threads", 1, "compute threads per rank (<=0 = auto)"));
   const bool coloring = cli.get_flag("coloring", false, "colour-constrained sweeps");
-  const auto exchange_name =
-      cli.get_string("exchange", "auto", "ghost update wire format: dense|delta|auto");
-  const auto overlap_name = cli.get_string(
-      "overlap", "auto", "overlap exchanges with interior compute: off|on|auto");
   const bool rebalance = cli.get_flag(
       "rebalance", false, "re-balance vertex ownership at phase boundaries");
   const double rebalance_threshold = cli.get_double(
@@ -194,18 +186,6 @@ int run_cli(int argc, char** argv) {
               << "' (expected baseline|tc|et|etc)\n";
     return 1;
   }
-  const auto exchange = core::parse_exchange_mode(exchange_name);
-  if (!exchange) {
-    std::cerr << "dlouvain: unknown --exchange '" << exchange_name
-              << "' (expected dense|delta|auto)\n";
-    return 1;
-  }
-  const auto overlap = core::parse_overlap_mode(overlap_name);
-  if (!overlap) {
-    std::cerr << "dlouvain: unknown --overlap '" << overlap_name
-              << "' (expected off|on|auto)\n";
-    return 1;
-  }
 
   // Fail on an unwritable output path BEFORE spending minutes computing.
   for (const auto& path : {output, trace_out, metrics_out}) {
@@ -251,8 +231,6 @@ int run_cli(int argc, char** argv) {
                   .variant(*variant)
                   .alpha(alpha)
                   .coloring(coloring)
-                  .exchange(*exchange)
-                  .overlap(*overlap)
                   .comm_timeout(comm_timeout)
                   .max_restarts(max_restarts)
                   .retransmit(retransmit, retransmit_backoff_ms)
@@ -282,8 +260,7 @@ int run_cli(int argc, char** argv) {
   }
   std::cout << "variant:      " << core::variant_label(*variant, alpha)
             << (coloring ? " + coloring" : "") << '\n'
-            << "ranks:        " << ranks << " x " << threads << " thread(s), overlap "
-            << core::overlap_mode_label(*overlap) << '\n'
+            << "ranks:        " << ranks << " x " << threads << " thread(s)\n"
             << "communities:  " << result.num_communities << '\n'
             << "modularity:   " << result.modularity << '\n'
             << "phases:       " << result.phases << " (" << result.total_iterations

@@ -7,17 +7,13 @@ then checks:
   * the trace is Chrome trace_event JSON: a traceEvents list whose entries
     all carry name/ph/pid/ts, complete ("X") events carry dur, and at least
     --ranks distinct pids appear (one per simulated rank);
-  * the manifest matches the "dlouvain-run-manifest/N" schema (v2 adds the
-    streaming "updates" section, v3 the "recovery.ladder" object, v4 the
-    "overlap" cost-model object) and recorded real traffic (comm.messages > 0
-    for a multi-rank run);
-  * the default --overlap=auto run recorded its cost-model probe iterations
-    as `overlap_probe` spans, and the manifest's overlap object reached a
-    decision consistent with the probes;
-  * v5 manifests carry the "rebalance" object and per-phase load/time
-    lambdas (the per-phase sampling also shows up as `rebalance` spans on
-    every run), and with --rebalance the CLI is run with the re-balancer
-    enabled and the manifest must record a decided rebalance object.
+  * the manifest passes the one run-manifest schema check
+    (tools/manifest_schema.py: dlouvain-run-manifest/6, its counter catalog
+    and sections) and recorded real traffic (comm.messages > 0 for a
+    multi-rank run);
+  * the per-phase load sampling shows up as `rebalance` spans on every run,
+    and with --rebalance the CLI is run with the re-balancer enabled and the
+    manifest must record a decided rebalance object.
 
 Exit code 0 = both artifacts valid, 1 = validation failure, 2 = the CLI
 itself failed.
@@ -32,6 +28,8 @@ import os
 import subprocess
 import sys
 import tempfile
+
+import manifest_schema
 
 
 def fail(msg):
@@ -64,13 +62,10 @@ def check_trace(path, min_pids):
     if spans == 0:
         fail(f"{path}: no complete ('X') span events recorded")
     names = {ev["name"] for ev in events if ev["ph"] == "X"}
-    # overlap_probe: the cost-model sampling iterations behind the default
-    # --overlap=auto decision must be visible in the trace, not silent.
     # rebalance: the per-phase load-lambda sampling collective runs on EVERY
     # run (and also wraps the boundary decision when --rebalance is on), so
     # its span must always appear.
-    for required in ("phase", "iteration", "compute", "overlap_probe",
-                     "rebalance"):
+    for required in ("phase", "iteration", "compute", "rebalance"):
         if required not in names:
             fail(f"{path}: span taxonomy missing '{required}' "
                  f"(got {sorted(names)})")
@@ -80,73 +75,17 @@ def check_trace(path, min_pids):
 def check_manifest(path, rebalance_on=False):
     with open(path, "r", encoding="utf-8") as handle:
         manifest = json.load(handle)
-    schema = manifest.get("schema", "")
-    if not schema.startswith("dlouvain-run-manifest/"):
-        fail(f"{path}: schema '{schema}' is not a run manifest")
-    counters = manifest.get("counters", {})
-    if counters.get("comm.messages", 0) <= 0:
+    for problem in manifest_schema.problems(manifest):
+        fail(f"{path}: {problem}")
+    counters = manifest["counters"]
+    if counters["comm.messages"] <= 0:
         fail(f"{path}: comm.messages not positive in a multi-rank run")
-    if "recovery" not in manifest:
-        fail(f"{path}: manifest carries no recovery object")
-    # v2 adds the always-present streaming "updates" section; v1 documents
-    # (no updates object) remain valid inputs.
-    version = schema.rsplit("/", 1)[-1]
-    if version.isdigit() and int(version) >= 2:
-        updates = manifest.get("updates")
-        if not isinstance(updates, dict) or "batches_applied" not in updates:
-            fail(f"{path}: v2 manifest carries no updates object")
-    # v3 adds the recovery-ladder telemetry nested under recovery.
-    if version.isdigit() and int(version) >= 3:
-        ladder = manifest.get("recovery", {}).get("ladder")
-        if not isinstance(ladder, dict) or "retransmits" not in ladder:
-            fail(f"{path}: v3 manifest carries no recovery.ladder object")
-    # v4 adds the overlap object: the knob, the (possibly cost-model) decision
-    # and the model inputs behind it. The CLI default is --overlap=auto, so
-    # the smoke run must show a decided model, not an undecided fall-through.
-    if version.isdigit() and int(version) >= 4:
-        overlap = manifest.get("overlap")
-        if not isinstance(overlap, dict) or "decision" not in overlap:
-            fail(f"{path}: v4 manifest carries no overlap object")
-        if overlap.get("mode") == "auto":
-            if overlap.get("decided") is not True:
-                fail(f"{path}: --overlap=auto run never reached a decision")
-            if overlap.get("decision") not in ("on", "off"):
-                fail(f"{path}: overlap decision "
-                     f"'{overlap.get('decision')}' is not on/off")
-            if overlap.get("probe_iterations_off", 0) <= 0:
-                fail(f"{path}: auto decision recorded without probe "
-                     f"iterations")
-    # v5 adds the always-present "rebalance" object plus per-phase load/time
-    # lambdas. When the run had --rebalance, the object must show the knob
-    # enabled and a decided verdict (at least one boundary screened).
-    if version.isdigit() and int(version) >= 5:
-        rebalance = manifest.get("rebalance")
-        if not isinstance(rebalance, dict) or "decided" not in rebalance:
-            fail(f"{path}: v5 manifest carries no rebalance object")
-        for ph in manifest.get("phases_detail", []):
-            if "load_lambda" not in ph or "time_lambda" not in ph:
-                fail(f"{path}: v5 phases_detail entry missing load/time lambda")
-        if rebalance_on:
-            if rebalance.get("enabled") is not True:
-                fail(f"{path}: --rebalance run but the manifest knob is off")
-            if rebalance.get("decided") is not True:
-                fail(f"{path}: --rebalance run never screened a boundary")
-    elif rebalance_on:
-        fail(f"{path}: --rebalance run emitted a pre-v5 manifest ({schema})")
-    # Optional "service" section (manifests replied by dlouvaind carry one;
-    # direct CLI runs do not). When present it must be well-formed.
-    if "service" in manifest:
-        service = manifest["service"]
-        if not isinstance(service, dict):
-            fail(f"{path}: service section is not an object")
-        for key in ("job_id", "cache_hit", "queue_depth", "jobs_served",
-                    "cache_hits", "cache_misses", "rejected",
-                    "sessions_open", "drain"):
-            if key not in service:
-                fail(f"{path}: service section missing '{key}'")
-        if service["drain"] not in ("none", "draining", "clean"):
-            fail(f"{path}: service drain state '{service['drain']}' unknown")
-    print(f"manifest ok: schema {schema}, "
+    if rebalance_on:
+        if manifest["rebalance"]["enabled"] is not True:
+            fail(f"{path}: --rebalance run but the manifest knob is off")
+        if manifest["rebalance"]["decided"] is not True:
+            fail(f"{path}: --rebalance run never screened a boundary")
+    print(f"manifest ok: schema {manifest['schema']}, "
           f"{counters['comm.messages']} messages")
 
 
