@@ -839,16 +839,20 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
     const bool renumber_only = warm != nullptr && exits_now;
 
     // Graph reconstruction + assignment-chain update. Always performed so
-    // the final phase's moves are reflected in the output mapping.
-    util::WallTimer rebuild_timer;
-    const util::TraceSpan rebuild_span(tb, "rebuild", "collective", phase);
-    auto next = rebuild(comm, graph, phase_state.owned_community, phase_state.ghosts,
-                        phase_state.ledger, &pool, /*build_graph=*/!renumber_only,
-                        cfg.rebalance, phase);
-
-    // Route each original vertex's current id to the rank owning it in the
-    // CURRENT partition; owners answer with the collapsed meta-vertex id.
+    // the final phase's moves are reflected in the output mapping. The span
+    // and breakdown.rebuild time the same block, which ends before the
+    // load sampling below.
+    RebuildOutput next;
     {
+      util::WallTimer rebuild_timer;
+      const util::TraceSpan rebuild_span(tb, "rebuild", "collective", phase);
+      next = rebuild(comm, graph, phase_state.owned_community, phase_state.ghosts,
+                     phase_state.ledger, &pool, /*build_graph=*/!renumber_only,
+                     cfg.rebalance, phase);
+
+      // Route each original vertex's current id to the rank owning it in the
+      // CURRENT partition; owners answer with the collapsed meta-vertex id.
+      const util::TraceSpan chain_span(tb, "rebuild_chain", "collective", phase);
       const int p = comm.size();
       std::vector<std::vector<VertexId>> requests(static_cast<std::size_t>(p));
       for (const VertexId cur : orig_to_cur)
@@ -868,8 +872,8 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
         const auto owner = static_cast<std::size_t>(graph.owner(cur));
         cur = answers[owner][cursor[owner]++];
       }
+      telemetry.breakdown.rebuild = rebuild_timer.seconds();
     }
-    telemetry.breakdown.rebuild = rebuild_timer.seconds();
     telemetry.seconds = phase_timer.seconds();
 
     // Per-phase load-imbalance lambdas (ISSUE 10), sampled on EVERY run so

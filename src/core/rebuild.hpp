@@ -36,16 +36,29 @@ struct RebuildOutput {
 /// driver re-pushes after the last iteration); `ledger` carries the
 /// authoritative sizes used to detect surviving communities.
 ///
-/// `pool` (optional) threads the two O(arcs) passes -- the resolved
-/// edge-list emission here and the CSR sort/assembly inside
-/// DistGraph::build -- without changing the output: arcs are written at
-/// precomputed CSR offsets and the sort is deterministic-stable (see
-/// util/parallel.hpp), so the rebuilt graph is identical at any thread
-/// count.
+/// Old->meta ids are resolved once per slot of the g.dst_slots() space
+/// (owned vertices, then ghosts). Step 5 emits each rank's partial edge list
+/// already coalesced: owned vertices are grouped by meta-source, and each
+/// group's arcs are summed per meta-destination with a
+/// util::SegmentedAccumulator, so a rank ships one arc per (meta-source,
+/// meta-destination) pair whose weight folds in CSR order (ascending local
+/// vertex, then arc order). DistGraph::build's stable sort then folds the at
+/// most p partial sums of a pair in rank order. That equals one left-to-right
+/// fold over all ranks' fine arcs whenever the weights add exactly (e.g. unit
+/// weights); for any weights it is deterministic.
+///
+/// `pool` (optional) threads the grouping pass and the CSR sort/assembly
+/// inside DistGraph::build without changing the output: groups run in static
+/// chunks whose outputs are concatenated in chunk order, and the sort is
+/// deterministic-stable (see util/parallel.hpp), so the rebuilt graph is
+/// identical at any thread count.
+///
+/// Trace spans (comm.trace()): rebuild_renumber (steps 1-3), rebuild_resolve
+/// (step 4), rebuild_coalesce (step 5) and rebuild_ship (steps 6-7).
 ///
 /// `build_graph = false` runs only the renumbering (steps 1-4 + the
-/// current->meta mapping), leaving `graph` default-constructed -- the two
-/// O(arcs) passes and the coarse DistGraph::build collective are skipped.
+/// current->meta mapping), leaving `graph` default-constructed -- the
+/// coalescing pass and the coarse DistGraph::build collective are skipped.
 /// Used by the warm-start driver on its exit phase, where the coarse graph
 /// would be built only to be thrown away (docs/STREAMING.md); the flag must
 /// be collectively identical, since it changes which collectives run.

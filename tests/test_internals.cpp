@@ -1,11 +1,12 @@
 // Direct unit tests for the distributed Louvain's internal machinery:
 // CommunityLedger (authoritative community info + delta protocol),
-// GhostField (mirror-push exchange), DistGraph::validate, and the
-// distributed binary writer -- exercised in isolation rather than through
-// full Louvain runs.
+// GhostField (mirror-push exchange), DistGraph::validate, the distributed
+// binary writer, and the between-phase rebuild against its serial twin --
+// exercised in isolation rather than through full Louvain runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <filesystem>
 #include <memory>
 #include <numeric>
@@ -13,10 +14,17 @@
 #include "comm/world.hpp"
 #include "core/community_state.hpp"
 #include "core/ghost_exchange.hpp"
+#include "core/rebuild.hpp"
+#include "gen/rmat.hpp"
 #include "gen/simple.hpp"
+#include "gen/ssca2.hpp"
 #include "graph/binary_io.hpp"
 #include "graph/csr.hpp"
 #include "graph/dist_graph.hpp"
+#include "louvain/coarsen.hpp"
+#include "util/metrics.hpp"
+#include "util/parallel.hpp"
+#include "util/prng.hpp"
 
 namespace core = dlouvain::core;
 namespace dg = dlouvain::graph;
@@ -293,4 +301,190 @@ TEST(WriteDistributed, PreservesWeightsAndSelfLoops) {
     EXPECT_DOUBLE_EQ(reloaded.total_weight(), g.total_arc_weight());
   });
   std::filesystem::remove(path);
+}
+
+// ---- Rebuild (paper Fig. 1 graph reconstruction) -----------------------------
+
+namespace {
+
+dg::Csr star_graph(VertexId leaves) {
+  std::vector<Edge> edges;
+  for (VertexId v = 1; v <= leaves; ++v) edges.push_back({0, v, 1.0});
+  return dg::from_edges(leaves + 1, edges);
+}
+
+// Non-unit weights whose sums stay exact in binary floating point (0.5, 2,
+// 3 and their halves), plus stored self loops, so the distributed fold order
+// cannot move a bit relative to the serial coarsening.
+dg::Csr exact_weight_graph() {
+  const VertexId n = 120;
+  const Weight weights[] = {0.5, 2.0, 3.0};
+  std::vector<Edge> edges;
+  for (VertexId v = 0; v < n; ++v) {
+    for (const VertexId step : {1, 7, 31}) {
+      edges.push_back({v, (v + step) % n, weights[(v + step) % 3]});
+    }
+    if (v % 5 == 0) edges.push_back({v, v, weights[v % 3]});
+  }
+  return dg::from_edges(n, edges);
+}
+
+// A seeded assignment with few surviving communities: each vertex joins one
+// of ~n/6 random target ids (owned anywhere) with probability 0.8, else keeps
+// its singleton. Vertices that left their own id empty that community.
+std::vector<CommunityId> random_assignment(VertexId n, std::uint64_t seed) {
+  const VertexId targets = std::max<VertexId>(1, n / 6);
+  std::vector<CommunityId> community(static_cast<std::size_t>(n));
+  for (VertexId v = 0; v < n; ++v) {
+    const auto uv = static_cast<std::uint64_t>(v);
+    if (dlouvain::util::hash_rand_unit(seed, uv, 0, 0) < 0.8) {
+      const auto pick = static_cast<VertexId>(
+          dlouvain::util::hash_rand_unit(seed, uv, 1, 0) * static_cast<double>(targets));
+      community[static_cast<std::size_t>(v)] = static_cast<VertexId>(
+          dlouvain::util::hash_rand_unit(seed, static_cast<std::uint64_t>(pick), 2, 0) *
+          static_cast<double>(n));
+    } else {
+      community[static_cast<std::size_t>(v)] = v;
+    }
+  }
+  return community;
+}
+
+// Everything core::rebuild reads, brought to the state a finished phase
+// leaves it in: owned finals, ghosts exchanged, ledger sizes flushed to the
+// owners through the ordinary move protocol.
+struct PhaseEnd {
+  std::vector<CommunityId> owned;
+  core::GhostCommunities ghosts;
+  core::CommunityLedger ledger;
+};
+
+PhaseEnd finish_phase(dc::Comm& comm, const dg::DistGraph& dist,
+                      const std::vector<CommunityId>& assignment) {
+  PhaseEnd end{{}, core::GhostCommunities(dist), core::CommunityLedger(dist)};
+  for (VertexId lv = 0; lv < dist.local_count(); ++lv)
+    end.owned.push_back(assignment[static_cast<std::size_t>(dist.to_global(lv))]);
+  for (const CommunityId c : end.owned) {
+    if (!dist.owns(c)) end.ledger.retain(c);
+  }
+  end.ledger.refresh(comm);
+  for (VertexId lv = 0; lv < dist.local_count(); ++lv) {
+    const VertexId gv = dist.to_global(lv);
+    const CommunityId c = end.owned[static_cast<std::size_t>(lv)];
+    if (c != gv) end.ledger.apply_move(gv, c, dist.weighted_degree(gv));
+  }
+  end.ledger.flush_deltas(comm);
+  end.ghosts.exchange(comm, end.owned);
+  return end;
+}
+
+}  // namespace
+
+TEST(Rebuild, MatchesSerialCoarsen) {
+  struct Case {
+    const char* name;
+    dg::Csr graph;
+  };
+  std::vector<Case> cases;
+  {
+    const auto ring = gen::ring(48);
+    cases.push_back({"ring", dg::from_edges(ring.num_vertices, ring.edges)});
+  }
+  cases.push_back({"star", star_graph(40)});
+  {
+    gen::RmatParams params;
+    params.scale = 10;
+    params.edges_per_vertex = 8;
+    params.seed = 42;
+    const auto rmat = gen::rmat(params);
+    cases.push_back({"rmat10", dg::from_edges(rmat.num_vertices, rmat.edges)});
+  }
+  {
+    gen::Ssca2Params params;
+    params.num_vertices = 2000;
+    params.max_clique_size = 20;
+    const auto ssca = gen::ssca2(params);
+    cases.push_back({"ssca2k", dg::from_edges(ssca.num_vertices, ssca.edges)});
+  }
+  cases.push_back({"exact-weights", exact_weight_graph()});
+
+  for (const auto& [name, g] : cases) {
+    Weight two_m = 0;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) two_m += g.weighted_degree(v);
+    for (const std::uint64_t seed : {1, 2}) {
+      const auto assignment = random_assignment(g.num_vertices(), seed);
+      std::vector<char> used(static_cast<std::size_t>(g.num_vertices()), 0);
+      for (const CommunityId c : assignment) used[static_cast<std::size_t>(c)] = 1;
+      ASSERT_NE(std::find(used.begin(), used.end(), 0), used.end())
+          << name << ": no emptied community";
+      const auto serial = dlouvain::louvain::coarsen(g, assignment);
+      std::vector<Edge> expected;
+      for (VertexId v = 0; v < serial.graph.num_vertices(); ++v)
+        for (const auto& e : serial.graph.neighbors(v))
+          expected.push_back({v, e.dst, e.weight});
+
+      for (const int p : {1, 2, 3, 4}) {
+        for (const int threads : {1, 4}) {
+          const auto label = std::string(name) + " seed " + std::to_string(seed) +
+                             " p=" + std::to_string(p) + " t=" + std::to_string(threads);
+          dc::run(p, [&](dc::Comm& comm) {
+            const auto dist = dg::DistGraph::from_replicated(comm, g);
+            const auto end = finish_phase(comm, dist, assignment);
+            dlouvain::util::ThreadPool pool(threads);
+            const auto out =
+                core::rebuild(comm, dist, end.owned, end.ghosts, end.ledger, &pool);
+
+            const auto meta = comm.allgatherv<VertexId>(out.new_vertex_of_current);
+            std::vector<Edge> local_arcs;
+            for (VertexId lv = 0; lv < out.graph.local_count(); ++lv)
+              for (const auto& e : out.graph.local().neighbors(lv))
+                local_arcs.push_back({out.graph.to_global(lv), e.dst, e.weight});
+            const auto arcs = comm.allgatherv<Edge>(local_arcs);
+            if (comm.rank() != 0) return;
+
+            EXPECT_EQ(out.new_global_n, serial.num_meta_vertices) << label;
+            EXPECT_EQ(meta, serial.old_to_new) << label;
+            ASSERT_EQ(arcs.size(), expected.size()) << label;
+            for (std::size_t i = 0; i < arcs.size(); ++i) {
+              EXPECT_EQ(arcs[i].src, expected[i].src) << label << " arc " << i;
+              EXPECT_EQ(arcs[i].dst, expected[i].dst) << label << " arc " << i;
+              EXPECT_EQ(std::bit_cast<std::uint64_t>(arcs[i].weight),
+                        std::bit_cast<std::uint64_t>(expected[i].weight))
+                  << label << " arc " << i;
+            }
+            EXPECT_EQ(out.graph.total_weight(), two_m) << label;
+          });
+        }
+      }
+    }
+  }
+}
+
+TEST(Rebuild, ShipsOneArcPerPairPerRank) {
+  // Every leaf joins the hub's community, so the coarse graph is one meta
+  // vertex with a self loop. A rank that coalesces its arcs before shipping
+  // sends one arc, however many leaves it owns; the resolve round asks about
+  // the hub's community once per rank.
+  const auto rebuild_bytes = [](VertexId leaves) {
+    const auto g = star_graph(leaves);
+    const std::vector<CommunityId> assignment(static_cast<std::size_t>(leaves + 1), 0);
+    const int p = 4;
+    std::vector<std::int64_t> bytes(p, 0);
+    dc::run(p, [&](dc::Comm& comm) {
+      const auto dist =
+          dg::DistGraph::from_replicated(comm, g, dg::PartitionKind::kEvenVertices);
+      const auto end = finish_phase(comm, dist, assignment);
+      const auto before = comm.counters()[dlouvain::util::Counter::kBytes];
+      const auto out = core::rebuild(comm, dist, end.owned, end.ghosts, end.ledger);
+      bytes[static_cast<std::size_t>(comm.rank())] =
+          comm.counters()[dlouvain::util::Counter::kBytes] - before;
+      EXPECT_EQ(out.new_global_n, 1);
+      EXPECT_EQ(out.graph.global_arcs(), 1);
+    });
+    return std::accumulate(bytes.begin(), bytes.end(), std::int64_t{0});
+  };
+  const auto small = rebuild_bytes(64);
+  EXPECT_GT(small, 0);
+  EXPECT_EQ(rebuild_bytes(256), small);
+  EXPECT_EQ(rebuild_bytes(1024), small);
 }

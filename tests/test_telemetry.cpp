@@ -21,12 +21,15 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "comm/world.hpp"
 #include "core/checkpoint.hpp"
+#include "core/dist_louvain.hpp"
 #include "core/ghost_exchange.hpp"
 #include "core/metrics.hpp"
 #include "dlouvain.hpp"
@@ -133,6 +136,51 @@ TEST(Tracing, SerialEngineWritesAnEmptyButValidTrace) {
   buf << in.rdbuf();
   EXPECT_NE(buf.str().find("\"traceEvents\""), std::string::npos);
   std::filesystem::remove(path);
+}
+
+TEST(Tracing, RebuildSpanHoldsItsStepsAndNotTheLoadSampling) {
+  // The rebuild span times what breakdown.rebuild times: the Fig. 1 steps
+  // and the chain update, each under its own child span, and not the
+  // per-phase load-sampling allgather (a `rebalance` span on every run).
+  constexpr int kRanks = 4;
+  auto store = std::make_shared<util::TraceStore>(kRanks);
+  dc::RunOptions options;
+  options.trace = store;
+  const auto result = core::dist_louvain_inprocess(
+      kRanks, rmat10(), {}, graph::PartitionKind::kEvenEdges, options);
+  ASSERT_GT(result.phases, 1);
+  const auto inside = [](const util::TraceEvent& e, const util::TraceEvent& outer) {
+    return e.ts_us >= outer.ts_us && e.ts_us + e.dur_us <= outer.ts_us + outer.dur_us;
+  };
+  for (int r = 0; r < kRanks; ++r) {
+    const auto events = store->buffer(r)->drain();
+    std::vector<util::TraceEvent> rebuilds;
+    for (const auto& e : events)
+      if (std::string_view(e.name) == "rebuild") rebuilds.push_back(e);
+    ASSERT_EQ(static_cast<int>(rebuilds.size()), result.phases) << "rank " << r;
+    int samples = 0;
+    for (const auto& e : events) {
+      if (std::string_view(e.name) != "rebalance") continue;
+      ++samples;
+      for (const auto& b : rebuilds)
+        EXPECT_FALSE(inside(e, b)) << "rank " << r << ": phase " << e.phase
+                                   << " rebalance span inside phase " << b.phase
+                                   << "'s rebuild span";
+    }
+    EXPECT_EQ(samples, result.phases) << "rank " << r;
+    for (const auto& b : rebuilds) {
+      for (const std::string_view step :
+           {"rebuild_renumber", "rebuild_resolve", "rebuild_coalesce", "rebuild_ship",
+            "rebuild_chain"}) {
+        int held = 0;
+        for (const auto& e : events) {
+          if (std::string_view(e.name) == step && e.phase == b.phase && inside(e, b))
+            ++held;
+        }
+        EXPECT_EQ(held, 1) << "rank " << r << " phase " << b.phase << ": " << step;
+      }
+    }
+  }
 }
 
 // ---- counter catalog consistency --------------------------------------------

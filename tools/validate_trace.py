@@ -13,7 +13,9 @@ then checks:
     multi-rank run);
   * the per-phase load sampling shows up as `rebalance` spans on every run,
     and with --rebalance the CLI is run with the re-balancer enabled and the
-    manifest must record a decided rebalance object.
+    manifest must record a decided rebalance object;
+  * a trace with a `rebuild` span also carries its step spans
+    (REBUILD_STEPS: the paper's Fig. 1 steps and the chain update).
 
 Exit code 0 = both artifacts valid, 1 = validation failure, 2 = the CLI
 itself failed.
@@ -30,6 +32,12 @@ import sys
 import tempfile
 
 import manifest_schema
+
+
+# Child spans of every `rebuild`: steps 1-3, step 4, step 5, steps 6-7 and
+# the original->meta chain update.
+REBUILD_STEPS = ("rebuild_renumber", "rebuild_resolve", "rebuild_coalesce",
+                 "rebuild_ship", "rebuild_chain")
 
 
 def fail(msg):
@@ -65,9 +73,12 @@ def check_trace(path, min_pids):
     # rebalance: the per-phase load-lambda sampling collective runs on EVERY
     # run (and also wraps the boundary decision when --rebalance is on), so
     # its span must always appear.
-    for required in ("phase", "iteration", "compute", "rebalance"):
-        if required not in names:
-            fail(f"{path}: span taxonomy missing '{required}' "
+    required = ["phase", "iteration", "compute", "rebalance"]
+    if "rebuild" in names:
+        required.extend(REBUILD_STEPS)
+    for name in required:
+        if name not in names:
+            fail(f"{path}: span taxonomy missing '{name}' "
                  f"(got {sorted(names)})")
     print(f"trace ok: {spans} spans across {len(pids)} pids")
 
