@@ -29,13 +29,11 @@ constexpr std::uint64_t kCountersMagic = 0x444c434b43545231ULL;  // "DLCKCTR1"
 // v2 (ISSUE 4): adds the sibling counters.bin file. The meta.bin field
 // layout is unchanged, so v1 checkpoints stay readable -- they simply have
 // no counters file and resume with zero restored counters.
-// v3 (ISSUE 10): meta.bin appends the active vertex-range ownership map
-// (the coarse graph's partition split points). The phase-boundary
-// re-balancer can migrate ranges, making the partition no longer derivable
-// from the rank count alone; resuming onto the wrong partition at the same
-// p would silently change sweep orders. v1/v2 checkpoints (no map) resume
-// on the even-vertices split, which is what every pre-rebalance rebuild
-// used.
+// v3: meta.bin appends the coarse graph's ownership map (its partition
+// split points). Every rebuild ships to the even-vertices split, so the map
+// always equals partition_even_vertices(n, p); it stays in the format
+// because dropping it would need a version bump. v1/v2 checkpoints (no map)
+// resume on the even-vertices split too.
 constexpr std::uint32_t kVersion = 3;
 constexpr std::uint32_t kMinVersion = 1;
 
@@ -249,14 +247,6 @@ std::uint64_t config_fingerprint(const DistConfig& cfg) {
   mix_f(cfg.etc_exit_fraction);
   mix(cfg.use_neighbor_exchange ? 1 : 0);
   mix(cfg.use_coloring ? 1 : 0);
-  // An ENABLED re-balancer changes which partitions later phases run on,
-  // and sweep orders are partition-keyed -- trajectory-relevant. Disabled,
-  // the fields are deliberately not mixed, so every config written before
-  // the knob existed keeps its fingerprint.
-  if (cfg.rebalance.enabled) {
-    mix(0x726562616c616e63ULL);  // "rebalanc"
-    mix_f(cfg.rebalance.threshold);
-  }
   return h;
 }
 
@@ -297,9 +287,8 @@ void checkpoint_save(comm::Comm& comm, const std::string& dir,
     meta.put_f64_bits(state.prev_outer_mod);
     meta.put_u8(state.forced_final ? 1 : 0);
     meta.put_u64(fingerprint);
-    // v3: the ACTIVE ownership map (split points of the coarse graph's
-    // partition, identical on every rank) -- not derivable from comm.size()
-    // once the re-balancer has migrated ranges.
+    // v3: the ownership map (split points of the coarse graph's partition,
+    // identical on every rank).
     const auto& starts = g.partition().starts();
     meta.put_i64(static_cast<std::int64_t>(starts.size()));
     for (const VertexId s : starts) meta.put_i64(s);
@@ -402,14 +391,12 @@ std::optional<ResumedState> checkpoint_load(comm::Comm& comm, const std::string&
   resumed.state.counters.messages = header[9];
   resumed.state.counters.bytes = header[10];
 
-  // Coarse-graph partition: v3 checkpoints carry the active ownership map
-  // explicitly (the phase-boundary re-balancer may have migrated ranges, so
-  // the partition is no longer derivable from the rank count). Same rank
-  // count -> load onto the recorded map, reproducing the exact partition.
-  // Different rank count, or a v1/v2 checkpoint with no map -> even-vertices
-  // split: exact for any never-rebalanced run, and a valid repartition
-  // otherwise (different-p resume was never bitwise anyway; see the
-  // determinism contract in checkpoint.hpp).
+  // Coarse-graph partition: a v3 checkpoint carries the ownership map (the
+  // even-vertices split the rebuild shipped to), which a same-p load reuses
+  // verbatim. A different rank count, or a v1/v2 checkpoint with no map,
+  // loads onto the even-vertices split at the new p: a valid repartition
+  // (different-p resume is not bitwise; see the determinism contract in
+  // checkpoint.hpp).
   const fs::path graph_path = phase_dir(dir, chosen) / "graph.dlel";
   if (static_cast<int>(stored_starts.size()) == comm.size() + 1) {
     resumed.graph = graph::load_distributed(

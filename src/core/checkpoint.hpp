@@ -35,14 +35,12 @@
 //
 // Determinism contract: resuming at the SAME rank count reproduces the
 // uninterrupted run bit for bit (test_robustness.cpp proves it for every
-// kill point). v3 checkpoints make that hold even after the phase-boundary
-// re-balancer (core/rebalance.hpp) has migrated vertex ranges: meta.bin
-// records the ACTIVE ownership map explicitly, and same-p loads resume onto
-// it verbatim instead of assuming the even-vertices split. Resuming at a
-// DIFFERENT rank count is supported -- the graph is repartitioned on load
-// -- and yields a valid clustering with exact bookkeeping, but not the same
-// bits: sweep orders are keyed on partition offsets, so the move sequence
-// legitimately differs.
+// kill point): meta.bin (v3) records the coarse graph's ownership map --
+// always the even-vertices split -- and same-p loads resume onto it
+// verbatim. Resuming at a DIFFERENT rank count is supported -- the graph is
+// repartitioned on load -- and yields a valid clustering with exact
+// bookkeeping, but not the same bits: sweep orders are keyed on partition
+// offsets, so the move sequence legitimately differs.
 //
 // Different-p resume is also the machinery behind the rung-3 shrink
 // (docs/FAULT_TOLERANCE.md): when a rank is declared DEAD, the Session

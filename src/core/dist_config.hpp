@@ -90,25 +90,6 @@ struct DistConfig {
   };
   CheckpointConfig checkpoint;
 
-  /// Phase-boundary dynamic load re-balancing (core/rebalance.hpp). When
-  /// enabled, each rebuild screens the arc-count imbalance lambda = max/mean
-  /// of the NEW coarse graph under its default even-vertex split and, at
-  /// lambda >= threshold, re-cuts the 1D range boundaries edge-balanced
-  /// before the coarse graph is shipped. The decision is rank-identical
-  /// (allreduced integer inputs, deterministic tie-breaks), so runs stay
-  /// bitwise-reproducible across thread counts and fault injection; an
-  /// ENGAGED migration changes the partition, and therefore the sweep order,
-  /// exactly like resuming a checkpoint at a different rank count does --
-  /// same clustering quality, different bits (see checkpoint.hpp). Mixed
-  /// into the checkpoint config fingerprint only when enabled, so disabled
-  /// configs keep their pre-existing fingerprints.
-  struct RebalanceConfig {
-    bool enabled{false};
-    /// Engage at lambda_pre >= threshold (>= 1; max/mean is never below 1).
-    double threshold{1.5};
-  };
-  RebalanceConfig rebalance;
-
   // -- named constructors matching the paper's legend ---------------------
   static DistConfig baseline() { return {}; }
 

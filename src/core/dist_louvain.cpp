@@ -7,6 +7,7 @@
 #include "core/coloring.hpp"
 #include "core/community_state.hpp"
 #include "core/ghost_exchange.hpp"
+#include "core/metrics.hpp"
 #include "core/rebuild.hpp"
 #include "louvain/early_term.hpp"
 #include "util/metrics.hpp"
@@ -837,18 +838,24 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
     const bool exits_now =
         gain <= tau_exit && !(cfg.uses_cycling() && tau > tau_min && !forced_final);
     const bool renumber_only = warm != nullptr && exits_now;
+    // A cold phase that ended below the modularity it started from made the
+    // partition worse (a sweep on stale ghost communities can do that), so
+    // its moves are dropped and the run ends on the previous phase's
+    // partition. gain < 0 implies exits_now unless cycling would force a
+    // final tau_min phase; a discarded phase ends the run either way.
+    const bool discard = phase_warm == nullptr && gain < 0;
+    telemetry.discarded = discard;
 
-    // Graph reconstruction + assignment-chain update. Always performed so
-    // the final phase's moves are reflected in the output mapping. The span
-    // and breakdown.rebuild time the same block, which ends before the
-    // load sampling below.
+    // Graph reconstruction + assignment-chain update, so the phase's moves
+    // are reflected in the output mapping (skipped only for a discarded
+    // phase). The span and breakdown.rebuild time the same block, which ends
+    // before the load sampling below.
     RebuildOutput next;
-    {
+    if (!discard) {
       util::WallTimer rebuild_timer;
       const util::TraceSpan rebuild_span(tb, "rebuild", "collective", phase);
       next = rebuild(comm, graph, phase_state.owned_community, phase_state.ghosts,
-                     phase_state.ledger, &pool, /*build_graph=*/!renumber_only,
-                     cfg.rebalance, phase);
+                     phase_state.ledger, &pool, /*build_graph=*/!renumber_only, phase);
 
       // Route each original vertex's current id to the rank owning it in the
       // CURRENT partition; owners answer with the collapsed meta-vertex id.
@@ -876,17 +883,16 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
     }
     telemetry.seconds = phase_timer.seconds();
 
-    // Per-phase load-imbalance lambdas (ISSUE 10), sampled on EVERY run so
-    // the coarsening skew is observable even with re-balancing off. One
-    // O(p) allgather per phase: this rank's owned-arc count of the graph
-    // the phase just ran on (the partition-quality lambda) and its measured
-    // compute + rebuild wall (the observability lambda; scheduler-dependent,
-    // so it is never a decision input). Sampling traffic is reclassified so
-    // comm.messages stays comparable with and without the sampling.
+    // Per-phase load-imbalance lambdas, so the coarsening skew is
+    // observable. One O(p) allgather per phase: this rank's owned-arc count
+    // of the graph the phase just ran on and its measured compute + rebuild
+    // wall (scheduler-dependent, so observability only). Sampling traffic
+    // is reclassified into the load_sample.* counters, so comm.messages
+    // counts algorithm traffic only.
     {
-      const util::TraceSpan span(tb, "rebalance", "collective", phase);
-      const util::TrafficReclassScope reclass(ctr, util::Counter::kRebalanceMessages,
-                                              util::Counter::kRebalanceBytes);
+      const util::TraceSpan span(tb, "load_sample", "collective", phase);
+      const util::TrafficReclassScope reclass(ctr, util::Counter::kLoadSampleMessages,
+                                              util::Counter::kLoadSampleBytes);
       struct LoadSample {
         std::int64_t arcs;
         double seconds;
@@ -903,32 +909,6 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
       telemetry.load_lambda = load_imbalance(arcs);
       telemetry.time_lambda = load_imbalance(walls);
     }
-    // The boundary's re-balancing verdict (all-default when off): fold into
-    // the per-phase record and the run-level v5 roll-up.
-    telemetry.rebalance.evaluated = next.rebalance.evaluated;
-    telemetry.rebalance.engaged = next.rebalance.engaged;
-    telemetry.rebalance.lambda_pre = next.rebalance.lambda_pre;
-    telemetry.rebalance.lambda_post = next.rebalance.lambda_post;
-    telemetry.rebalance.lambda_floor = next.rebalance.lambda_floor;
-    telemetry.rebalance.ranges_moved = next.rebalance.stats.ranges_moved;
-    telemetry.rebalance.vertices_migrated = next.rebalance.stats.vertices_migrated;
-    telemetry.rebalance.arcs_migrated = next.rebalance.stats.arcs_migrated;
-    if (next.rebalance.evaluated) {
-      ++result.rebalance.phases_evaluated;
-      if (next.rebalance.engaged) {
-        ++result.rebalance.phases_engaged;
-      } else {
-        ++result.rebalance.phases_declined;
-      }
-      result.rebalance.ranges_moved += next.rebalance.stats.ranges_moved;
-      result.rebalance.vertices_migrated += next.rebalance.stats.vertices_migrated;
-      result.rebalance.arcs_migrated += next.rebalance.stats.arcs_migrated;
-      result.rebalance.max_lambda_pre =
-          std::max(result.rebalance.max_lambda_pre, next.rebalance.lambda_pre);
-      result.rebalance.max_lambda_post =
-          std::max(result.rebalance.max_lambda_post, next.rebalance.lambda_post);
-    }
-
     // Section V-D quality-assessment mode: gather the per-phase vertex-
     // community associations of the ORIGINAL graph at the root ("extra
     // collective operations per Louvain method phase").
@@ -944,6 +924,7 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
     result.total_iterations += telemetry.iterations;
 
     prev_outer_mod = std::max(prev_outer_mod, phase_state.final_modularity);
+    if (discard) break;
     if (renumber_only) {
       // Warm exit without a coarse graph: the phase's exact final
       // modularity and the renumbering's community count stand in for the
@@ -1014,9 +995,6 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
   result.messages =
       result.restored.messages + result.counters[util::Counter::kMessages];
   result.bytes = result.restored.bytes + result.counters[util::Counter::kBytes];
-
-  result.rebalance.enabled = cfg.rebalance.enabled;
-  result.rebalance.threshold = cfg.rebalance.threshold;
   return result;
 }
 

@@ -1,9 +1,36 @@
 #include "core/metrics.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 
 namespace dlouvain::core {
+
+namespace {
+
+template <typename T>
+double imbalance_of(std::span<const T> loads) {
+  if (loads.empty()) return 1.0;
+  double sum = 0;
+  double max = 0;
+  for (const T v : loads) {
+    if (v < T{0}) throw std::invalid_argument("load_imbalance: negative load");
+    sum += static_cast<double>(v);
+    max = std::max(max, static_cast<double>(v));
+  }
+  if (sum <= 0) return 1.0;
+  const double mean = sum / static_cast<double>(loads.size());
+  return max / mean;
+}
+
+}  // namespace
+
+double load_imbalance(std::span<const std::int64_t> loads) {
+  return imbalance_of(loads);
+}
+
+double load_imbalance(std::span<const double> loads) { return imbalance_of(loads); }
 
 std::string json_escape(std::string_view s) {
   std::string out;
@@ -68,23 +95,6 @@ void append_updates_json(std::string& out, const UpdateTelemetry& u) {
          ",\"fallback_to_full\":" + std::to_string(u.fallback_to_full) + '}';
 }
 
-void append_rebalance_json(std::string& out, const DistResult::RebalanceTelemetry& r) {
-  out += "{\"enabled\":";
-  out += r.enabled ? "true" : "false";
-  out += ",\"threshold\":" + json_number(r.threshold);
-  out += ",\"decided\":";
-  out += r.decided() ? "true" : "false";
-  out += ",\"phases_evaluated\":" + std::to_string(r.phases_evaluated);
-  out += ",\"phases_engaged\":" + std::to_string(r.phases_engaged);
-  out += ",\"phases_declined\":" + std::to_string(r.phases_declined);
-  out += ",\"ranges_moved\":" + std::to_string(r.ranges_moved);
-  out += ",\"vertices_migrated\":" + std::to_string(r.vertices_migrated);
-  out += ",\"arcs_migrated\":" + std::to_string(r.arcs_migrated);
-  out += ",\"max_lambda_pre\":" + json_number(r.max_lambda_pre);
-  out += ",\"max_lambda_post\":" + json_number(r.max_lambda_post);
-  out += '}';
-}
-
 void append_service_json(std::string& out, const ServiceTelemetry& s) {
   out += "{\"job_id\":" + std::to_string(s.job_id);
   out += ",\"cache_hit\":";
@@ -119,8 +129,6 @@ std::string dist_result_to_json(const DistResult& r) {
   append_counters_json(out, r.counters);
   out += ",\"breakdown\":";
   append_breakdown_json(out, r.breakdown);
-  out += ",\"rebalance\":";
-  append_rebalance_json(out, r.rebalance);
   out += ",\"phases_detail\":[";
   for (std::size_t i = 0; i < r.phase_telemetry.size(); ++i) {
     const auto& ph = r.phase_telemetry[i];
@@ -137,17 +145,9 @@ std::string dist_result_to_json(const DistResult& r) {
     append_breakdown_json(out, ph.breakdown);
     out += ",\"load_lambda\":" + json_number(ph.load_lambda);
     out += ",\"time_lambda\":" + json_number(ph.time_lambda);
-    out += ",\"rebalance\":{\"evaluated\":";
-    out += ph.rebalance.evaluated ? "true" : "false";
-    out += ",\"engaged\":";
-    out += ph.rebalance.engaged ? "true" : "false";
-    out += ",\"lambda_pre\":" + json_number(ph.rebalance.lambda_pre);
-    out += ",\"lambda_post\":" + json_number(ph.rebalance.lambda_post);
-    out += ",\"lambda_floor\":" + json_number(ph.rebalance.lambda_floor);
-    out += ",\"ranges_moved\":" + std::to_string(ph.rebalance.ranges_moved);
-    out += ",\"vertices_migrated\":" + std::to_string(ph.rebalance.vertices_migrated);
-    out += ",\"arcs_migrated\":" + std::to_string(ph.rebalance.arcs_migrated);
-    out += "}}";
+    out += ",\"discarded\":";
+    out += ph.discarded ? "true" : "false";
+    out += '}';
   }
   out += "]}";
   return out;

@@ -8,12 +8,14 @@
 // built from these helpers.
 //
 // Manifest schema (stable, versioned): see docs/OBSERVABILITY.md. The
-// top-level "schema" key is "dlouvain-run-manifest/6". The tooling
+// top-level "schema" key is "dlouvain-run-manifest/7". The tooling
 // (tools/manifest_schema.py, shared by validate_trace.py,
 // check_bench_regression.py and service_smoke.py) validates this one version
 // against one counter catalog.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -22,7 +24,13 @@
 
 namespace dlouvain::core {
 
-inline constexpr std::string_view kManifestSchema = "dlouvain-run-manifest/6";
+inline constexpr std::string_view kManifestSchema = "dlouvain-run-manifest/7";
+
+/// max/mean of a non-negative per-rank load vector (the manifest's per-phase
+/// load_lambda and time_lambda). 1.0 (perfect balance) for empty vectors or
+/// all-zero loads -- a graph with no arcs cannot be imbalanced.
+[[nodiscard]] double load_imbalance(std::span<const std::int64_t> loads);
+[[nodiscard]] double load_imbalance(std::span<const double> loads);
 
 /// JSON string escaping (quotes, backslash, control characters).
 std::string json_escape(std::string_view s);
@@ -42,13 +50,6 @@ void append_breakdown_json(std::string& out, const TimeBreakdown& b);
 /// Appends the "updates" object (streaming-session telemetry; all zeros for
 /// a one-shot run).
 void append_updates_json(std::string& out, const UpdateTelemetry& u);
-
-/// Appends the "rebalance" object: the knob, how many phase
-/// boundaries were screened / engaged / declined, the migration totals, and
-/// the worst lambdas seen (core/rebalance.hpp; per-boundary detail rides
-/// phases_detail).
-void append_rebalance_json(std::string& out,
-                           const DistResult::RebalanceTelemetry& r);
 
 /// Telemetry of the long-lived clustering service (dlouvaind; see
 /// docs/SERVICE.md). One struct serves both emission sites: a per-response

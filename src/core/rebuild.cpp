@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "util/metrics.hpp"
 #include "util/segmented.hpp"
 #include "util/trace.hpp"
 
@@ -14,8 +13,7 @@ namespace dlouvain::core {
 RebuildOutput rebuild(comm::Comm& comm, const graph::DistGraph& g,
                       std::span<const CommunityId> owned_community,
                       const GhostCommunities& ghosts, const CommunityLedger& ledger,
-                      util::ThreadPool* pool, bool build_graph,
-                      const DistConfig::RebalanceConfig& rebalance, int phase) {
+                      util::ThreadPool* pool, bool build_graph, int phase) {
   const int p = comm.size();
   util::TraceBuffer* const tb = comm.trace();
   const auto local_n = static_cast<std::size_t>(g.local_count());
@@ -177,62 +175,12 @@ RebuildOutput rebuild(comm::Comm& comm, const graph::DistGraph& g,
       arcs.insert(arcs.end(), emitted[t].begin(), emitted[t].end());
   }
 
-  // ISSUE 10: pick the new graph's range boundaries before the step 6-7
-  // shipment. The even-vertex split is the incumbent; when re-balancing is
-  // enabled, screen the allreduced arc-count imbalance and, past the
-  // threshold, re-cut edge-balanced boundaries (core/rebalance.hpp). The
-  // verdict is computed from allreduced integers, so it is identical on
-  // every rank and the build below stays collectively aligned. Sampling
-  // traffic is model overhead, not algorithm work: reclassified (like the
-  // overlap probes) so comm.messages stays comparable on vs off.
-  graph::Partition1D part;
-  if (rebalance.enabled) {
-    const util::TraceSpan span(tb, "rebalance", "collective", phase);
-    const util::TrafficReclassScope reclass(comm.counters(),
-                                            util::Counter::kRebalanceMessages,
-                                            util::Counter::kRebalanceBytes);
-    // Step-1 screen, O(p): per-rank arc counts under the even split, taken
-    // on the raw fine arcs (a meta-source's count is the sum of its members'
-    // row lengths), which tracks both shipment cost and sweep cost closely
-    // enough for a screen.
-    const auto even = graph::partition_even_vertices(new_global_n, p);
-    std::vector<std::int64_t> local_loads(static_cast<std::size_t>(p), 0);
-    for (std::size_t lv = 0; lv < local_n; ++lv) {
-      const Rank owner = even.owner(out.new_vertex_of_current[lv]);
-      local_loads[static_cast<std::size_t>(owner)] +=
-          g.local().degree(static_cast<VertexId>(lv));
-    }
-    const auto loads = comm.allreduce_sum_vec<std::int64_t>(local_loads);
-    const double lambda_pre = load_imbalance(loads);
-    if (lambda_pre < rebalance.threshold) {
-      out.rebalance.evaluated = true;
-      out.rebalance.lambda_pre = out.rebalance.lambda_post = lambda_pre;
-      out.rebalance.partition = even;
-    } else {
-      // Step 2, O(n_coarse): the per-new-vertex arc histogram, then the
-      // pure decision (which may still decline on no-strict-improvement).
-      // The histogram counts the COALESCED arcs: a big community collapses
-      // thousands of parallel (u,v) arcs into one, so raw multiplicities
-      // would over-weight heavy coarse vertices by orders of magnitude and
-      // the min-max cut would balance shipment cost instead of next-phase
-      // sweep cost. Step 5 already removed the within-rank multiplicity;
-      // the residual across-rank copies over-count a pair at most p-fold.
-      std::vector<std::int64_t> hist(static_cast<std::size_t>(new_global_n), 0);
-      for (const Edge& a : arcs) ++hist[static_cast<std::size_t>(a.src)];
-      hist = comm.allreduce_sum_vec<std::int64_t>(hist);
-      out.rebalance = decide_rebalance(new_global_n, p, rebalance.threshold, hist);
-    }
-    part = out.rebalance.partition;
-  } else {
-    part = graph::partition_even_vertices(new_global_n, p);
-  }
-
   // Steps 6-7: ship each coalesced arc to its source's owner, which folds
   // the at most p partial sums of a pair in rank order and builds the CSR.
   {
     const util::TraceSpan span(tb, "rebuild_ship", "collective", phase);
-    out.graph = graph::DistGraph::build(comm, part, std::move(arcs), /*symmetrize=*/false,
-                                        pool);
+    out.graph = graph::DistGraph::build(comm, graph::partition_even_vertices(new_global_n, p),
+                                        std::move(arcs), /*symmetrize=*/false, pool);
   }
   return out;
 }

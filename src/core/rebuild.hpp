@@ -9,9 +9,7 @@
 
 #include "comm/comm.hpp"
 #include "core/community_state.hpp"
-#include "core/dist_config.hpp"
 #include "core/ghost_exchange.hpp"
-#include "core/rebalance.hpp"
 #include "graph/dist_graph.hpp"
 #include "util/parallel.hpp"
 
@@ -25,10 +23,6 @@ struct RebuildOutput {
   /// original-vertex -> current-vertex chain across phases.
   std::vector<VertexId> new_vertex_of_current;
   VertexId new_global_n{0};
-  /// The load re-balancing verdict taken at this boundary (ISSUE 10):
-  /// default-constructed (not evaluated, even-vertex split kept) when
-  /// re-balancing is disabled or the graph was not built.
-  RebalanceDecision rebalance;
 };
 
 /// Collective. `owned_community[lv]` is the final community of each owned
@@ -63,16 +57,11 @@ struct RebuildOutput {
 /// would be built only to be thrown away (docs/STREAMING.md); the flag must
 /// be collectively identical, since it changes which collectives run.
 ///
-/// `rebalance` (collectively identical, like `build_graph`) lets the
-/// re-balancer re-cut the new graph's range boundaries before the step 6-7
-/// shipment (core/rebalance.hpp); its sampling allreduces run only when
-/// enabled, and their traffic is reclassified into the rebalance.* counters.
-/// `phase` labels the "rebalance" trace span.
+/// `phase` labels the trace spans.
 RebuildOutput rebuild(comm::Comm& comm, const graph::DistGraph& g,
                       std::span<const CommunityId> owned_community,
                       const GhostCommunities& ghosts, const CommunityLedger& ledger,
                       util::ThreadPool* pool = nullptr, bool build_graph = true,
-                      const DistConfig::RebalanceConfig& rebalance = {},
                       int phase = 0);
 
 }  // namespace dlouvain::core

@@ -65,22 +65,6 @@ struct TimeBreakdown {
   }
 };
 
-/// The re-balancing verdict taken at one phase's END -- it chose the NEXT
-/// phase's partition (ISSUE 10). All-default when --rebalance is off or the
-/// phase exited without building a coarse graph.
-struct PhaseRebalanceRecord {
-  bool evaluated{false};    ///< the enabled-path screen ran at this boundary
-  bool engaged{false};      ///< a migrated partition was chosen
-  double lambda_pre{1.0};   ///< next graph's arc lambda under the even split
-  double lambda_post{1.0};  ///< under the chosen split (== pre when declined)
-  /// Structural balance limit max(vertex arcs)/(total/p): no partition can
-  /// beat it. 1.0 unless the step-2 histogram was gathered.
-  double lambda_floor{1.0};
-  int ranges_moved{0};
-  std::int64_t vertices_migrated{0};
-  std::int64_t arcs_migrated{0};
-};
-
 struct PhaseTelemetry {
   int phase{0};
   int iterations{0};
@@ -92,14 +76,16 @@ struct PhaseTelemetry {
   double seconds{0};
   TimeBreakdown breakdown;
   /// Arc-count load imbalance (max/mean over ranks of owned arcs) of the
-  /// partition this phase actually ran on. Sampled on EVERY run -- with
-  /// --rebalance off this is how the skew stays observable (ISSUE 10).
+  /// partition this phase ran on: how unevenly coarsening left the work.
   double load_lambda{1.0};
   /// Measured wall-time imbalance (per-rank compute + rebuild seconds,
-  /// max/mean). Observability only: scheduler-noise-dependent, so it is
-  /// NEVER a decision input (the decision uses allreduced arc counts).
+  /// max/mean). Observability only: scheduler-noise-dependent.
   double time_lambda{1.0};
-  PhaseRebalanceRecord rebalance;
+  /// The phase ended below the modularity it started from, so its moves
+  /// were dropped: no rebuild, no chain update, and the run ended on the
+  /// previous phase's partition. It still counts in phases and
+  /// total_iterations. Never set on a warm-started phase.
+  bool discarded{false};
   std::vector<IterationTelemetry> iteration_detail;
 };
 
@@ -160,24 +146,6 @@ struct DistResult {
   /// history is NOT folded in here; only messages/bytes/seconds above carry
   /// restored history, because only they are persisted.
   util::MetricsSnapshot counters;
-
-  /// Run-level roll-up of the phase-boundary load re-balancer (the manifest
-  /// v5 "rebalance" object; per-boundary detail rides phase_telemetry).
-  struct RebalanceTelemetry {
-    bool enabled{false};
-    double threshold{1.5};
-    int phases_evaluated{0};  ///< boundaries where the enabled screen ran
-    int phases_engaged{0};
-    int phases_declined{0};
-    int ranges_moved{0};
-    std::int64_t vertices_migrated{0};
-    std::int64_t arcs_migrated{0};
-    double max_lambda_pre{1.0};   ///< worst even-split lambda seen at a boundary
-    double max_lambda_post{1.0};  ///< worst lambda actually accepted
-    /// An enabled run "decided" once at least one boundary was screened.
-    [[nodiscard]] bool decided() const { return phases_evaluated > 0; }
-  };
-  RebalanceTelemetry rebalance;
 
   /// Phase the run was resumed from (DistConfig::checkpoint.resume with a
   /// valid checkpoint on disk); -1 when the run started fresh. When >= 0,

@@ -41,8 +41,6 @@ core::DistConfig Plan::dist_config() const {
   cfg.add_threshold_cycling = cycling_;
   cfg.use_coloring = coloring_;
   cfg.record_iterations = record_iterations_;
-  cfg.rebalance.enabled = rebalance_;
-  cfg.rebalance.threshold = rebalance_threshold_;
   cfg.threads_per_rank = threads_;
   // Effective checkpoint directory: checkpointing() wins when both are set
   // (validate() rejects two DIFFERENT directories); resume() alone keeps
@@ -71,8 +69,6 @@ void Plan::validate() const {
   if (retransmit_max_ < 0) fail("retransmit() attempts must be >= 0");
   if (retransmit_max_ > 0 && !(retransmit_backoff_ms_ > 0))
     fail("retransmit() backoff must be > 0 ms");
-  if (rebalance_ && !(rebalance_threshold_ >= 1.0))
-    fail("rebalance() threshold must be >= 1 (lambda = max/mean is never below 1)");
   if (resume_ && resume_dir_.empty())
     fail("resume() needs a checkpoint directory");
   if (resume_ && !checkpoint_dir_.empty() && resume_dir_ != checkpoint_dir_) {
@@ -102,7 +98,6 @@ void Plan::validate() const {
   if (max_restarts_ > 0) dist_only("max_restarts()");
   if (retransmit_max_ > 0) dist_only("retransmit()");
   if (shrink_on_rank_loss_) dist_only("shrink_on_rank_loss()");
-  if (rebalance_) dist_only("rebalance()");
   if (partition_ != graph::PartitionKind::kEvenEdges) dist_only("partition()");
 }
 

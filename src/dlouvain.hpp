@@ -216,7 +216,7 @@ struct Result {
   /// maintained by Session::update). The manifest's v2 "updates" section.
   core::UpdateTelemetry updates;
 
-  /// Machine-readable run manifest (schema "dlouvain-run-manifest/5"; see
+  /// Machine-readable run manifest (schema "dlouvain-run-manifest/7"; see
   /// docs/OBSERVABILITY.md). Valid JSON for every engine; the distributed
   /// engine adds counters, breakdown and per-phase detail. Same content
   /// `Plan::metrics(path)` writes to disk.
@@ -280,24 +280,6 @@ class Plan {
   Plan& vertex_following(bool on = true) { vertex_following_ = on; return *this; }
   /// Record per-iteration telemetry (distributed engine, Figs. 5-6 series).
   Plan& record_iterations(bool on = true) { record_iterations_ = on; return *this; }
-  /// Phase-boundary dynamic load re-balancing (distributed engine,
-  /// core/rebalance.hpp): at each rebuild, when the new coarse graph's
-  /// arc-count imbalance lambda = max/mean under the default even-vertex
-  /// split reaches `threshold` (>= 1), re-cut edge-balanced range
-  /// boundaries before the coarse graph is shipped -- migration rides the
-  /// rebuild's existing redistribution, no second data movement. The
-  /// decision is deterministic and rank-identical (allreduced arc counts;
-  /// measured times are observability-only), so runs are bitwise-
-  /// reproducible across thread counts and fault injection; a boundary
-  /// that DECLINES leaves the run bitwise identical to rebalance-off,
-  /// while an ENGAGED migration changes the partition and therefore the
-  /// bits -- same quality, different partition, exactly like resuming at a
-  /// different rank count (see docs/PERFORMANCE.md section 8).
-  Plan& rebalance(double threshold = 1.5) {
-    rebalance_ = true;
-    rebalance_threshold_ = threshold;
-    return *this;
-  }
 
   // -- fault tolerance (distributed engine; see docs/FAULT_TOLERANCE.md) --
   /// Write phase-boundary checkpoints into `dir` (every `every` phases).
@@ -409,8 +391,6 @@ class Plan {
   bool coloring_{false};
   bool vertex_following_{false};
   bool record_iterations_{true};
-  bool rebalance_{false};
-  double rebalance_threshold_{1.5};
   std::string checkpoint_dir_;
   int checkpoint_every_{1};
   std::string resume_dir_;

@@ -61,10 +61,9 @@ DistGraph load_distributed(comm::Comm& comm, const std::string& path,
                            PartitionKind kind = PartitionKind::kEvenEdges);
 
 /// Collective: same sliced read, but onto an EXPLICIT replicated partition
-/// (e.g. the ownership map recorded in a checkpoint, which may have been
-/// migrated by the phase-boundary re-balancer and is then not derivable from
-/// the rank count). Throws if the partition does not cover exactly the
-/// file's vertex range across comm.size() ranks.
+/// (e.g. the ownership map recorded in a checkpoint). Throws if the
+/// partition does not cover exactly the file's vertex range across
+/// comm.size() ranks.
 DistGraph load_distributed(comm::Comm& comm, const std::string& path,
                            const Partition1D& part);
 

@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <string>
 
 #include "comm/world.hpp"
 #include "core/dist_config.hpp"
 #include "core/dist_louvain.hpp"
 #include "gen/lfr.hpp"
+#include "gen/rmat.hpp"
 #include "gen/simple.hpp"
 #include "gen/ssca2.hpp"
 #include "graph/csr.hpp"
@@ -334,6 +337,41 @@ TEST(DistLouvain, ResultIdenticalOnAllRanks) {
     EXPECT_EQ(results[0].community, results[static_cast<std::size_t>(r)].community);
     EXPECT_EQ(results[0].modularity, results[static_cast<std::size_t>(r)].modularity);
     EXPECT_EQ(results[0].phases, results[static_cast<std::size_t>(r)].phases);
+  }
+}
+
+TEST(DistLouvain, NeverEndsBelowItsBestPhase) {
+  // Concurrent moves decided against stale ghost communities can leave a
+  // phase below the modularity it started from. Such a phase is discarded:
+  // the run ends on the previous phase's partition, so it never returns a
+  // partition worse than one it already had. On each of these inputs the
+  // last phase ends below the one before it.
+  struct Input {
+    std::uint64_t graph_seed;
+    std::uint64_t plan_seed;
+  };
+  for (const Input in : {Input{7, 13}, Input{7, 15}, Input{7, 20}, Input{1, 14},
+                         Input{1, 17}}) {
+    gen::RmatParams params;
+    params.scale = 11;
+    params.edges_per_vertex = 8;
+    params.seed = in.graph_seed;
+    const auto graph = gen::rmat(params);
+    const auto g = dg::from_edges(graph.num_vertices, graph.edges);
+    core::DistConfig cfg;
+    cfg.base.seed = in.plan_seed;
+    const auto result = core::dist_louvain_inprocess(4, g, cfg);
+    const auto label = "graph seed " + std::to_string(in.graph_seed) + ", plan seed " +
+                       std::to_string(in.plan_seed);
+
+    const auto& phases = result.phase_telemetry;
+    ASSERT_EQ(phases.size(), static_cast<std::size_t>(result.phases)) << label;
+    for (const auto& ph : phases)
+      EXPECT_GE(result.modularity, ph.modularity_after - 1e-9)
+          << label << ", phase " << ph.phase;
+    EXPECT_NEAR(result.modularity, dl::modularity(g, result.community), 1e-9) << label;
+    for (std::size_t i = 0; i < phases.size(); ++i)
+      EXPECT_EQ(phases[i].discarded, i + 1 == phases.size()) << label << ", phase " << i;
   }
 }
 

@@ -451,11 +451,11 @@ TEST(ManifestV2, UpdatesSectionAlwaysPresent) {
 
   const auto one_shot = Plan::distributed(2).run(csr);
   const auto json = one_shot.to_json();
-  EXPECT_NE(json.find("\"schema\":\"dlouvain-run-manifest/6\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\":\"dlouvain-run-manifest/7\""), std::string::npos);
   EXPECT_NE(json.find("\"updates\":{\"batches_applied\":0"), std::string::npos);
 
   const auto serial_json = Plan::serial().run(csr).to_json();
-  EXPECT_NE(serial_json.find("\"schema\":\"dlouvain-run-manifest/6\""),
+  EXPECT_NE(serial_json.find("\"schema\":\"dlouvain-run-manifest/7\""),
             std::string::npos);
   EXPECT_NE(serial_json.find("\"updates\":{\"batches_applied\":0"), std::string::npos);
 }

@@ -447,6 +447,18 @@ TEST(Checkpoint, ConfigMismatchIsRejected) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Checkpoint, FingerprintIsStableAcrossVersions) {
+  // Checkpoint directories on disk, and the service's result-cache key, are
+  // keyed on this hash: changing it for an existing config would make every
+  // checkpoint written under that config unloadable. The literals are the
+  // values the code has computed since the fingerprint was introduced.
+  EXPECT_EQ(core::config_fingerprint(core::DistConfig{}), 0xe8638dc3db6ae6a5ULL);
+  auto etc = core::DistConfig::etc(0.25);
+  etc.use_coloring = true;
+  etc.add_threshold_cycling = true;
+  EXPECT_EQ(core::config_fingerprint(etc), 0x9c8b58202a5a6439ULL);
+}
+
 TEST(Checkpoint, CorruptCheckpointFallsBackToFreshStart) {
   const auto g = make_banded_graph();
   const auto reference = dlouvain::Plan::distributed(2).run(g);

@@ -23,6 +23,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,6 +35,7 @@
 #include "core/metrics.hpp"
 #include "dlouvain.hpp"
 #include "gen/rmat.hpp"
+#include "gen/surrogate.hpp"
 #include "graph/csr.hpp"
 #include "graph/dist_graph.hpp"
 #include "util/crc32.hpp"
@@ -43,6 +45,7 @@
 namespace {
 
 using namespace dlouvain;
+using core::load_imbalance;
 namespace dc = dlouvain::comm;
 
 graph::Csr rmat10() {
@@ -141,7 +144,7 @@ TEST(Tracing, SerialEngineWritesAnEmptyButValidTrace) {
 TEST(Tracing, RebuildSpanHoldsItsStepsAndNotTheLoadSampling) {
   // The rebuild span times what breakdown.rebuild times: the Fig. 1 steps
   // and the chain update, each under its own child span, and not the
-  // per-phase load-sampling allgather (a `rebalance` span on every run).
+  // per-phase load-sampling allgather (a `load_sample` span on every run).
   constexpr int kRanks = 4;
   auto store = std::make_shared<util::TraceStore>(kRanks);
   dc::RunOptions options;
@@ -160,11 +163,11 @@ TEST(Tracing, RebuildSpanHoldsItsStepsAndNotTheLoadSampling) {
     ASSERT_EQ(static_cast<int>(rebuilds.size()), result.phases) << "rank " << r;
     int samples = 0;
     for (const auto& e : events) {
-      if (std::string_view(e.name) != "rebalance") continue;
+      if (std::string_view(e.name) != "load_sample") continue;
       ++samples;
       for (const auto& b : rebuilds)
         EXPECT_FALSE(inside(e, b)) << "rank " << r << ": phase " << e.phase
-                                   << " rebalance span inside phase " << b.phase
+                                   << " load_sample span inside phase " << b.phase
                                    << "'s rebuild span";
     }
     EXPECT_EQ(samples, result.phases) << "rank " << r;
@@ -455,7 +458,7 @@ TEST(Manifest, ToJsonIsValidStableAndDeterministic) {
   expect_balanced_json(json);
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"schema\":\"dlouvain-run-manifest/6\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\":\"dlouvain-run-manifest/7\""), std::string::npos);
   EXPECT_NE(json.find("\"engine\":\"distributed\""), std::string::npos);
   EXPECT_NE(json.find("\"updates\":{\"batches_applied\":0"), std::string::npos);
   EXPECT_NE(json.find("\"comm.messages\":"), std::string::npos);
@@ -475,13 +478,27 @@ TEST(Manifest, ToJsonIsValidStableAndDeterministic) {
   EXPECT_EQ(extract_counters(again.to_json()), extract_counters(json));
 }
 
+TEST(Manifest, PhasesDetailCarriesLoadLambdasAndDiscardedFlag) {
+  const auto sg = gen::surrogate("channel", 0.3);
+  const auto g = graph::from_edges(sg.num_vertices, sg.edges);
+  const auto r = Plan::distributed(4).seed(123).run(g);
+  const std::string json = r.to_json();
+  EXPECT_NE(json.find("\"load_lambda\":"), std::string::npos);
+  EXPECT_NE(json.find("\"time_lambda\":"), std::string::npos);
+  EXPECT_NE(json.find("\"discarded\":"), std::string::npos);
+  for (const auto& ph : r.distributed->phase_telemetry) {
+    EXPECT_GE(ph.load_lambda, 1.0);
+    EXPECT_GE(ph.time_lambda, 1.0);
+  }
+}
+
 TEST(Manifest, SerialAndSharedEnginesEmitValidManifests) {
   const auto g = rmat8();
   for (const auto& r :
        {Plan::serial().seed(123).run(g), Plan::shared(2).seed(123).run(g)}) {
     const auto json = r.to_json();
     expect_balanced_json(json);
-    EXPECT_NE(json.find("\"schema\":\"dlouvain-run-manifest/6\""),
+    EXPECT_NE(json.find("\"schema\":\"dlouvain-run-manifest/7\""),
               std::string::npos);
     EXPECT_NE(json.find("\"updates\":{"), std::string::npos);
     EXPECT_NE(json.find("\"recovery\":{"), std::string::npos);
@@ -539,6 +556,18 @@ TEST(TraceStore, WritesChromeTraceShape) {
   EXPECT_NE(json.find("\"process_name\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"compute\""), std::string::npos);
+}
+
+TEST(Metrics, LoadImbalanceIsMaxOverMean) {
+  EXPECT_EQ(load_imbalance(std::vector<std::int64_t>{}), 1.0);
+  EXPECT_EQ(load_imbalance(std::vector<std::int64_t>{7}), 1.0);
+  EXPECT_EQ(load_imbalance(std::vector<std::int64_t>{10, 10, 10, 10}), 1.0);
+  EXPECT_EQ(load_imbalance(std::vector<std::int64_t>{0, 0, 0}), 1.0);
+  // mean = 15, max = 30.
+  EXPECT_DOUBLE_EQ(load_imbalance(std::vector<std::int64_t>{30, 10, 10, 10}), 2.0);
+  EXPECT_DOUBLE_EQ(load_imbalance(std::vector<double>{3.0, 1.0}), 1.5);
+  EXPECT_THROW((void)load_imbalance(std::vector<std::int64_t>{5, -1}),
+               std::invalid_argument);
 }
 
 TEST(Metrics, ReclassScopeMovesTrafficAndNests) {

@@ -48,9 +48,9 @@ section: all six overlap-mode runs must have produced identical results, and
 at both the zero-latency and the delayed point, with the cost-model decision
 recorded.
 
-When the current results carry a `rebalance` section (the PR10 trail,
-`micro_rebalance --pr10_json=...` or `--emit pr10 --bench build/bench/
-micro_rebalance`), the phase-boundary load re-balancer contracts are
+When the current results carry a `rebalance` section (the committed
+BENCH_PR10.json trail; its emitter went with the re-balancer, and the file
+stays as data), the phase-boundary load re-balancer contracts are
 checked: the decline path (enabled, unreachable threshold) must be bitwise
 identical to rebalance-off, every run deterministic across reps, and each
 boundary whose even-split lambda reached --lambda-pre-min must have engaged
@@ -337,11 +337,11 @@ def main():
     parser.add_argument("--manifest",
                         help="also validate this --metrics-out run manifest")
     parser.add_argument("--emit",
-                        choices=("pr3", "pr6", "pr7", "pr8", "pr10"),
+                        choices=("pr3", "pr6", "pr7", "pr8"),
                         default="pr3",
                         help="which trail --bench should produce (default pr3)")
     parser.add_argument("--ranks", type=int, default=8,
-                        help="ranks for the pr6 / pr7 / pr10 runs")
+                        help="ranks for the pr6 / pr7 runs")
     parser.add_argument("--min-hidden", type=float, default=0.30,
                         help="required hidden fraction of exchange latency "
                              "when an overlap_ablation section is present")
@@ -385,10 +385,8 @@ def main():
             f"--{args.emit}_dist_scale={args.dist_scale}",
             f"--{args.emit}_reps={args.reps}",
         ]
-        if args.emit in ("pr6", "pr7", "pr10"):
+        if args.emit in ("pr6", "pr7"):
             cmd += [f"--{args.emit}_ranks={args.ranks}"]
-        if args.emit == "pr10":
-            cmd += [f"--pr10_ranks={args.ranks}"]
         print("+", " ".join(cmd), flush=True)
         result = subprocess.run(cmd)
         if result.returncode != 0:

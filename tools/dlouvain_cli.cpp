@@ -10,11 +10,6 @@
 //   --ranks <p>                    in-process ranks (default 4)
 //   --threads <t>                  compute threads per rank (default 1)
 //   --coloring                     colour-constrained sweeps (Section VI)
-//   --rebalance                    re-balance vertex ownership at phase
-//                                  boundaries when the measured arc-count
-//                                  imbalance exceeds the threshold
-//   --rebalance-threshold <x>      imbalance lambda = max/mean that triggers
-//                                  migration (default 1.5)
 //   --output <file>                write "vertex community" lines
 //   --stats                        print degree/component statistics first
 //
@@ -121,10 +116,6 @@ int run_cli(int argc, char** argv) {
   const int threads =
       static_cast<int>(cli.get_int("threads", 1, "compute threads per rank (<=0 = auto)"));
   const bool coloring = cli.get_flag("coloring", false, "colour-constrained sweeps");
-  const bool rebalance = cli.get_flag(
-      "rebalance", false, "re-balance vertex ownership at phase boundaries");
-  const double rebalance_threshold = cli.get_double(
-      "rebalance-threshold", 1.5, "imbalance lambda (max/mean) that triggers migration");
   const auto output = cli.get_string("output", "", "write 'vertex community' lines");
   const bool stats = cli.get_flag("stats", false, "print graph statistics first");
   const int summary = static_cast<int>(
@@ -235,7 +226,6 @@ int run_cli(int argc, char** argv) {
                   .max_restarts(max_restarts)
                   .retransmit(retransmit, retransmit_backoff_ms)
                   .shrink_on_rank_loss(shrink_on_rank_loss);
-  if (rebalance) plan.rebalance(rebalance_threshold);
   if (!checkpoint_dir.empty()) plan.checkpointing(checkpoint_dir, checkpoint_every);
   if (resume) plan.resume(checkpoint_dir);
   comm::FaultPlan faults;

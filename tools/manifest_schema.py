@@ -1,6 +1,6 @@
 """The one run-manifest schema the tooling validates.
 
-`dlouvain-run-manifest/6` is what `Result::to_json()`, `dlouvain_cli
+`dlouvain-run-manifest/7` is what `Result::to_json()`, `dlouvain_cli
 --metrics-out` and every `dlouvaind` reply emit (core/metrics.hpp). The
 validators -- tools/validate_trace.py, tools/check_bench_regression.py
 --manifest and tools/service_smoke.py -- all call problems() below, so the
@@ -9,7 +9,7 @@ them in sync with util/metrics.hpp, core/metrics.cpp and
 docs/OBSERVABILITY.md.
 """
 
-SCHEMA = "dlouvain-run-manifest/6"
+SCHEMA = "dlouvain-run-manifest/7"
 
 # The named-counter catalog of distributed manifests (util/metrics.hpp
 # counter_name() plus the pool busy-seconds gauge).
@@ -20,7 +20,7 @@ COUNTERS = (
     "checkpoint.messages", "checkpoint.bytes", "checkpoint.file_bytes",
     "arq.nacks", "arq.retransmits", "arq.backoff_ms", "arq.escalations",
     "heartbeat.slow_extensions",
-    "rebalance.messages", "rebalance.bytes",
+    "load_sample.messages", "load_sample.bytes",
     "pool.busy_seconds",
 )
 
@@ -29,15 +29,9 @@ BREAKDOWN_KEYS = (
     "allreduce", "rebuild", "compute_busy", "comm_hidden",
 )
 
-REBALANCE_KEYS = (
-    "enabled", "threshold", "decided", "phases_evaluated", "phases_engaged",
-    "phases_declined", "ranges_moved", "vertices_migrated", "arcs_migrated",
-    "max_lambda_pre", "max_lambda_post",
-)
-
 PHASE_KEYS = (
     "phase", "iterations", "seconds", "breakdown", "load_lambda",
-    "time_lambda", "rebalance",
+    "time_lambda", "discarded",
 )
 
 # The optional per-response "service" section of manifests replied by
@@ -77,7 +71,6 @@ def problems(manifest):
     counters = manifest.get("counters", {})
     out += _missing(counters, COUNTERS, "counters")
     out += _missing(manifest.get("breakdown"), BREAKDOWN_KEYS, "breakdown")
-    out += _missing(manifest.get("rebalance"), REBALANCE_KEYS, "rebalance")
     for ph in manifest.get("phases_detail", []):
         out += _missing(ph, PHASE_KEYS, "phases_detail entry")
     restored = manifest.get("restored", {}).get("messages", 0)

@@ -8,12 +8,10 @@ then checks:
     all carry name/ph/pid/ts, complete ("X") events carry dur, and at least
     --ranks distinct pids appear (one per simulated rank);
   * the manifest passes the one run-manifest schema check
-    (tools/manifest_schema.py: dlouvain-run-manifest/6, its counter catalog
+    (tools/manifest_schema.py: dlouvain-run-manifest/7, its counter catalog
     and sections) and recorded real traffic (comm.messages > 0 for a
     multi-rank run);
-  * the per-phase load sampling shows up as `rebalance` spans on every run,
-    and with --rebalance the CLI is run with the re-balancer enabled and the
-    manifest must record a decided rebalance object;
+  * the per-phase load sampling shows up as `load_sample` spans;
   * a trace with a `rebuild` span also carries its step spans
     (REBUILD_STEPS: the paper's Fig. 1 steps and the chain update).
 
@@ -21,7 +19,7 @@ Exit code 0 = both artifacts valid, 1 = validation failure, 2 = the CLI
 itself failed.
 
 Usage:
-  validate_trace.py --cli build/tools/dlouvain_cli [--ranks 2] [--rebalance]
+  validate_trace.py --cli build/tools/dlouvain_cli [--ranks 2]
 """
 
 import argparse
@@ -70,10 +68,9 @@ def check_trace(path, min_pids):
     if spans == 0:
         fail(f"{path}: no complete ('X') span events recorded")
     names = {ev["name"] for ev in events if ev["ph"] == "X"}
-    # rebalance: the per-phase load-lambda sampling collective runs on EVERY
-    # run (and also wraps the boundary decision when --rebalance is on), so
-    # its span must always appear.
-    required = ["phase", "iteration", "compute", "rebalance"]
+    # load_sample: the per-phase load-lambda sampling collective runs on
+    # every run, so its span must always appear.
+    required = ["phase", "iteration", "compute", "load_sample"]
     if "rebuild" in names:
         required.extend(REBUILD_STEPS)
     for name in required:
@@ -83,7 +80,7 @@ def check_trace(path, min_pids):
     print(f"trace ok: {spans} spans across {len(pids)} pids")
 
 
-def check_manifest(path, rebalance_on=False):
+def check_manifest(path):
     with open(path, "r", encoding="utf-8") as handle:
         manifest = json.load(handle)
     for problem in manifest_schema.problems(manifest):
@@ -91,11 +88,6 @@ def check_manifest(path, rebalance_on=False):
     counters = manifest["counters"]
     if counters["comm.messages"] <= 0:
         fail(f"{path}: comm.messages not positive in a multi-rank run")
-    if rebalance_on:
-        if manifest["rebalance"]["enabled"] is not True:
-            fail(f"{path}: --rebalance run but the manifest knob is off")
-        if manifest["rebalance"]["decided"] is not True:
-            fail(f"{path}: --rebalance run never screened a boundary")
     print(f"manifest ok: schema {manifest['schema']}, "
           f"{counters['comm.messages']} messages")
 
@@ -104,9 +96,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cli", required=True, help="dlouvain_cli binary")
     parser.add_argument("--ranks", type=int, default=2)
-    parser.add_argument("--rebalance", action="store_true",
-                        help="run the CLI with --rebalance and require a "
-                             "decided v5 rebalance object")
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory(prefix="dlouvain_trace_") as tmp:
@@ -117,15 +106,13 @@ def main():
             "--ranks", str(args.ranks), "--trace-out", trace_path,
             "--metrics-out", manifest_path,
         ]
-        if args.rebalance:
-            cmd.append("--rebalance")
         print("+", " ".join(cmd), flush=True)
         result = subprocess.run(cmd)
         if result.returncode != 0:
             print(f"FAIL: CLI exited with {result.returncode}")
             return 2
         check_trace(trace_path, min_pids=args.ranks)
-        check_manifest(manifest_path, rebalance_on=args.rebalance)
+        check_manifest(manifest_path)
     print("OK")
     return 0
 
