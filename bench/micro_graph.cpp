@@ -1,6 +1,6 @@
-// Micro-benchmarks for the distributed graph substrate: DistGraph assembly
-// (arc routing + CSR build + ghost discovery), partition owner lookups, and
-// the binary I/O path.
+// Micro-benchmarks for the distributed graph substrate: DistGraph input
+// distribution (from_replicated: row-block copy + ghost discovery), partition
+// owner lookups, and the binary I/O path.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
@@ -62,20 +62,6 @@ void BM_BinaryWriteRead(benchmark::State& state) {
                           static_cast<std::int64_t>(g.edges.size()) * 24);
 }
 BENCHMARK(BM_BinaryWriteRead)->Arg(2000)->Arg(8000);
-
-void BM_GhostDiscoveryShare(benchmark::State& state) {
-  // Fraction-of-build cost proxy: rebuild DistGraph on a banded graph where
-  // ghost lists are short vs an LFR-ish one where they are long.
-  const auto g = bench_graph(state.range(0));
-  const auto csr = graph::from_edges(g.num_vertices, g.edges);
-  for (auto _ : state) {
-    comm::run(4, [&](comm::Comm& comm) {
-      auto dist = graph::DistGraph::from_replicated(comm, csr);
-      benchmark::DoNotOptimize(dist.ghosts().size());
-    });
-  }
-}
-BENCHMARK(BM_GhostDiscoveryShare)->Arg(2000)->Arg(8000);
 
 }  // namespace
 

@@ -32,8 +32,8 @@ constexpr std::uint64_t kCountersMagic = 0x444c434b43545231ULL;  // "DLCKCTR1"
 // v3: meta.bin appends the coarse graph's ownership map (its partition
 // split points). Every rebuild ships to the even-vertices split, so the map
 // always equals partition_even_vertices(n, p); it stays in the format
-// because dropping it would need a version bump. v1/v2 checkpoints (no map)
-// resume on the even-vertices split too.
+// because dropping it would need a version bump. Loads shape-check it and
+// recompute the split, as they do for v1/v2 checkpoints (no map).
 constexpr std::uint32_t kVersion = 3;
 constexpr std::uint32_t kMinVersion = 1;
 
@@ -116,9 +116,6 @@ struct MetaInfo {
   VertexId orig_global_n{0};
   CheckpointState state;
   std::uint64_t fingerprint{0};
-  /// v3: the coarse graph's partition split points (ranks+1 entries), the
-  /// EXPLICIT ownership map. Empty for v1/v2 checkpoints.
-  std::vector<VertexId> starts;
 };
 
 std::optional<MetaInfo> read_meta(const fs::path& path) {
@@ -139,14 +136,13 @@ std::optional<MetaInfo> read_meta(const fs::path& path) {
   if (!in.ok() || meta.ranks <= 0 || meta.state.next_phase < 0 || meta.orig_global_n < 0)
     return std::nullopt;
   if (version >= 3) {
+    // The ownership map: shape-checked only (see kVersion).
     const std::int64_t count = in.get_i64();
     if (!in.ok() || count != meta.ranks + 1) return std::nullopt;
-    meta.starts.resize(static_cast<std::size_t>(count));
-    for (auto& s : meta.starts) s = in.get_i64();
-    if (!in.ok() || meta.starts.front() != 0) return std::nullopt;
-    for (std::size_t i = 1; i < meta.starts.size(); ++i) {
-      if (meta.starts[i] < meta.starts[i - 1]) return std::nullopt;
-    }
+    std::vector<VertexId> starts(static_cast<std::size_t>(count));
+    for (auto& s : starts) s = in.get_i64();
+    if (!in.ok() || starts.front() != 0) return std::nullopt;
+    if (!std::is_sorted(starts.begin(), starts.end())) return std::nullopt;
   }
   return meta;
 }
@@ -341,7 +337,6 @@ std::optional<ResumedState> checkpoint_load(comm::Comm& comm, const std::string&
   // on the verdict before any collective I/O.
   enum : std::int64_t { kNone = 0, kOk = 1, kConfigMismatch = 2 };
   std::vector<std::int64_t> header(11, 0);
-  std::vector<VertexId> stored_starts;  // v3 ownership map; empty for v1/v2
   if (comm.rank() == 0) {
     for (const int k : candidate_phases(dir)) {
       const auto meta = validate_checkpoint(dir, k);
@@ -350,7 +345,6 @@ std::optional<ResumedState> checkpoint_load(comm::Comm& comm, const std::string&
         header[0] = kConfigMismatch;
         break;
       }
-      stored_starts = meta->starts;
       const RunCounters counters = read_counters(phase_dir(dir, k) / "counters.bin");
       header = {kOk,
                 k,
@@ -368,7 +362,6 @@ std::optional<ResumedState> checkpoint_load(comm::Comm& comm, const std::string&
     }
   }
   header = comm.broadcast(std::move(header));
-  stored_starts = comm.broadcast(std::move(stored_starts));
 
   if (header[0] == kConfigMismatch)
     throw std::runtime_error(
@@ -391,20 +384,14 @@ std::optional<ResumedState> checkpoint_load(comm::Comm& comm, const std::string&
   resumed.state.counters.messages = header[9];
   resumed.state.counters.bytes = header[10];
 
-  // Coarse-graph partition: a v3 checkpoint carries the ownership map (the
-  // even-vertices split the rebuild shipped to), which a same-p load reuses
-  // verbatim. A different rank count, or a v1/v2 checkpoint with no map,
-  // loads onto the even-vertices split at the new p: a valid repartition
-  // (different-p resume is not bitwise; see the determinism contract in
-  // checkpoint.hpp).
-  const fs::path graph_path = phase_dir(dir, chosen) / "graph.dlel";
-  if (static_cast<int>(stored_starts.size()) == comm.size() + 1) {
-    resumed.graph = graph::load_distributed(
-        comm, graph_path.string(), graph::Partition1D(std::move(stored_starts)));
-  } else {
-    resumed.graph = graph::load_distributed(comm, graph_path.string(),
-                                            graph::PartitionKind::kEvenVertices);
-  }
+  // Coarse-graph partition: every checkpointed graph is a rebuild output,
+  // which lives on the even-vertices split, so loading onto that split at
+  // the current p lands a same-p resume on the exact partition it was
+  // written from. A different p is a valid repartition (not bitwise; see
+  // the determinism contract in checkpoint.hpp).
+  resumed.graph = graph::load_distributed(
+      comm, (phase_dir(dir, chosen) / "graph.dlel").string(),
+      graph::PartitionKind::kEvenVertices);
 
   // Chain: rank 0 rereads, everyone takes its contiguous slice. Slice
   // boundaries only need to concatenate in rank order; the even split works

@@ -35,9 +35,11 @@
 //
 // Determinism contract: resuming at the SAME rank count reproduces the
 // uninterrupted run bit for bit (test_robustness.cpp proves it for every
-// kill point): meta.bin (v3) records the coarse graph's ownership map --
-// always the even-vertices split -- and same-p loads resume onto it
-// verbatim. Resuming at a DIFFERENT rank count is supported -- the graph is
+// kill point): a checkpointed graph is always a rebuild output on the
+// even-vertices split, which every load recomputes, so a same-p resume
+// lands on the exact partition (meta.bin v3 still records that ownership
+// map; loads only shape-check it). Resuming at a DIFFERENT rank count is
+// supported -- the graph is
 // repartitioned on load -- and yields a valid clustering with exact
 // bookkeeping, but not the same bits: sweep orders are keyed on partition
 // offsets, so the move sequence legitimately differs.

@@ -36,15 +36,15 @@ struct RebuildOutput {
 /// group's arcs are summed per meta-destination with a
 /// util::SegmentedAccumulator, so a rank ships one arc per (meta-source,
 /// meta-destination) pair whose weight folds in CSR order (ascending local
-/// vertex, then arc order). DistGraph::build's stable sort then folds the at
-/// most p partial sums of a pair in rank order. That equals one left-to-right
-/// fold over all ranks' fine arcs whenever the weights add exactly (e.g. unit
-/// weights); for any weights it is deterministic.
+/// vertex, then arc order). DistGraph::build's graph::assemble_rows then
+/// folds the at most p partial sums of a pair in rank order. That equals one
+/// left-to-right fold over all ranks' fine arcs whenever the weights add
+/// exactly (e.g. unit weights); for any weights it is deterministic.
 ///
-/// `pool` (optional) threads the grouping pass and the CSR sort/assembly
-/// inside DistGraph::build without changing the output: groups run in static
-/// chunks whose outputs are concatenated in chunk order, and the sort is
-/// deterministic-stable (see util/parallel.hpp), so the rebuilt graph is
+/// `pool` (optional) threads the grouping pass and the CSR row pass inside
+/// DistGraph::build without changing the output: groups run in static chunks
+/// whose outputs are concatenated in chunk order, and the row pass folds each
+/// row on its own (see graph::assemble_rows), so the rebuilt graph is
 /// identical at any thread count.
 ///
 /// Trace spans (comm.trace()): rebuild_renumber (steps 1-3), rebuild_resolve

@@ -209,15 +209,11 @@ void write_distributed(comm::Comm& comm, const DistGraph& g, const std::string& 
   comm.barrier();  // file complete (and sealed) before any rank returns
 }
 
-namespace {
-
-/// Shared front half of the collective loaders: rank 0 verifies the
-/// whole-file checksum once and everyone agrees on the verdict before any
-/// record is trusted (a corrupt file fails the job collectively instead of
-/// desynchronising it), then each rank reads its disjoint contiguous record
-/// slice -- the MPI-I/O access pattern.
-std::vector<Edge> read_verified_slice(comm::Comm& comm, const std::string& path,
-                                      BinaryHeader& header) {
+DistGraph load_distributed(comm::Comm& comm, const std::string& path, PartitionKind kind) {
+  // Rank 0 verifies the whole-file checksum once and everyone agrees on the
+  // verdict before any record is trusted (a corrupt file fails the job
+  // collectively instead of desynchronising it), then each rank reads its
+  // disjoint contiguous record slice -- the MPI-I/O access pattern.
   std::uint8_t crc_ok = 1;
   if (comm.rank() == 0) {
     try {
@@ -231,36 +227,14 @@ std::vector<Edge> read_verified_slice(comm::Comm& comm, const std::string& path,
     throw std::runtime_error("load_distributed: " + path +
                              " failed its CRC32 check (corrupt or unreadable)");
 
-  header = read_binary_header(path);
+  const BinaryHeader header = read_binary_header(path);
   const int p = comm.size();
   const Rank r = comm.rank();
   const EdgeId per = header.num_edges / p;
   const EdgeId extra = header.num_edges % p;
   const EdgeId lo = r * per + std::min<EdgeId>(r, extra);
   const EdgeId hi = lo + per + (r < extra ? 1 : 0);
-  return read_binary_slice(path, lo, hi);
-}
-
-}  // namespace
-
-DistGraph load_distributed(comm::Comm& comm, const std::string& path,
-                           const Partition1D& part) {
-  BinaryHeader header;
-  std::vector<Edge> slice = read_verified_slice(comm, path, header);
-  if (static_cast<int>(part.starts().size()) - 1 != comm.size() ||
-      part.starts().back() != header.num_vertices) {
-    throw std::runtime_error("load_distributed: explicit partition does not cover " +
-                             path + " (" + std::to_string(header.num_vertices) +
-                             " vertices across " + std::to_string(comm.size()) +
-                             " ranks)");
-  }
-  return DistGraph::build(comm, part, std::move(slice), /*symmetrize=*/true);
-}
-
-DistGraph load_distributed(comm::Comm& comm, const std::string& path, PartitionKind kind) {
-  BinaryHeader header;
-  std::vector<Edge> slice = read_verified_slice(comm, path, header);
-  const int p = comm.size();
+  std::vector<Edge> slice = read_binary_slice(path, lo, hi);
 
   Partition1D part;
   if (kind == PartitionKind::kEvenVertices) {

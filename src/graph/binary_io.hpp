@@ -60,13 +60,6 @@ bool verify_binary_crc(const std::string& path);
 DistGraph load_distributed(comm::Comm& comm, const std::string& path,
                            PartitionKind kind = PartitionKind::kEvenEdges);
 
-/// Collective: same sliced read, but onto an EXPLICIT replicated partition
-/// (e.g. the ownership map recorded in a checkpoint). Throws if the
-/// partition does not cover exactly the file's vertex range across
-/// comm.size() ranks.
-DistGraph load_distributed(comm::Comm& comm, const std::string& path,
-                           const Partition1D& part);
-
 /// Collective: write a DistGraph back to the binary format. Each undirected
 /// edge is emitted once (by the owner of its smaller endpoint, from the
 /// canonical src < dst arc; self loops by their owner). Record counts are

@@ -1,8 +1,11 @@
 #include "graph/csr.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
+
+#include "util/parallel.hpp"
 
 namespace dlouvain::graph {
 
@@ -26,56 +29,87 @@ Weight Csr::total_arc_weight() const {
   return total;
 }
 
-Csr build_csr(VertexId num_vertices, std::vector<Edge> arcs, const BuildOptions& opts) {
-  if (num_vertices < 0) throw std::invalid_argument("build_csr: negative vertex count");
+Csr assemble_rows(VertexId num_rows, VertexId first_row,
+                  std::span<const std::vector<Edge>> batches, util::ThreadPool* pool) {
+  if (num_rows < 0) throw std::invalid_argument("assemble_rows: negative row count");
+  const auto rows = static_cast<std::size_t>(num_rows);
 
-  if (opts.symmetrize) {
-    const std::size_t original = arcs.size();
-    arcs.reserve(original * 2);
-    for (std::size_t i = 0; i < original; ++i) {
-      const Edge& e = arcs[i];
-      if (e.src != e.dst) arcs.push_back(Edge{e.dst, e.src, e.weight});
+  // Counting sort by row: count (checking each source before it indexes),
+  // prefix, then scatter in arrival order.
+  std::vector<EdgeId> offsets(rows + 1, 0);
+  for (const auto& batch : batches) {
+    for (const Edge& e : batch) {
+      const VertexId row = e.src - first_row;
+      if (row < 0 || row >= num_rows)
+        throw std::out_of_range("assemble_rows: arc source outside the row range");
+      ++offsets[static_cast<std::size_t>(row) + 1];
+    }
+  }
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  std::vector<HalfEdge> edges(static_cast<std::size_t>(offsets.back()));
+  {
+    std::vector<EdgeId> fill(offsets.begin(), offsets.end() - 1);
+    for (const auto& batch : batches) {
+      for (const Edge& e : batch) {
+        auto& next = fill[static_cast<std::size_t>(e.src - first_row)];
+        edges[static_cast<std::size_t>(next++)] = HalfEdge{e.dst, e.weight};
+      }
     }
   }
 
+  // Row pass: order each row stably by destination and fold runs of equal
+  // destinations left to right in place, recording the folded length.
+  std::vector<EdgeId> folded(rows + 1, 0);
+  util::parallel_for(pool, num_rows, [&](int, std::int64_t begin, std::int64_t end) {
+    for (auto v = static_cast<std::size_t>(begin); v < static_cast<std::size_t>(end); ++v) {
+      HalfEdge* first = edges.data() + offsets[v];
+      HalfEdge* last = edges.data() + offsets[v + 1];
+      std::stable_sort(first, last,
+                       [](const HalfEdge& a, const HalfEdge& b) { return a.dst < b.dst; });
+      HalfEdge* out = first;
+      for (HalfEdge* a = first; a != last; ++a) {
+        if (out != first && (out - 1)->dst == a->dst) {
+          (out - 1)->weight += a->weight;
+        } else {
+          *out++ = *a;
+        }
+      }
+      folded[v + 1] = out - first;
+    }
+  });
+  std::partial_sum(folded.begin(), folded.end(), folded.begin());
+  if (folded.back() == offsets.back())
+    return Csr(num_rows, std::move(offsets), std::move(edges));
+
+  // Some arcs folded: pack the shortened rows.
+  std::vector<HalfEdge> packed(static_cast<std::size_t>(folded.back()));
+  util::parallel_for(pool, num_rows, [&](int, std::int64_t begin, std::int64_t end) {
+    for (auto v = static_cast<std::size_t>(begin); v < static_cast<std::size_t>(end); ++v) {
+      std::copy_n(edges.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
+                  folded[v + 1] - folded[v],
+                  packed.begin() + static_cast<std::ptrdiff_t>(folded[v]));
+    }
+  });
+  return Csr(num_rows, std::move(folded), std::move(packed));
+}
+
+Csr build_csr(VertexId num_vertices, const std::vector<Edge>& arcs) {
+  if (num_vertices < 0) throw std::invalid_argument("build_csr: negative vertex count");
   for (const Edge& e : arcs) {
     if (e.src < 0 || e.src >= num_vertices || e.dst < 0 || e.dst >= num_vertices)
       throw std::out_of_range("build_csr: arc endpoint outside [0, num_vertices)");
   }
-
-  if (opts.drop_self_loops) {
-    std::erase_if(arcs, [](const Edge& e) { return e.src == e.dst; });
-  }
-
-  std::sort(arcs.begin(), arcs.end(), [](const Edge& a, const Edge& b) {
-    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-  });
-
-  if (opts.coalesce) {
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < arcs.size(); ++i) {
-      if (out > 0 && arcs[out - 1].src == arcs[i].src && arcs[out - 1].dst == arcs[i].dst) {
-        arcs[out - 1].weight += arcs[i].weight;
-      } else {
-        arcs[out++] = arcs[i];
-      }
-    }
-    arcs.resize(out);
-  }
-
-  std::vector<EdgeId> offsets(static_cast<std::size_t>(num_vertices) + 1, 0);
-  for (const Edge& e : arcs) ++offsets[static_cast<std::size_t>(e.src) + 1];
-  for (std::size_t v = 1; v < offsets.size(); ++v) offsets[v] += offsets[v - 1];
-
-  std::vector<HalfEdge> edges;
-  edges.reserve(arcs.size());
-  for (const Edge& e : arcs) edges.push_back(HalfEdge{e.dst, e.weight});
-
-  return Csr(num_vertices, std::move(offsets), std::move(edges));
+  return assemble_rows(num_vertices, 0, {&arcs, 1});
 }
 
 Csr from_edges(VertexId num_vertices, const std::vector<Edge>& undirected_edges) {
-  return build_csr(num_vertices, undirected_edges, BuildOptions{});
+  std::vector<Edge> arcs;
+  arcs.reserve(undirected_edges.size() * 2);
+  arcs.assign(undirected_edges.begin(), undirected_edges.end());
+  for (const Edge& e : undirected_edges) {
+    if (e.src != e.dst) arcs.push_back(Edge{e.dst, e.src, e.weight});
+  }
+  return build_csr(num_vertices, arcs);
 }
 
 }  // namespace dlouvain::graph

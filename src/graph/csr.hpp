@@ -3,13 +3,19 @@
 //
 // A Csr holds `num_vertices` rows; row v lists the arcs leaving v. Undirected
 // graphs are stored symmetrically (both arc directions present), so the total
-// arc weight equals 2m in the modularity formulas.
+// arc weight equals 2m in the modularity formulas. A Csr assembled from arcs
+// is in normal form: each row strictly ascending by destination, parallel
+// arcs folded into one (see assemble_rows).
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "util/types.hpp"
+
+namespace dlouvain::util {
+class ThreadPool;
+}  // namespace dlouvain::util
 
 namespace dlouvain::graph {
 
@@ -56,26 +62,32 @@ class Csr {
   std::vector<HalfEdge> edges_;
 };
 
-/// Options for assembling a Csr from an arc soup.
-struct BuildOptions {
-  /// Add the reverse of every arc (input is an undirected edge list).
-  bool symmetrize{true};
-  /// Merge parallel arcs by summing their weights.
-  bool coalesce{true};
-  /// Drop self loops entirely (rebuild keeps them -- they carry intra-
-  /// community weight -- but raw inputs usually shouldn't have them).
-  bool drop_self_loops{false};
-};
+/// The one CSR row assembler: every Csr built from arcs (build_csr,
+/// DistGraph::build, louvain::coarsen) comes out of here, so DESIGN §6's
+/// fold-order rule lives in one place. `batches` hold directed arcs in
+/// arrival order; an arc's row is src - first_row, which must lie in
+/// [0, num_rows) (else std::out_of_range); destinations are stored as given.
+/// Arcs are counting-sorted by row, which keeps each row in arrival order;
+/// each row is then stably ordered by destination, and equal (src, dst) arcs
+/// fold left to right into one arc carrying their summed weight. Every row
+/// of the result is strictly ascending by destination -- the normal form.
+/// `pool` (optional) threads the row pass in static chunks of rows; the
+/// result is identical at any thread count.
+Csr assemble_rows(VertexId num_rows, VertexId first_row,
+                  std::span<const std::vector<Edge>> batches,
+                  util::ThreadPool* pool = nullptr);
 
-/// Build a CSR over vertex ids [0, num_vertices) from an arbitrary arc list.
-/// Arcs with endpoints outside the range throw std::out_of_range.
+/// Build a CSR over vertex ids [0, num_vertices) from directed arcs, taken
+/// as given: no reverse arcs are added. Arcs with endpoints outside the range
+/// throw std::out_of_range.
 ///
-/// Self loops: a retained self loop (u,u,w) is stored as ONE arc whose weight
-/// is counted twice by weighted_degree(), so modularity arithmetic sees the
+/// Self loops: a self loop (u,u,w) is stored as ONE arc whose weight is
+/// counted twice by weighted_degree(), so modularity arithmetic sees the
 /// conventional A_uu = 2w. (The rebuild step creates these.)
-Csr build_csr(VertexId num_vertices, std::vector<Edge> arcs, const BuildOptions& opts = {});
+Csr build_csr(VertexId num_vertices, const std::vector<Edge>& arcs);
 
-/// Convenience for tests/examples: undirected edge list -> symmetric CSR.
+/// Undirected edge list -> symmetric CSR: adds the reverse of every edge
+/// that is not a self loop, then build_csr.
 Csr from_edges(VertexId num_vertices, const std::vector<Edge>& undirected_edges);
 
 }  // namespace dlouvain::graph

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "util/parallel.hpp"
@@ -31,102 +32,78 @@ DistGraph DistGraph::build(comm::Comm& comm, const Partition1D& part,
   edges.clear();
   edges.shrink_to_fit();
 
-  auto inbox = comm.alltoallv<Edge>(std::move(outbox));
-
   DistGraph g;
   g.rank_ = comm.rank();
   g.part_ = part;
-
-  // Re-base sources to local row indices and assemble the local CSR.
-  const VertexId lo = part.begin(comm.rank());
-  std::vector<Edge> local_arcs;
-  std::size_t total = 0;
-  for (const auto& part_arcs : inbox) total += part_arcs.size();
-  local_arcs.reserve(total);
-  for (auto& part_arcs : inbox) {
-    for (Edge& e : part_arcs) {
-      e.src -= lo;
-      local_arcs.push_back(e);
-    }
-    part_arcs.clear();
-    part_arcs.shrink_to_fit();
-  }
-
-  BuildOptions opts;
-  opts.symmetrize = false;  // both directions already routed explicitly
-  opts.coalesce = true;
-  // Note: local row ids in [0, local_count), but dst stays global, so the
-  // CSR is built over max(local_count, n)... build_csr validates endpoints
-  // against one range; handle by building manually instead.
-  const VertexId local_n = part.count(comm.rank());
-  // Stable sort so duplicate (src, dst) arcs coalesce their weights in
-  // arrival order -- with the parallel path this is what keeps the rebuilt
-  // graph (and every downstream modularity bit) independent of the thread
-  // count; see util::stable_sort_parallel.
-  util::stable_sort_parallel(pool, local_arcs, [](const Edge& a, const Edge& b) {
-    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-  });
-  // Coalesce duplicates (parallel edges merge weights).
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < local_arcs.size(); ++i) {
-    if (out > 0 && local_arcs[out - 1].src == local_arcs[i].src &&
-        local_arcs[out - 1].dst == local_arcs[i].dst) {
-      local_arcs[out - 1].weight += local_arcs[i].weight;
-    } else {
-      local_arcs[out++] = local_arcs[i];
-    }
-  }
-  local_arcs.resize(out);
-
-  std::vector<EdgeId> offsets(static_cast<std::size_t>(local_n) + 1, 0);
-  for (const Edge& e : local_arcs) ++offsets[static_cast<std::size_t>(e.src) + 1];
-  for (std::size_t v = 1; v < offsets.size(); ++v) offsets[v] += offsets[v - 1];
-  std::vector<HalfEdge> half(local_arcs.size());
-  util::parallel_for(pool, static_cast<std::int64_t>(local_arcs.size()),
-                     [&](int, std::int64_t begin, std::int64_t end) {
-                       for (std::int64_t i = begin; i < end; ++i)
-                         half[static_cast<std::size_t>(i)] =
-                             HalfEdge{local_arcs[static_cast<std::size_t>(i)].dst,
-                                      local_arcs[static_cast<std::size_t>(i)].weight};
-                     });
-  g.local_ = Csr(local_n, std::move(offsets), std::move(half));
-
-  // Weighted degrees (global-id self loops detected against the global id).
-  g.degrees_.resize(static_cast<std::size_t>(local_n), 0.0);
-  util::parallel_for(pool, local_n, [&](int, std::int64_t begin, std::int64_t end) {
-    for (VertexId lv = begin; lv < end; ++lv) {
-      const VertexId gv = lv + lo;
-      Weight k = 0;
-      for (const auto& e : g.local_.neighbors(lv))
-        k += e.dst == gv ? 2 * e.weight : e.weight;
-      g.degrees_[static_cast<std::size_t>(lv)] = k;
-    }
-  });
-
-  Weight local_weight = 0;
-  for (const Weight k : g.degrees_) local_weight += k;
-  g.total_weight_ = comm.allreduce_sum(local_weight);
-  g.global_arcs_ = comm.allreduce_sum(g.local_.num_arcs());
-
-  g.discover_ghosts(comm);
+  // Rows are the owned vertices; destinations stay global ids. Duplicate
+  // arcs fold in arrival order -- source rank, then list order -- so the
+  // graph does not depend on the thread count (DESIGN §6).
+  g.local_ = assemble_rows(part.count(comm.rank()), part.begin(comm.rank()),
+                           comm.alltoallv<Edge>(std::move(outbox)), pool);
+  g.derive_from_rows(comm, pool);
   return g;
 }
 
 DistGraph DistGraph::from_replicated(comm::Comm& comm, const Csr& global,
                                      PartitionKind kind) {
   const VertexId n = global.num_vertices();
-  Partition1D part = kind == PartitionKind::kEvenVertices
-                         ? partition_even_vertices(n, comm.size())
-                         : partition_even_edges(n, comm.size(),
-                                                [&](VertexId v) { return global.degree(v); });
+  DistGraph g;
+  g.rank_ = comm.rank();
+  g.part_ = kind == PartitionKind::kEvenVertices
+                ? partition_even_vertices(n, comm.size())
+                : partition_even_edges(n, comm.size(),
+                                       [&](VertexId v) { return global.degree(v); });
 
-  // Each rank contributes only its own rows as directed arcs; the global CSR
-  // is already symmetric, so no symmetrization on build.
-  std::vector<Edge> arcs;
-  for (VertexId v = part.begin(comm.rank()); v < part.end(comm.rank()); ++v) {
-    for (const auto& e : global.neighbors(v)) arcs.push_back(Edge{v, e.dst, e.weight});
+  // Copy this rank's row block with rebased offsets. `global` must already
+  // be in normal form (what build() would assemble), which is checked here
+  // rather than re-established.
+  const auto first = static_cast<std::size_t>(g.v_begin());
+  const auto rows = static_cast<std::size_t>(g.local_count());
+  const auto& offsets = global.offsets();
+  const EdgeId base = offsets[first];
+  std::vector<EdgeId> local_offsets(rows + 1);
+  for (std::size_t lv = 0; lv <= rows; ++lv) local_offsets[lv] = offsets[first + lv] - base;
+  std::vector<HalfEdge> half(global.edges().begin() + static_cast<std::ptrdiff_t>(base),
+                             global.edges().begin() +
+                                 static_cast<std::ptrdiff_t>(offsets[first + rows]));
+  for (std::size_t lv = 0; lv < rows; ++lv) {
+    for (auto a = local_offsets[lv]; a < local_offsets[lv + 1]; ++a) {
+      const VertexId dst = half[static_cast<std::size_t>(a)].dst;
+      if (dst < 0 || dst >= n)
+        throw std::out_of_range("DistGraph::from_replicated: arc endpoint out of range");
+      if (a > local_offsets[lv] && half[static_cast<std::size_t>(a) - 1].dst >= dst)
+        throw std::invalid_argument(
+            "DistGraph::from_replicated: row " + std::to_string(g.v_begin() + lv) +
+            " is not strictly ascending by destination");
+    }
   }
-  return build(comm, part, std::move(arcs), /*symmetrize=*/false);
+  g.local_ = Csr(g.local_count(), std::move(local_offsets), std::move(half));
+  g.derive_from_rows(comm, nullptr);
+  return g;
+}
+
+void DistGraph::derive_from_rows(comm::Comm& comm, util::ThreadPool* pool) {
+  // Weighted degrees (global-id self loops detected against the global id).
+  const VertexId lo = v_begin();
+  degrees_.assign(static_cast<std::size_t>(local_count()), 0.0);
+  util::parallel_for(pool, local_count(), [&](int, std::int64_t begin, std::int64_t end) {
+    for (VertexId lv = begin; lv < end; ++lv) {
+      const VertexId gv = lv + lo;
+      Weight k = 0;
+      for (const auto& e : local_.neighbors(lv)) k += e.dst == gv ? 2 * e.weight : e.weight;
+      degrees_[static_cast<std::size_t>(lv)] = k;
+    }
+  });
+  derive_totals_and_ghosts(comm);
+}
+
+void DistGraph::derive_totals_and_ghosts(comm::Comm& comm) {
+  // Serial sum in local-index order, then allreduced.
+  Weight local_weight = 0;
+  for (const Weight k : degrees_) local_weight += k;
+  total_weight_ = comm.allreduce_sum(local_weight);
+  global_arcs_ = comm.allreduce_sum(local_.num_arcs());
+  discover_ghosts(comm);
 }
 
 void DistGraph::apply_edge_changes(comm::Comm& comm,
@@ -148,9 +125,9 @@ void DistGraph::apply_edge_changes(comm::Comm& comm,
   // A batch of k edges must not cost a full rebuild of |arcs| -- shipping
   // and re-sorting every arc through build() dominates Session::update on
   // any real graph. Instead, splice only the touched CSR rows in place.
-  // Rows are coalesced and dst-sorted by construction (build() stable-sorts
-  // then coalesces; this function preserves both invariants), so each
-  // touched row is a small sorted merge.
+  // Rows are in normal form (strictly ascending by destination; see
+  // assemble_rows), which this function preserves, so each touched row is a
+  // small sorted merge.
   //
   // Removals resolve against the pre-batch arc set, directions owned here.
   // Because rows are coalesced, each (src, dst) appears at most once: a
@@ -182,7 +159,7 @@ void DistGraph::apply_edge_changes(comm::Comm& comm,
         "apply_edge_changes: batch removes an edge the graph does not have");
 
   // Additions after removals, in batch order (duplicate adds sum their
-  // weights left to right, matching build()'s arrival-order coalesce).
+  // weights left to right, matching assemble_rows' arrival-order fold).
   for (const EdgeChange& c : changes) {
     if (c.remove) continue;
     if (owns(c.u)) row_adds[to_local(c.u)].push_back({c.v, c.weight});
@@ -248,22 +225,15 @@ void DistGraph::apply_edge_changes(comm::Comm& comm,
   });
   local_ = Csr(local_n, std::move(offsets), std::move(half));
 
-  // Re-derive weighted degrees for touched rows only; totals by allreduce,
-  // summed serially in local-index order exactly as build() does.
+  // Re-derive weighted degrees for touched rows only, then the totals and
+  // ghosts, mirrors, dst slots, boundary flags and neighbour topology.
   for (const auto& [lv, merged] : new_rows) {
     const VertexId gv = to_global(lv);
     Weight k = 0;
     for (const auto& e : merged) k += e.dst == gv ? 2 * e.weight : e.weight;
     degrees_[static_cast<std::size_t>(lv)] = k;
   }
-  Weight local_weight = 0;
-  for (const Weight k : degrees_) local_weight += k;
-  total_weight_ = comm.allreduce_sum(local_weight);
-  global_arcs_ = comm.allreduce_sum(local_.num_arcs());
-
-  // Ghosts, mirrors, dst slots, boundary flags, neighbour topology: the
-  // collective part that genuinely needs redoing.
-  discover_ghosts(comm);
+  derive_totals_and_ghosts(comm);
 }
 
 void DistGraph::validate(comm::Comm& comm) const {

@@ -127,16 +127,22 @@ class DistGraph {
   /// Build a rank's slice from an arbitrary scatter of edges: every rank
   /// passes whatever (undirected, when symmetrize) edges it happens to hold
   /// -- e.g. straight out of a generator or a file slice -- and the
-  /// constructor routes each arc to the owner of its source. Collective:
-  /// all ranks of `comm` must call with the same global_n and partition.
-  /// `pool` (optional) threads the local CSR assembly (sort + fills); the
-  /// resulting graph is identical at any thread count.
+  /// constructor routes each arc to the owner of its source, which assembles
+  /// its rows with graph::assemble_rows: duplicate arcs fold in arrival
+  /// order, source rank then list order. Collective: all ranks of `comm`
+  /// must call with the same global_n and partition. `pool` (optional)
+  /// threads the row and degree passes; the resulting graph is identical at
+  /// any thread count.
   static DistGraph build(comm::Comm& comm, const Partition1D& part,
                          std::vector<Edge> edges, bool symmetrize = true,
                          util::ThreadPool* pool = nullptr);
 
-  /// Convenience for tests and small runs: every rank holds the same global
-  /// CSR; each slices out its own rows. Collective.
+  /// Every rank holds the same global CSR, in the normal form build_csr
+  /// produces (each row strictly ascending by destination); each copies its
+  /// own row block with rebased offsets, no arc routing. The result equals
+  /// build() of the same rows. Throws std::out_of_range on an endpoint
+  /// outside the graph and std::invalid_argument on a row that is not
+  /// strictly ascending. Collective.
   static DistGraph from_replicated(comm::Comm& comm, const Csr& global,
                                    PartitionKind kind = PartitionKind::kEvenEdges);
 
@@ -166,6 +172,11 @@ class DistGraph {
   void validate(comm::Comm& comm) const;
 
  private:
+  /// The tail every construction path shares: weighted degrees of all rows,
+  /// then derive_totals_and_ghosts.
+  void derive_from_rows(comm::Comm& comm, util::ThreadPool* pool);
+  /// Allreduced total weight and arc count, then discover_ghosts.
+  void derive_totals_and_ghosts(comm::Comm& comm);
   void discover_ghosts(comm::Comm& comm);
 
   Rank rank_{0};

@@ -1,6 +1,7 @@
 #include "service/scheduler.hpp"
 
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "core/checkpoint.hpp"
@@ -38,6 +39,28 @@ Plan make_plan(const JobConfig& c) {
       .seed(c.seed)
       .max_phases(c.max_phases)
       .max_iterations(c.max_iterations);
+}
+
+/// Why `req` falls outside the per-job envelope, or "" when it does not.
+/// The vertex count is held to the edge limit: it is paid for in per-vertex
+/// arrays (CSR offsets, then every rank's slice) before any edge is read.
+std::string envelope_error(const JobRequest& req, const SchedulerOptions& opts) {
+  if (req.config.ranks < 1 || req.config.ranks > opts.max_ranks)
+    return "ranks " + std::to_string(req.config.ranks) + " outside the service limit [1, " +
+           std::to_string(opts.max_ranks) + "]";
+  if (static_cast<std::int64_t>(req.edges.size()) > opts.max_edges)
+    return "graph of " + std::to_string(req.edges.size()) +
+           " edges exceeds the service limit of " + std::to_string(opts.max_edges);
+  if (req.num_vertices < 0 || req.num_vertices > opts.max_edges)
+    return "graph of " + std::to_string(req.num_vertices) +
+           " vertices exceeds the service limit [0, " + std::to_string(opts.max_edges) + "]";
+  if (req.config.variant > 3) return "unknown variant " + std::to_string(req.config.variant);
+  try {
+    make_plan(req.config).validate();
+  } catch (const PlanError& e) {
+    return std::string("invalid plan: ") + e.what();
+  }
+  return {};
 }
 
 std::future<Reply> ready_reply(Reply r) {
@@ -154,26 +177,12 @@ std::future<Reply> JobScheduler::admit(std::shared_ptr<Job> job) {
 std::future<Reply> JobScheduler::submit(JobRequest req) {
   std::lock_guard<std::mutex> lk(mu_);
   if (draining_) return reject_now("draining: the service is shutting down");
-  if (req.config.ranks < 1 || req.config.ranks > opts_.max_ranks)
-    return reject_now("ranks " + std::to_string(req.config.ranks) +
-                      " outside the service limit [1, " +
-                      std::to_string(opts_.max_ranks) + "]");
-  if (static_cast<std::int64_t>(req.edges.size()) > opts_.max_edges)
-    return reject_now("graph of " + std::to_string(req.edges.size()) +
-                      " edges exceeds the service limit of " +
-                      std::to_string(opts_.max_edges));
-  if (req.config.variant > 3)
-    return reject_now("unknown variant " + std::to_string(req.config.variant));
-  Plan plan = make_plan(req.config);
-  try {
-    plan.validate();
-  } catch (const PlanError& e) {
-    return reject_now(std::string("invalid plan: ") + e.what());
-  }
+  if (std::string error = envelope_error(req, opts_); !error.empty())
+    return reject_now(error);
 
   const std::uint64_t key = util::hash_combine(
       util::hash_combine(graph_fingerprint(req.num_vertices, req.edges),
-                         core::config_fingerprint(plan.dist_config())),
+                         core::config_fingerprint(make_plan(req.config).dist_config())),
       static_cast<std::uint64_t>(req.config.ranks));
   const std::int64_t id = next_job_id_++;
 
@@ -209,21 +218,8 @@ std::future<Reply> JobScheduler::open_session(JobRequest req) {
     return reject_now("open-session requires a non-empty session name");
   if (sessions_.count(req.session_name))
     return reject_now("session '" + req.session_name + "' already exists");
-  if (req.config.ranks < 1 || req.config.ranks > opts_.max_ranks)
-    return reject_now("ranks " + std::to_string(req.config.ranks) +
-                      " outside the service limit [1, " +
-                      std::to_string(opts_.max_ranks) + "]");
-  if (static_cast<std::int64_t>(req.edges.size()) > opts_.max_edges)
-    return reject_now("graph of " + std::to_string(req.edges.size()) +
-                      " edges exceeds the service limit of " +
-                      std::to_string(opts_.max_edges));
-  if (req.config.variant > 3)
-    return reject_now("unknown variant " + std::to_string(req.config.variant));
-  try {
-    make_plan(req.config).validate();
-  } catch (const PlanError& e) {
-    return reject_now(std::string("invalid plan: ") + e.what());
-  }
+  if (std::string error = envelope_error(req, opts_); !error.empty())
+    return reject_now(error);
   if (queue_.size() >= opts_.max_queue)
     return reject_now("queue full (" + std::to_string(queue_.size()) + " jobs)");
 

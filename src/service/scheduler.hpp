@@ -53,7 +53,9 @@ struct SchedulerOptions {
   std::size_t max_queue{64};     ///< queued-but-not-running bound (admission)
   std::size_t cache_capacity{32};  ///< LRU result-cache entries
   int max_ranks{64};         ///< per-job Plan limit (admission)
-  std::int64_t max_edges{50'000'000};  ///< per-job graph size limit (admission)
+  /// Per-job graph size limit (admission): bounds both the edge count and
+  /// the vertex count, which is admitted in [0, max_edges].
+  std::int64_t max_edges{50'000'000};
 };
 
 /// One reply, ready for the endpoint to frame: a manifest (kManifest), a

@@ -11,9 +11,6 @@
 //    chunks independent of the thread count and combines the chunk partials
 //    with a fixed pairwise tree, so floating-point sums do not depend on how
 //    many threads computed them.
-//  * stable_sort_parallel is semantically std::stable_sort: fixed chunk
-//    boundaries, stable chunk sorts, and a fixed pairwise tree of stable
-//    merges reproduce the exact stable order at any thread count.
 // This is what lets the distributed Louvain driver promise the same
 // community vector and the same modularity bits for --threads 1/2/4.
 #pragma once
@@ -166,63 +163,6 @@ double parallel_reduce(ThreadPool* pool, std::int64_t n, Partial&& partial) {
     pool->run(chunk_worker);
   }
   return tree_reduce(std::span<const double>(partials, kReduceChunks));
-}
-
-/// Parallel stable sort with std::stable_sort semantics: the output is the
-/// unique stable order of `items` under `comp`, independent of the thread
-/// count. Fixed chunk boundaries are stably sorted (in parallel) and then
-/// merged pairwise level by level; std::merge keeps left-run elements first
-/// on ties, which composes to global stability.
-template <typename T, typename Comp>
-void stable_sort_parallel(ThreadPool* pool, std::vector<T>& items, Comp comp) {
-  const auto n = static_cast<std::int64_t>(items.size());
-  const int threads = pool == nullptr ? 1 : pool->num_threads();
-  if (threads <= 1 || n < 2 * kReduceChunks) {
-    std::stable_sort(items.begin(), items.end(), comp);
-    return;
-  }
-
-  // Run boundaries: the fixed reduction chunking, so the merge tree shape
-  // does not depend on the thread count (only on n).
-  std::vector<std::int64_t> bounds;
-  bounds.reserve(static_cast<std::size_t>(kReduceChunks) + 1);
-  bounds.push_back(0);
-  for (std::int64_t c = 0; c < kReduceChunks; ++c)
-    bounds.push_back(fixed_chunk(n, c, kReduceChunks).second);
-
-  pool->run([&](int tid) {
-    for (std::int64_t c = tid; c < kReduceChunks; c += threads) {
-      std::stable_sort(items.begin() + bounds[static_cast<std::size_t>(c)],
-                       items.begin() + bounds[static_cast<std::size_t>(c) + 1], comp);
-    }
-  });
-
-  std::vector<T> buffer(items.size());
-  T* src = items.data();
-  T* dst = buffer.data();
-  while (bounds.size() > 2) {
-    const auto pairs = static_cast<std::int64_t>((bounds.size() - 1) / 2);
-    pool->run([&](int tid) {
-      for (std::int64_t i = tid; i < pairs; i += threads) {
-        const auto lo = bounds[static_cast<std::size_t>(2 * i)];
-        const auto mid = bounds[static_cast<std::size_t>(2 * i + 1)];
-        const auto hi = bounds[static_cast<std::size_t>(2 * i + 2)];
-        std::merge(src + lo, src + mid, src + mid, src + hi, dst + lo, comp);
-      }
-      if (tid == 0 && (bounds.size() - 1) % 2 != 0) {
-        const auto lo = bounds[bounds.size() - 2];
-        std::copy(src + lo, src + n, dst + lo);
-      }
-    });
-    std::vector<std::int64_t> next;
-    next.reserve(bounds.size() / 2 + 2);
-    for (std::size_t i = 0; i < bounds.size(); i += 2) next.push_back(bounds[i]);
-    if (next.back() != n) next.push_back(n);
-    bounds = std::move(next);
-    std::swap(src, dst);
-  }
-  if (src != items.data())
-    std::copy(src, src + n, items.data());
 }
 
 }  // namespace dlouvain::util

@@ -5,12 +5,15 @@
 #include <cstdio>
 #include <filesystem>
 #include <numeric>
+#include <string>
+#include <utility>
 
 #include "comm/world.hpp"
 #include "graph/binary_io.hpp"
 #include "graph/csr.hpp"
 #include "graph/dist_graph.hpp"
 #include "graph/partition.hpp"
+#include "util/parallel.hpp"
 
 namespace dg = dlouvain::graph;
 namespace dc = dlouvain::comm;
@@ -64,11 +67,66 @@ TEST(Csr, SelfLoopCountsTwiceInDegree) {
   EXPECT_DOUBLE_EQ(g.total_arc_weight(), 6.0);  // 2m
 }
 
-TEST(Csr, DropSelfLoopsOption) {
-  dg::BuildOptions opts;
-  opts.drop_self_loops = true;
-  const auto g = dg::build_csr(2, {{0, 0, 2.0}, {0, 1, 1.0}}, opts);
-  EXPECT_EQ(g.degree(0), 1);
+TEST(Csr, DuplicateArcsFoldInArrivalOrder) {
+  // 1e16 + 1.0 rounds back to 1e16, so a left-to-right fold of 1e16 then
+  // twenty 1.0s differs from one that adds the 1.0s first.
+  const auto left_fold = [](const std::vector<Weight>& ws) {
+    Weight sum = 0;
+    for (const Weight w : ws) sum += w;
+    return sum;
+  };
+  std::vector<Weight> big_first{1e16};
+  big_first.resize(21, 1.0);
+  const std::vector<Weight> big_last(big_first.rbegin(), big_first.rend());
+  ASSERT_NE(left_fold(big_first), left_fold(big_last));
+
+  // Row 0 gets big_first toward 1, row 2 gets big_last toward 1, interleaved
+  // with arcs of other rows and other destinations.
+  std::vector<Edge> arcs;
+  for (std::size_t i = 0; i < big_first.size(); ++i) {
+    arcs.push_back({2, 1, big_last[i]});
+    arcs.push_back({0, 3, 0.5});
+    arcs.push_back({0, 1, big_first[i]});
+    arcs.push_back({1, 0, 1.0});
+  }
+  const auto g = dg::build_csr(4, arcs);
+  ASSERT_EQ(g.degree(0), 2);
+  EXPECT_EQ(g.neighbors(0)[0].dst, 1);
+  EXPECT_EQ(g.neighbors(0)[0].weight, left_fold(big_first));
+  EXPECT_EQ(g.neighbors(0)[1].dst, 3);
+  ASSERT_EQ(g.degree(2), 1);
+  EXPECT_EQ(g.neighbors(2)[0].weight, left_fold(big_last));
+
+  // DistGraph::build folds a pair's copies in arrival order: source rank,
+  // then list order. Rank 0 sends 1e16 first, every rank sends 1.0s, so only
+  // the rank-then-list order gives big_first's bits.
+  for (const int p : {1, 2, 3, 4}) {
+    for (const int threads : {1, 4}) {
+      std::vector<Weight> order;
+      for (int r = 0; r < p; ++r) {
+        if (r == 0) order.push_back(1e16);
+        order.resize(order.size() + 17, 1.0);
+      }
+      dc::run(p, [&](dc::Comm& comm) {
+        std::vector<Edge> mine;
+        if (comm.rank() == 0) mine.push_back({0, 7, 1e16});
+        for (int i = 0; i < 17; ++i) mine.push_back({0, 7, 1.0});
+        dlouvain::util::ThreadPool pool(threads);
+        const auto dist = dg::DistGraph::build(
+            comm, dg::partition_even_vertices(8, p), std::move(mine), true, &pool);
+        if (dist.owns(0)) {
+          ASSERT_EQ(dist.local().degree(dist.to_local(0)), 1);
+          EXPECT_EQ(dist.local().neighbors(dist.to_local(0))[0].weight, left_fold(order))
+              << "p=" << p << " threads=" << threads;
+        }
+        if (dist.owns(7)) {
+          ASSERT_EQ(dist.local().degree(dist.to_local(7)), 1);
+          EXPECT_EQ(dist.local().neighbors(dist.to_local(7))[0].weight, left_fold(order))
+              << "p=" << p << " threads=" << threads;
+        }
+      });
+    }
+  }
 }
 
 TEST(Csr, TotalArcWeightIsTwiceEdgeWeight) {
@@ -212,6 +270,76 @@ TEST_P(DistGraphAtP, BuildFromScatteredEdgesMatchesReplicated) {
 }
 
 INSTANTIATE_TEST_SUITE_P(WorldSizes, DistGraphAtP, ::testing::Values(1, 2, 3, 4));
+
+TEST(DistGraph, FromReplicatedMatchesBuild) {
+  std::vector<std::pair<const char*, dg::Csr>> inputs;
+  inputs.emplace_back("triangle+pendant", dg::from_edges(4, triangle_plus_pendant()));
+  {
+    std::vector<Edge> star;
+    for (VertexId v = 1; v <= 30; ++v) star.push_back({0, v, 1.0});
+    inputs.emplace_back("star", dg::from_edges(31, star));
+  }
+  {
+    // Weighted, with self loops and parallel edges (folded by from_edges).
+    std::uint64_t state = 7;
+    const auto next = [&state](std::uint64_t bound) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      return static_cast<VertexId>((state >> 33) % bound);
+    };
+    std::vector<Edge> edges;
+    for (int i = 0; i < 1200; ++i) {
+      const VertexId u = next(200);
+      const VertexId v = i % 10 == 0 ? u : next(200);
+      edges.push_back({u, v, 0.5 * static_cast<Weight>(1 + next(6))});
+    }
+    inputs.emplace_back("weighted-loops", dg::from_edges(200, edges));
+  }
+
+  for (const auto& [name, global] : inputs) {
+    for (const int p : {1, 2, 3, 4, 5}) {
+      for (const auto kind : {dg::PartitionKind::kEvenVertices, dg::PartitionKind::kEvenEdges}) {
+        dc::run(p, [&](dc::Comm& comm) {
+          const auto slice = dg::DistGraph::from_replicated(comm, global, kind);
+          std::vector<Edge> rows;
+          for (VertexId v = slice.v_begin(); v < slice.v_end(); ++v)
+            for (const auto& e : global.neighbors(v)) rows.push_back({v, e.dst, e.weight});
+          const auto built = dg::DistGraph::build(comm, slice.partition(), std::move(rows), false);
+          const std::string where = std::string(name) + " p=" + std::to_string(p) +
+                                    " rank=" + std::to_string(comm.rank());
+          EXPECT_EQ(slice.local().offsets(), built.local().offsets()) << where;
+          EXPECT_EQ(slice.local().edges(), built.local().edges()) << where;
+          for (VertexId v = slice.v_begin(); v < slice.v_end(); ++v)
+            EXPECT_EQ(slice.weighted_degree(v), built.weighted_degree(v)) << where;
+          EXPECT_EQ(slice.total_weight(), built.total_weight()) << where;
+          EXPECT_EQ(slice.global_arcs(), built.global_arcs()) << where;
+          EXPECT_EQ(slice.ghosts(), built.ghosts()) << where;
+          EXPECT_EQ(slice.ghosts_by_owner(), built.ghosts_by_owner()) << where;
+          EXPECT_EQ(slice.mirrors(), built.mirrors()) << where;
+          EXPECT_EQ(slice.dst_slots(), built.dst_slots()) << where;
+          EXPECT_EQ(slice.boundary_flags(), built.boundary_flags()) << where;
+          EXPECT_EQ(slice.neighbor_ranks(), built.neighbor_ranks()) << where;
+        });
+      }
+    }
+  }
+
+  // Rows must arrive strictly ascending: an unsorted or a duplicated row is
+  // refused, not re-sorted.
+  const dg::Csr unsorted(3, {0, 2, 3, 4}, {{2, 1.0}, {1, 1.0}, {0, 1.0}, {0, 1.0}});
+  const dg::Csr duplicated(3, {0, 1, 3, 4}, {{1, 1.0}, {0, 1.0}, {0, 1.0}, {0, 1.0}});
+  for (const int p : {1, 2, 3}) {
+    EXPECT_THROW(dc::run(p, [&](dc::Comm& comm) {
+                   (void)dg::DistGraph::from_replicated(comm, unsorted,
+                                                        dg::PartitionKind::kEvenVertices);
+                 }),
+                 std::invalid_argument);
+    EXPECT_THROW(dc::run(p, [&](dc::Comm& comm) {
+                   (void)dg::DistGraph::from_replicated(comm, duplicated,
+                                                        dg::PartitionKind::kEvenVertices);
+                 }),
+                 std::invalid_argument);
+  }
+}
 
 TEST(DistGraph, EvenEdgePartitionBalancesArcCounts) {
   // Star graph: hub 0 with 30 leaves. Edge balance should give the hub's rank

@@ -291,8 +291,7 @@ TEST(WriteDistributed, RoundTripsThroughTheFileFormat) {
 
 TEST(WriteDistributed, PreservesWeightsAndSelfLoops) {
   // Graph with a self loop and non-unit weights.
-  dg::BuildOptions opts;
-  const auto g = dg::build_csr(3, {{0, 0, 2.5}, {0, 1, 1.5}, {1, 2, 3.0}}, opts);
+  const auto g = dg::from_edges(3, {{0, 0, 2.5}, {0, 1, 1.5}, {1, 2, 3.0}});
   const auto path = std::filesystem::temp_directory_path() / "dlel_weights.bin";
   dc::run(2, [&](dc::Comm& comm) {
     const auto dist = dg::DistGraph::from_replicated(comm, g);

@@ -82,9 +82,7 @@ TEST(Modularity, AgreesWithReferenceOnRandomPartitions) {
 
 TEST(Modularity, SelfLoopsHandledConsistently) {
   // Weighted graph with a self loop; the two implementations must agree.
-  dg::BuildOptions opts;
-  opts.symmetrize = true;
-  const auto g = dg::build_csr(3, {{0, 0, 2.0}, {0, 1, 1.0}, {1, 2, 3.0}}, opts);
+  const auto g = dg::from_edges(3, {{0, 0, 2.0}, {0, 1, 1.0}, {1, 2, 3.0}});
   const std::vector<CommunityId> part{0, 0, 1};
   EXPECT_NEAR(dl::modularity(g, part), dl::modularity_reference(g, part), 1e-12);
 }

@@ -157,8 +157,7 @@ TEST(Summary, SortsByDescendingSize) {
 }
 
 TEST(Summary, SelfLoopsCountAsInternal) {
-  dlouvain::graph::BuildOptions opts;
-  const auto g = dlouvain::graph::build_csr(2, {{0, 0, 2.0}, {0, 1, 1.0}}, opts);
+  const auto g = dlouvain::graph::from_edges(2, {{0, 0, 2.0}, {0, 1, 1.0}});
   const std::vector<CommunityId> part{0, 1};
   const auto summaries = dq::summarize_communities(g, part);
   const auto& big = summaries[0].id == 0 ? summaries[0] : summaries[1];

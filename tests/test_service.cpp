@@ -205,7 +205,8 @@ TEST(Scheduler, CacheKeyHonoursConfigAndRanksButNotThreads) {
 }
 
 TEST(Scheduler, RejectsBadPlansAndBadGraphsWithErrorReplies) {
-  svc::JobScheduler sched(svc::SchedulerOptions{.workers = 1, .max_ranks = 4});
+  svc::JobScheduler sched(
+      svc::SchedulerOptions{.workers = 1, .max_ranks = 4, .max_edges = 1000});
 
   svc::JobRequest too_many_ranks = karate_job(9);
   EXPECT_EQ(sched.submit(std::move(too_many_ranks)).get().type, svc::FrameType::kError);
@@ -226,7 +227,25 @@ TEST(Scheduler, RejectsBadPlansAndBadGraphsWithErrorReplies) {
   bad_edge.edges.push_back(Edge{0, 10'000, 1.0});
   EXPECT_EQ(sched.submit(std::move(bad_edge)).get().type, svc::FrameType::kError);
 
-  EXPECT_EQ(sched.stats().rejected, 3);  // the bad edge is a failed job, not a rejection
+  // The vertex count is admitted in [0, max_edges] even with no edges: it
+  // sizes per-vertex arrays before any edge is read. Both entry points.
+  for (const VertexId n : {VertexId{1001}, VertexId{-1}}) {
+    svc::JobRequest huge;
+    huge.config.ranks = 2;
+    huge.num_vertices = n;
+    const svc::Reply submitted = sched.submit(huge).get();
+    EXPECT_EQ(submitted.type, svc::FrameType::kError) << n;
+    EXPECT_NE(submitted.body.find("exceeds the service limit"), std::string::npos)
+        << submitted.body;
+    huge.session_name = "huge";
+    EXPECT_EQ(sched.open_session(std::move(huge)).get().type, svc::FrameType::kError) << n;
+  }
+  svc::JobRequest at_limit = karate_job();
+  at_limit.num_vertices = 1000;  // karate's edges, padded with isolated vertices
+  EXPECT_EQ(sched.submit(std::move(at_limit)).get().type, svc::FrameType::kManifest);
+
+  // The bad edge is a failed job, not a rejection.
+  EXPECT_EQ(sched.stats().rejected, 3 + 4);
 }
 
 TEST(Scheduler, DrainCompletesEveryAdmittedJobThenRefuses) {
