@@ -2,18 +2,22 @@
 // the collectives the Louvain iteration leans on (all-reduce dominates the
 // paper's V-A profile at 40%).
 //
-// Doubles as the PR7 ARQ-overhead emitter (ISSUE 7 acceptance run): with any
-// --pr7_* flag the binary skips Google Benchmark and instead times a fixed
+// Also writes the `arq` section of the micro trail (schema dlouvain-bench/1,
+// committed as bench/trail.json; see docs/PERFORMANCE.md §5): with any trail
+// flag the binary skips Google Benchmark and instead times a fixed
 // deterministic ring stream four ways -- ARQ off on a clean wire (baseline),
 // ARQ on clean, ARQ on with 0.1% message loss, ARQ on with 0.1% payload
-// corruption -- and writes the BENCH_PR7.json trail:
+// corruption -- and, with `--json=<path>`, writes the section:
 //
-//   micro_comm --pr7_json=BENCH_PR7.json --pr7_scale=12 --pr7_ranks=4
+//   micro_comm --json=arq.json --scale=12 --ranks=4
 //
-// tools/check_bench_regression.py --emit pr7 drives this binary and asserts
-// the structural contracts on the emitted "arq" section: all four runs
-// produce identical bits, every injected fault is repaired by a
-// retransmission, and nothing escalates.
+// `--scale=N` streams 2^(N-1) messages per rank, `--reps` is the best-of
+// count, `--ranks` the ring size; `--messages`, `--payload_words`,
+// `--retransmit`, `--backoff_ms`, `--loss`, `--corrupt` and `--seed` set the
+// stream and the fault plan directly. tools/check_bench_regression.py
+// --bench drives this binary and asserts the structural contracts on the
+// `arq` section: all four runs produce identical bits, every injected fault
+// is repaired by a retransmission, and nothing escalates.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -104,12 +108,12 @@ void BM_PointToPointPingPong(benchmark::State& state) {
 }
 BENCHMARK(BM_PointToPointPingPong);
 
-// --- PR7 trail: rung-1 ARQ overhead on a deterministic ring stream ---
+// --- the arq trail section: rung-1 ARQ overhead on a ring stream ---
 
 namespace dc = dlouvain::comm;
 namespace du = dlouvain::util;
 
-struct Pr7Options {
+struct ArqOptions {
   std::string json_path;
   int ranks{4};
   int messages{2048};    ///< per rank (one ring stream each)
@@ -122,7 +126,7 @@ struct Pr7Options {
   std::uint64_t seed{1};
 };
 
-struct Pr7Scenario {
+struct ArqScenario {
   double seconds{0};
   std::uint64_t checksum{0};
   std::int64_t nacks{0};
@@ -139,9 +143,9 @@ struct Pr7Scenario {
 /// ladder counters are identical across reps because fault fates are a pure
 /// function of (seed, communication pattern), so the last rep's values stand
 /// for all of them.
-Pr7Scenario run_pr7_scenario(const Pr7Options& opt, bool arq,
+ArqScenario run_arq_scenario(const ArqOptions& opt, bool arq,
                              const dc::FaultPlan* faults) {
-  Pr7Scenario out;
+  ArqScenario out;
   for (int rep = 0; rep < opt.reps; ++rep) {
     dc::RunOptions options;
     options.timeout_seconds = 120;  // a wedged scenario must fail, not hang
@@ -201,7 +205,7 @@ Pr7Scenario run_pr7_scenario(const Pr7Options& opt, bool arq,
   return out;
 }
 
-int run_pr7(const Pr7Options& opt) {
+int run_arq(const ArqOptions& opt) {
   using dlouvain::core::json_number;
   std::cout << "== micro_comm: rung-1 ARQ overhead ==\n"
             << "stream:  " << opt.ranks << " ranks x " << opt.messages
@@ -212,14 +216,14 @@ int run_pr7(const Pr7Options& opt) {
             << "faults:  loss " << opt.loss_rate << ", corruption "
             << opt.corrupt_rate << " (seed " << opt.seed << ")\n\n";
 
-  const auto baseline = run_pr7_scenario(opt, /*arq=*/false, nullptr);
-  const auto clean = run_pr7_scenario(opt, /*arq=*/true, nullptr);
+  const auto baseline = run_arq_scenario(opt, /*arq=*/false, nullptr);
+  const auto clean = run_arq_scenario(opt, /*arq=*/true, nullptr);
   dc::FaultPlan loss_plan;
   loss_plan.with_seed(opt.seed).lose(opt.loss_rate);
-  const auto loss = run_pr7_scenario(opt, /*arq=*/true, &loss_plan);
+  const auto loss = run_arq_scenario(opt, /*arq=*/true, &loss_plan);
   dc::FaultPlan corrupt_plan;
   corrupt_plan.with_seed(opt.seed).corrupt(opt.corrupt_rate);
-  const auto corrupt = run_pr7_scenario(opt, /*arq=*/true, &corrupt_plan);
+  const auto corrupt = run_arq_scenario(opt, /*arq=*/true, &corrupt_plan);
 
   const bool identical = clean.checksum == baseline.checksum &&
                          loss.checksum == baseline.checksum &&
@@ -246,7 +250,7 @@ int run_pr7(const Pr7Options& opt) {
             << ", escalations: " << escalations << '\n';
 
   if (!opt.json_path.empty()) {
-    std::string out = "{\"schema\":\"dlouvain-bench/pr7\"";
+    std::string out = "{\"schema\":\"dlouvain-bench/1\"";
     out += ",\"arq\":{\"ranks\":" + std::to_string(opt.ranks);
     out += ",\"messages_per_rank\":" + std::to_string(opt.messages);
     out += ",\"payload_words\":" + std::to_string(opt.payload_words);
@@ -288,8 +292,8 @@ int run_pr7(const Pr7Options& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Pr7Options opt;
-  bool pr7 = false;
+  ArqOptions opt;
+  bool trail = false;
   std::vector<char*> passthrough{argv[0]};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -299,44 +303,43 @@ int main(int argc, char** argv) {
       return true;
     };
     const bool known =
-        grab("--pr7_json=", [&](const std::string& v) { opt.json_path = v; }) ||
-        // The driver's --scale is log2 of the TOTAL per-rank stream volume;
-        // scale 12 = 2048 messages per rank, matching the other trails' knob.
-        grab("--pr7_scale=",
+        grab("--json=", [&](const std::string& v) { opt.json_path = v; }) ||
+        // --scale is log2 of the TOTAL per-rank stream volume: scale 12 =
+        // 2048 messages per rank.
+        grab("--scale=",
              [&](const std::string& v) {
                opt.messages = 1 << std::max(1, std::stoi(v) - 1);
              }) ||
-        grab("--pr7_dist_scale=", [](const std::string&) {}) ||  // driver compat
-        grab("--pr7_reps=", [&](const std::string& v) { opt.reps = std::stoi(v); }) ||
-        grab("--pr7_ranks=", [&](const std::string& v) { opt.ranks = std::stoi(v); }) ||
-        grab("--pr7_messages=",
+        grab("--reps=", [&](const std::string& v) { opt.reps = std::stoi(v); }) ||
+        grab("--ranks=", [&](const std::string& v) { opt.ranks = std::stoi(v); }) ||
+        grab("--messages=",
              [&](const std::string& v) { opt.messages = std::stoi(v); }) ||
-        grab("--pr7_payload_words=",
+        grab("--payload_words=",
              [&](const std::string& v) { opt.payload_words = std::stoi(v); }) ||
-        grab("--pr7_retransmit=",
+        grab("--retransmit=",
              [&](const std::string& v) { opt.retransmit_max = std::stoi(v); }) ||
-        grab("--pr7_backoff_ms=",
+        grab("--backoff_ms=",
              [&](const std::string& v) { opt.backoff_ms = std::stod(v); }) ||
-        grab("--pr7_loss=",
+        grab("--loss=",
              [&](const std::string& v) { opt.loss_rate = std::stod(v); }) ||
-        grab("--pr7_corrupt=",
+        grab("--corrupt=",
              [&](const std::string& v) { opt.corrupt_rate = std::stod(v); }) ||
-        grab("--pr7_seed=", [&](const std::string& v) {
+        grab("--seed=", [&](const std::string& v) {
           opt.seed = std::stoull(v);
         });
     if (known) {
-      pr7 = true;
+      trail = true;
     } else {
       passthrough.push_back(argv[i]);
     }
   }
-  if (pr7) {
+  if (trail) {
     if (passthrough.size() > 1) {
-      std::cerr << "micro_comm: cannot mix --pr7_* with benchmark flags ("
+      std::cerr << "micro_comm: cannot mix trail flags with benchmark flags ("
                 << passthrough[1] << ")\n";
       return 2;
     }
-    return run_pr7(opt);
+    return run_arq(opt);
   }
   int bench_argc = static_cast<int>(passthrough.size());
   benchmark::Initialize(&bench_argc, passthrough.data());

@@ -1,33 +1,32 @@
 // Micro-benchmarks for the algorithmic kernels: CSR assembly, modularity
-// evaluation, one Louvain sweep (hash-map baseline, the flat
-// ScatterAccumulator kernel, and the segmented kernel the engines use),
-// coarsening, and the generators feeding the table harnesses.
+// evaluation, one local-move sweep with the segmented kernel every engine
+// runs (util/segmented.hpp), coarsening, and the generators feeding the
+// table harnesses.
 //
-// Besides the usual Google-Benchmark mode, `--pr3_json=<path>` switches to a
-// self-timed run that writes the machine-readable perf trail committed as
-// BENCH_PR3.json: per-kernel ns/op plus a distributed run's sweep time
-// breakdown (see docs/PERFORMANCE.md). Knobs: `--pr3_scale=N` (RMAT scale,
-// default 16), `--pr3_reps=N` (best-of repetitions, default 5),
-// `--pr3_dist_scale=N` (RMAT scale for the breakdown run, default 12).
+// Google Benchmark mode by default. Any trail flag instead times the sweep
+// and coarsen kernels best-of-reps on one R-MAT graph and, with
+// `--json=<path>`, writes them as the `kernels` section of the micro trail
+// (schema dlouvain-bench/1, committed as bench/trail.json; see
+// docs/PERFORMANCE.md §5):
 //
-// `--pr8_json=<path>` writes the BENCH_PR8.json trail layout: the hash, flat
-// and segmented sweep kernels (util/segmented.hpp, the kernel every engine
-// runs) timed round-robin in one rep loop, the segmented kernel reported as
-// `local_move_simd` with its `flat_over_best_lane` ratio. Knobs:
-// `--pr8_scale=N` (RMAT scale, default 16), `--pr8_reps=N` (default 5).
+//   micro_kernels --json=kernels.json --scale=16 --reps=9
+//
+// `--scale=N` is the R-MAT scale (default 16), `--reps=N` the best-of count
+// (default 5). The kernels run on one rank, so `--ranks` accepts only 1.
+// tools/check_bench_regression.py --bench drives this binary and gates each
+// kernel's ns/arc against the committed trail.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <numeric>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "comm/world.hpp"
-#include "core/dist_louvain.hpp"
+#include "core/metrics.hpp"
 #include "gen/lfr.hpp"
 #include "gen/rmat.hpp"
 #include "gen/ssca2.hpp"
@@ -36,7 +35,6 @@
 #include "louvain/modularity.hpp"
 #include "louvain/serial.hpp"
 #include "louvain/shared.hpp"
-#include "util/scatter.hpp"
 #include "util/segmented.hpp"
 
 namespace {
@@ -59,14 +57,10 @@ gen::GeneratedGraph rmat_graph(int scale) {
   return gen::rmat(p);
 }
 
-// ---- one local-move sweep, hash baseline vs flat kernel ---------------------
-// Both run the identical single-node sweep (the seed's serial inner loop):
-// scan every vertex, accumulate neighbour-community weights, move to the
-// best-gain community. The hash variant is the pre-PR3 unordered_map kernel,
-// kept verbatim as the comparison baseline; the flat variant is the
-// ScatterAccumulator kernel serial.cpp/shared.cpp/dist_louvain.cpp now use.
-// Their outputs are identical (the argmax predicate is iteration-order
-// independent), so `moved` doubles as a cross-check.
+// ---- one local-move sweep ---------------------------------------------------
+// The single-node sweep (the serial engine's inner loop, without shuffling or
+// early termination): scan every vertex, accumulate neighbour-community
+// weights, move to the best-gain community.
 
 struct SweepInput {
   graph::Csr csr;
@@ -87,90 +81,8 @@ SweepInput make_sweep_input(const gen::GeneratedGraph& g) {
   return in;
 }
 
-std::int64_t sweep_hash(const SweepInput& in, std::vector<CommunityId>& curr,
-                        std::vector<Weight>& a) {
-  const VertexId n = in.csr.num_vertices();
-  const Weight m = in.m;
-  std::unordered_map<CommunityId, Weight> nbr_weight;
-  std::int64_t moved = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    const CommunityId own = curr[static_cast<std::size_t>(v)];
-    const Weight kv = in.k[static_cast<std::size_t>(v)];
-    nbr_weight.clear();
-    for (const auto& e : in.csr.neighbors(v)) {
-      if (e.dst == v) continue;
-      nbr_weight[curr[static_cast<std::size_t>(e.dst)]] += e.weight;
-    }
-    const auto own_it = nbr_weight.find(own);
-    const Weight e_own = own_it == nbr_weight.end() ? 0.0 : own_it->second;
-    const Weight a_own_less_v = a[static_cast<std::size_t>(own)] - kv;
-    CommunityId best = own;
-    Weight best_gain = 0;
-    for (const auto& [target, e_target] : nbr_weight) {
-      if (target == own) continue;
-      const Weight gain =
-          (e_target - e_own) / m -
-          kv * (a[static_cast<std::size_t>(target)] - a_own_less_v) / (2 * m * m);
-      if (gain > best_gain ||
-          (gain == best_gain && gain > 0 && best != own && target < best)) {
-        best = target;
-        best_gain = gain;
-      }
-    }
-    if (best != own) {
-      a[static_cast<std::size_t>(own)] -= kv;
-      a[static_cast<std::size_t>(best)] += kv;
-      curr[static_cast<std::size_t>(v)] = best;
-      ++moved;
-    }
-  }
-  return moved;
-}
-
-std::int64_t sweep_flat(const SweepInput& in, std::vector<CommunityId>& curr,
-                        std::vector<Weight>& a) {
-  const VertexId n = in.csr.num_vertices();
-  const Weight m = in.m;
-  util::ScatterAccumulator<Weight> nbr_weight;
-  std::int64_t moved = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    const CommunityId own = curr[static_cast<std::size_t>(v)];
-    const Weight kv = in.k[static_cast<std::size_t>(v)];
-    nbr_weight.reset(n);
-    for (const auto& e : in.csr.neighbors(v)) {
-      if (e.dst == v) continue;
-      nbr_weight.add(curr[static_cast<std::size_t>(e.dst)], e.weight);
-    }
-    const Weight e_own = nbr_weight.get(own);
-    const Weight a_own_less_v = a[static_cast<std::size_t>(own)] - kv;
-    CommunityId best = own;
-    Weight best_gain = 0;
-    for (const auto target : nbr_weight.touched()) {
-      if (target == own) continue;
-      const Weight e_target = nbr_weight.get(target);
-      const Weight gain =
-          (e_target - e_own) / m -
-          kv * (a[static_cast<std::size_t>(target)] - a_own_less_v) / (2 * m * m);
-      if (gain > best_gain ||
-          (gain == best_gain && gain > 0 && best != own && target < best)) {
-        best = target;
-        best_gain = gain;
-      }
-    }
-    if (best != own) {
-      a[static_cast<std::size_t>(own)] -= kv;
-      a[static_cast<std::size_t>(best)] += kv;
-      curr[static_cast<std::size_t>(v)] = best;
-      ++moved;
-    }
-  }
-  return moved;
-}
-
-/// The segmented kernel the engines run, on the same sweep: arcs grouped by
-/// destination-community segment in first-touch order, argmax via
-/// util::best_segment. Bitwise identical to sweep_flat by construction --
-/// `moved` doubles as the cross-check.
+/// The segmented kernel the engines run: arcs grouped by destination-community
+/// segment in first-touch order, argmax via util::best_segment.
 std::int64_t sweep_segmented(const SweepInput& in, std::vector<CommunityId>& curr,
                              std::vector<Weight>& a) {
   const VertexId n = in.csr.num_vertices();
@@ -203,34 +115,6 @@ std::int64_t sweep_segmented(const SweepInput& in, std::vector<CommunityId>& cur
     }
   }
   return moved;
-}
-
-/// Round-robin the kernels inside a single rep loop so every kernel samples
-/// the same slice of host noise (on a shared vCPU, consecutive per-kernel rep
-/// blocks can land in different steal/frequency windows and skew the ratios
-/// by 30%+). Per-kernel minimum across reps, as in timed_sweep.
-struct InterleavedKernel {
-  std::int64_t (*sweep)(const SweepInput&, std::vector<CommunityId>&,
-                        std::vector<Weight>&);
-  double best_ns = 1e300;
-  std::int64_t moved = 0;
-};
-
-void timed_sweep_interleaved(const SweepInput& in, int reps,
-                             std::vector<InterleavedKernel>& kernels) {
-  std::vector<CommunityId> curr(in.k.size());
-  std::vector<Weight> a;
-  for (int rep = 0; rep < reps; ++rep) {
-    for (auto& k : kernels) {
-      std::iota(curr.begin(), curr.end(), CommunityId{0});
-      a = in.a_init;
-      const auto t0 = std::chrono::steady_clock::now();
-      k.moved = k.sweep(in, curr, a);
-      const auto t1 = std::chrono::steady_clock::now();
-      const double ns = std::chrono::duration<double, std::nano>(t1 - t0).count();
-      if (ns < k.best_ns) k.best_ns = ns;
-    }
-  }
 }
 
 template <typename Sweep>
@@ -326,32 +210,6 @@ void BM_GenSsca2(benchmark::State& state) {
 }
 BENCHMARK(BM_GenSsca2)->Arg(1000)->Arg(4000)->Arg(16000);
 
-void BM_LocalMoveSweepHash(benchmark::State& state) {
-  const auto in = make_sweep_input(rmat_graph(static_cast<int>(state.range(0))));
-  std::vector<CommunityId> curr(in.k.size());
-  std::vector<Weight> a;
-  for (auto _ : state) {
-    std::iota(curr.begin(), curr.end(), CommunityId{0});
-    a = in.a_init;
-    benchmark::DoNotOptimize(sweep_hash(in, curr, a));
-  }
-  state.SetItemsProcessed(state.iterations() * in.csr.num_arcs());
-}
-BENCHMARK(BM_LocalMoveSweepHash)->Arg(10)->Arg(12);
-
-void BM_LocalMoveSweepFlat(benchmark::State& state) {
-  const auto in = make_sweep_input(rmat_graph(static_cast<int>(state.range(0))));
-  std::vector<CommunityId> curr(in.k.size());
-  std::vector<Weight> a;
-  for (auto _ : state) {
-    std::iota(curr.begin(), curr.end(), CommunityId{0});
-    a = in.a_init;
-    benchmark::DoNotOptimize(sweep_flat(in, curr, a));
-  }
-  state.SetItemsProcessed(state.iterations() * in.csr.num_arcs());
-}
-BENCHMARK(BM_LocalMoveSweepFlat)->Arg(10)->Arg(12);
-
 void BM_LocalMoveSweepSegmented(benchmark::State& state) {
   const auto in = make_sweep_input(rmat_graph(static_cast<int>(state.range(0))));
   std::vector<CommunityId> curr(in.k.size());
@@ -365,234 +223,104 @@ void BM_LocalMoveSweepSegmented(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalMoveSweepSegmented)->Arg(10)->Arg(12);
 
-// ---- the BENCH_PR3 json emitter ---------------------------------------------
+// ---- the trail's kernels section --------------------------------------------
 
-/// Best-of-`reps` kernel timings of the hash and flat kernels.
-struct KernelNumbers {
-  double hash_ns{0};
-  double flat_ns{0};
-  double coarsen_ns{0};
-  std::int64_t moved{0};
+struct TrailOptions {
+  std::string json_path;
+  int scale{16};
+  int reps{5};
+  int ranks{1};
 };
 
-bool measure_kernels(const SweepInput& in, int reps, KernelNumbers& out) {
-  const auto hash_moved = timed_sweep(in, sweep_hash, reps, out.hash_ns);
-  const auto flat_moved = timed_sweep(in, sweep_flat, reps, out.flat_ns);
-  if (hash_moved != flat_moved) {
-    std::cerr << "micro_kernels: hash and flat sweeps diverged (" << hash_moved
-              << " vs " << flat_moved << " moves)\n";
-    return false;
-  }
-  out.moved = flat_moved;
-  out.coarsen_ns = 1e300;
-  {
-    // Coarsen by the sweep's resulting assignment (compacted ids).
-    std::vector<CommunityId> curr(in.k.size());
-    std::vector<Weight> a;
-    std::iota(curr.begin(), curr.end(), CommunityId{0});
-    a = in.a_init;
-    sweep_flat(in, curr, a);
-    for (int rep = 0; rep < reps; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      auto coarse = louvain::coarsen(in.csr, curr);
-      benchmark::DoNotOptimize(coarse);
-      const auto t1 = std::chrono::steady_clock::now();
-      const double ns = std::chrono::duration<double, std::nano>(t1 - t0).count();
-      if (ns < out.coarsen_ns) out.coarsen_ns = ns;
-    }
-  }
-  return true;
-}
-
-/// Emit the "graph"/"kernels"/"ratios" sections (the layout every kernel
-/// trail shares, so check_bench_regression.py can compare any pair of perf
-/// trails kernel-by-kernel).
-void emit_kernel_sections(std::ostream& out, const SweepInput& in, int scale,
-                          int reps, const KernelNumbers& k) {
-  const auto arcs = static_cast<double>(in.csr.num_arcs());
-  out << "  \"graph\": {\"kind\": \"rmat\", \"scale\": " << scale
-      << ", \"edges_per_vertex\": 8, \"seed\": 42, \"vertices\": "
-      << in.csr.num_vertices() << ", \"arcs\": " << in.csr.num_arcs() << "},\n"
-      << "  \"reps\": " << reps << ",\n"
-      << "  \"kernels\": {\n"
-      << "    \"local_move_hash\": {\"ns_per_op\": " << k.hash_ns
-      << ", \"ns_per_arc\": " << k.hash_ns / arcs << ", \"moved\": " << k.moved
-      << "},\n"
-      << "    \"local_move_flat\": {\"ns_per_op\": " << k.flat_ns
-      << ", \"ns_per_arc\": " << k.flat_ns / arcs << ", \"moved\": " << k.moved
-      << "},\n"
-      << "    \"coarsen_flat\": {\"ns_per_op\": " << k.coarsen_ns
-      << ", \"ns_per_arc\": " << k.coarsen_ns / arcs << "}\n"
-      << "  },\n"
-      << "  \"ratios\": {\"local_move_hash_over_flat\": " << k.hash_ns / k.flat_ns
-      << "},\n";
-}
-
-int run_pr3(const std::string& json_path, int scale, int reps, int dist_scale) {
-  const auto g = rmat_graph(scale);
-  const auto in = make_sweep_input(g);
+int run_trail(const TrailOptions& opt) {
+  using core::json_number;
+  const auto in = make_sweep_input(rmat_graph(opt.scale));
   const auto arcs = static_cast<double>(in.csr.num_arcs());
 
-  KernelNumbers kn;
-  if (!measure_kernels(in, reps, kn)) return 1;
+  double sweep_ns = 0;
+  const auto moved = timed_sweep(in, sweep_segmented, opt.reps, sweep_ns);
 
-  // Distributed sweep breakdown (the telemetry split behind the paper's
-  // Section V-A analysis), from a default-config run at a smaller scale.
-  const auto gd = rmat_graph(dist_scale);
-  const auto csrd = graph::from_edges(gd.num_vertices, gd.edges);
-  core::TimeBreakdown breakdown;
-  double dist_seconds = 0;
-  comm::run(4, [&](comm::Comm& comm) {
-    auto dist = graph::DistGraph::from_replicated(comm, csrd);
-    core::DistConfig cfg;
-    auto result = core::dist_louvain(comm, std::move(dist), cfg);
-    if (comm.is_root()) {
-      breakdown = result.breakdown;
-      dist_seconds = result.seconds;
-    }
-  });
+  // Coarsen by the sweep's resulting assignment.
+  std::vector<CommunityId> curr(in.k.size());
+  std::iota(curr.begin(), curr.end(), CommunityId{0});
+  std::vector<Weight> a = in.a_init;
+  sweep_segmented(in, curr, a);
+  double coarsen_ns = 1e300;
+  for (int rep = 0; rep < opt.reps; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    auto coarse = louvain::coarsen(in.csr, curr);
+    benchmark::DoNotOptimize(coarse);
+    const auto t1 = std::chrono::steady_clock::now();
+    coarsen_ns = std::min(
+        coarsen_ns, std::chrono::duration<double, std::nano>(t1 - t0).count());
+  }
 
-  std::ofstream out(json_path, std::ios::trunc);
-  if (!out) {
-    std::cerr << "micro_kernels: cannot open " << json_path << " for writing\n";
+  std::cout << "local_move: " << sweep_ns / arcs << " ns/arc (" << moved
+            << " moves)\n"
+            << "coarsen:    " << coarsen_ns / arcs << " ns/arc\n";
+  if (opt.json_path.empty()) return 0;
+
+  const auto kernel = [&](double ns) {
+    return "{\"ns_per_op\":" + json_number(ns) +
+           ",\"ns_per_arc\":" + json_number(ns / arcs) +
+           ",\"reps\":" + std::to_string(opt.reps);
+  };
+  std::string out = "{\"schema\":\"dlouvain-bench/1\",\"kernels\":{";
+  out += "\"graph\":{\"kind\":\"rmat\",\"scale\":" + std::to_string(opt.scale) +
+         ",\"edges_per_vertex\":8,\"seed\":42,\"vertices\":" +
+         std::to_string(in.csr.num_vertices()) +
+         ",\"arcs\":" + std::to_string(in.csr.num_arcs()) + "}";
+  out += ",\"local_move\":" + kernel(sweep_ns) +
+         ",\"moved\":" + std::to_string(moved) + "}";
+  out += ",\"coarsen\":" + kernel(coarsen_ns) + "}";
+  out += "}}";
+  std::ofstream f(opt.json_path, std::ios::trunc);
+  if (!f) {
+    std::cerr << "micro_kernels: cannot open " << opt.json_path << '\n';
     return 1;
   }
-  out.precision(17);
-  out << "{\n"
-      << "  \"bench\": \"micro_kernels.pr3\",\n";
-  emit_kernel_sections(out, in, scale, reps, kn);
-  out << "  \"dist_breakdown\": {\"ranks\": 4, \"scale\": " << dist_scale
-      << ", \"seconds\": " << dist_seconds
-      << ", \"ghost_exchange\": " << breakdown.ghost_exchange
-      << ", \"community_info\": " << breakdown.community_info
-      << ", \"compute\": " << breakdown.compute
-      << ", \"delta_exchange\": " << breakdown.delta_exchange
-      << ", \"allreduce\": " << breakdown.allreduce
-      << ", \"rebuild\": " << breakdown.rebuild << "}\n"
-      << "}\n";
-  std::cout << "local_move_hash: " << kn.hash_ns / arcs << " ns/arc\n"
-            << "local_move_flat: " << kn.flat_ns / arcs << " ns/arc\n"
-            << "speedup:         " << kn.hash_ns / kn.flat_ns << "x\n"
-            << "wrote " << json_path << '\n';
-  return 0;
-}
-
-// ---- the BENCH_PR8.json emitter (sweep kernels, interleaved) ---------------
-
-int run_pr8(const std::string& json_path, int scale, int reps) {
-  const auto g = rmat_graph(scale);
-  const auto in = make_sweep_input(g);
-  const auto arcs = static_cast<double>(in.csr.num_arcs());
-
-  // The three sweep kernels interleaved in one rep loop: the flat gather
-  // baseline and the segmented kernel sample the same host-noise window, so
-  // the reported ratios reflect the kernels, not vCPU steal drift between
-  // rep blocks. Same sweep, same moves -- any divergence is a kernel bug.
-  std::vector<InterleavedKernel> iks(3);
-  iks[0].sweep = sweep_hash;
-  iks[1].sweep = sweep_flat;
-  iks[2].sweep = sweep_segmented;
-  timed_sweep_interleaved(in, reps, iks);
-
-  KernelNumbers kn;
-  kn.hash_ns = iks[0].best_ns;
-  kn.flat_ns = iks[1].best_ns;
-  kn.moved = iks[1].moved;
-  const double segmented_ns = iks[2].best_ns;
-  if (iks[0].moved != kn.moved || iks[2].moved != kn.moved) {
-    std::cerr << "micro_kernels: sweep kernels diverged (hash " << iks[0].moved
-              << ", flat " << kn.moved << ", segmented " << iks[2].moved
-              << " moves)\n";
-    return 1;
-  }
-  {
-    // Coarsen by the sweep's resulting assignment (compacted ids).
-    std::vector<CommunityId> curr(in.k.size());
-    std::vector<Weight> a;
-    std::iota(curr.begin(), curr.end(), CommunityId{0});
-    a = in.a_init;
-    sweep_flat(in, curr, a);
-    kn.coarsen_ns = 1e300;
-    for (int rep = 0; rep < reps; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      auto coarse = louvain::coarsen(in.csr, curr);
-      benchmark::DoNotOptimize(coarse);
-      const auto t1 = std::chrono::steady_clock::now();
-      const double ns = std::chrono::duration<double, std::nano>(t1 - t0).count();
-      if (ns < kn.coarsen_ns) kn.coarsen_ns = ns;
-    }
-  }
-
-  std::ofstream out(json_path, std::ios::trunc);
-  if (!out) {
-    std::cerr << "micro_kernels: cannot open " << json_path << " for writing\n";
-    return 1;
-  }
-  out.precision(17);
-  out << "{\n"
-      << "  \"bench\": \"micro_kernels.pr8\",\n"
-      << "  \"graph\": {\"kind\": \"rmat\", \"scale\": " << scale
-      << ", \"edges_per_vertex\": 8, \"seed\": 42, \"vertices\": "
-      << in.csr.num_vertices() << ", \"arcs\": " << in.csr.num_arcs() << "},\n"
-      << "  \"reps\": " << reps << ",\n"
-      << "  \"kernels\": {\n"
-      << "    \"local_move_hash\": {\"ns_per_op\": " << kn.hash_ns
-      << ", \"ns_per_arc\": " << kn.hash_ns / arcs << ", \"moved\": " << kn.moved
-      << "},\n"
-      << "    \"local_move_flat\": {\"ns_per_op\": " << kn.flat_ns
-      << ", \"ns_per_arc\": " << kn.flat_ns / arcs << ", \"moved\": " << kn.moved
-      << "},\n"
-      << "    \"local_move_simd\": {\"ns_per_op\": " << segmented_ns
-      << ", \"ns_per_arc\": " << segmented_ns / arcs << ", \"moved\": " << kn.moved
-      << "},\n"
-      << "    \"coarsen_flat\": {\"ns_per_op\": " << kn.coarsen_ns
-      << ", \"ns_per_arc\": " << kn.coarsen_ns / arcs << "}\n"
-      << "  },\n"
-      << "  \"ratios\": {\"local_move_hash_over_flat\": " << kn.hash_ns / kn.flat_ns
-      << ", \"flat_over_best_lane\": " << kn.flat_ns / segmented_ns << "}\n"
-      << "}\n";
-
-  std::cout << "local_move_flat:      " << kn.flat_ns / arcs << " ns/arc\n"
-            << "local_move_segmented: " << segmented_ns / arcs << " ns/arc ("
-            << kn.flat_ns / segmented_ns << "x over flat)\n"
-            << "wrote " << json_path << '\n';
+  f << out << '\n';
+  std::cout << "wrote " << opt.json_path << '\n';
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string pr3_path;
-  std::string pr8_path;
-  int scale = 16;
-  int reps = 5;
-  int dist_scale = 12;
-  std::vector<char*> passthrough;
-  passthrough.push_back(argv[0]);
+  TrailOptions opt;
+  bool trail = false;
+  std::vector<char*> passthrough{argv[0]};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--pr3_json=", 0) == 0) {
-      pr3_path = arg.substr(std::strlen("--pr3_json="));
-    } else if (arg.rfind("--pr8_json=", 0) == 0) {
-      pr8_path = arg.substr(std::strlen("--pr8_json="));
-    } else if (arg.rfind("--pr3_scale=", 0) == 0) {
-      scale = std::stoi(arg.substr(std::strlen("--pr3_scale=")));
-    } else if (arg.rfind("--pr8_scale=", 0) == 0) {
-      scale = std::stoi(arg.substr(std::strlen("--pr8_scale=")));
-    } else if (arg.rfind("--pr3_reps=", 0) == 0) {
-      reps = std::stoi(arg.substr(std::strlen("--pr3_reps=")));
-    } else if (arg.rfind("--pr8_reps=", 0) == 0) {
-      reps = std::stoi(arg.substr(std::strlen("--pr8_reps=")));
-    } else if (arg.rfind("--pr3_dist_scale=", 0) == 0) {
-      dist_scale = std::stoi(arg.substr(std::strlen("--pr3_dist_scale=")));
-    } else if (arg.rfind("--pr8_dist_scale=", 0) == 0) {
-      // driver compat: the pr8 trail has no distributed run
+    const auto grab = [&](const char* prefix, auto parse) {
+      if (arg.rfind(prefix, 0) != 0) return false;
+      parse(arg.substr(std::strlen(prefix)));
+      return true;
+    };
+    const bool known =
+        grab("--json=", [&](const std::string& v) { opt.json_path = v; }) ||
+        grab("--scale=", [&](const std::string& v) { opt.scale = std::stoi(v); }) ||
+        grab("--reps=", [&](const std::string& v) { opt.reps = std::stoi(v); }) ||
+        grab("--ranks=", [&](const std::string& v) { opt.ranks = std::stoi(v); });
+    if (known) {
+      trail = true;
     } else {
       passthrough.push_back(argv[i]);
     }
   }
-  if (!pr3_path.empty()) return run_pr3(pr3_path, scale, reps, dist_scale);
-  if (!pr8_path.empty()) return run_pr8(pr8_path, scale, reps);
+  if (trail) {
+    if (passthrough.size() > 1) {
+      std::cerr << "micro_kernels: cannot mix trail flags with benchmark flags ("
+                << passthrough[1] << ")\n";
+      return 2;
+    }
+    if (opt.ranks != 1) {
+      std::cerr << "micro_kernels: the kernels run on one rank (--ranks="
+                << opt.ranks << ")\n";
+      return 2;
+    }
+    return run_trail(opt);
+  }
 
   int pargc = static_cast<int>(passthrough.size());
   benchmark::Initialize(&pargc, passthrough.data());

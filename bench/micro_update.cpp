@@ -1,16 +1,20 @@
-// micro_update: batch-update vs from-scratch timing for the streaming
-// Session API (ISSUE 6 acceptance run).
+// micro_update: Session::update against a from-scratch Plan::run on the
+// same final graph, for the streaming Session API.
 //
 // Opens a Session on an R-MAT graph, streams a few small edge batches
 // (each touching well under 5% of the vertices once neighbourhoods are
 // counted), and times each Session::update() against a from-scratch
-// Plan::run() on the SAME final graph. Emits the BENCH_PR6.json trail:
+// Plan::run() on the SAME final graph. With `--json=<path>` it writes the
+// `update` section of the micro trail (schema dlouvain-bench/1, committed as
+// bench/trail.json; see docs/PERFORMANCE.md §5):
 //
-//   micro_update --pr6_json=BENCH_PR6.json --pr6_scale=16 --pr6_ranks=8
+//   micro_update --json=update.json --scale=16 --ranks=8
 //
-// tools/check_bench_regression.py --emit pr6 drives this binary and asserts
-// the speedup floor and the modularity tolerance on the emitted "update"
-// section.
+// `--scale`, `--reps` (from-scratch best-of) and `--ranks` are the trail
+// flags; `--threads`, `--batches`, `--batch_edges`, `--degree_cap` and
+// `--verbose` shape the stream. tools/check_bench_regression.py --bench
+// drives this binary and asserts the speedup floor and the modularity
+// tolerance on the `update` section.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -199,11 +203,11 @@ int run(const Options& opt) {
 
   if (!opt.json_path.empty()) {
     using dlouvain::core::json_number;
-    std::string out = "{\"schema\":\"dlouvain-bench/pr6\"";
-    out += ",\"graph\":{\"family\":\"rmat\",\"scale\":" + std::to_string(opt.scale) +
+    std::string out = "{\"schema\":\"dlouvain-bench/1\",\"update\":{";
+    out += "\"graph\":{\"family\":\"rmat\",\"scale\":" + std::to_string(opt.scale) +
            ",\"vertices\":" + std::to_string(n) +
            ",\"edges\":" + std::to_string(edges.size()) + "}";
-    out += ",\"update\":{\"ranks\":" + std::to_string(opt.ranks);
+    out += ",\"ranks\":" + std::to_string(opt.ranks);
     out += ",\"threads\":" + std::to_string(opt.threads);
     out += ",\"batches\":" + std::to_string(opt.batches);
     out += ",\"batch_edges\":" + std::to_string(batch_edges);
@@ -248,18 +252,17 @@ int main(int argc, char** argv) {
       return true;
     };
     const bool known =
-        grab("--pr6_json=", [&](const std::string& v) { opt.json_path = v; }) ||
-        grab("--pr6_scale=", [&](const std::string& v) { opt.scale = std::stoi(v); }) ||
-        grab("--pr6_dist_scale=", [&](const std::string&) {}) ||  // driver compat
-        grab("--pr6_reps=", [&](const std::string& v) { opt.reps = std::stoi(v); }) ||
-        grab("--pr6_ranks=", [&](const std::string& v) { opt.ranks = std::stoi(v); }) ||
-        grab("--pr6_threads=", [&](const std::string& v) { opt.threads = std::stoi(v); }) ||
-        grab("--pr6_batches=", [&](const std::string& v) { opt.batches = std::stoi(v); }) ||
-        grab("--pr6_batch_edges=",
+        grab("--json=", [&](const std::string& v) { opt.json_path = v; }) ||
+        grab("--scale=", [&](const std::string& v) { opt.scale = std::stoi(v); }) ||
+        grab("--reps=", [&](const std::string& v) { opt.reps = std::stoi(v); }) ||
+        grab("--ranks=", [&](const std::string& v) { opt.ranks = std::stoi(v); }) ||
+        grab("--threads=", [&](const std::string& v) { opt.threads = std::stoi(v); }) ||
+        grab("--batches=", [&](const std::string& v) { opt.batches = std::stoi(v); }) ||
+        grab("--batch_edges=",
              [&](const std::string& v) { opt.batch_edges = std::stoi(v); }) ||
-        grab("--pr6_degree_cap=",
+        grab("--degree_cap=",
              [&](const std::string& v) { opt.degree_cap = std::stoi(v); }) ||
-        grab("--pr6_verbose=",
+        grab("--verbose=",
              [&](const std::string& v) { opt.verbose = std::stoi(v) != 0; });
     if (!known) {
       std::cerr << "micro_update: unknown flag " << arg << '\n';

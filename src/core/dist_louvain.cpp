@@ -78,6 +78,29 @@ Weight local_intra_weight(util::ThreadPool& pool, const graph::DistGraph& g,
       });
 }
 
+/// Q = intra / 2m - gamma * degree_term / (2m)^2 from the allreduced
+/// {intra, degree_term} pair; 0 on an edgeless graph.
+Weight modularity_of(Weight intra, Weight degree_term, Weight two_m, double gamma) {
+  return two_m > 0 ? intra / two_m - gamma * degree_term / (two_m * two_m) : 0.0;
+}
+
+/// Modularity of the singleton partition of `graph` (collective). On a
+/// coarse graph this is the modularity of the partition it was built from.
+Weight singleton_modularity(comm::Comm& comm, const graph::DistGraph& graph,
+                            double gamma) {
+  Weight intra = 0;
+  Weight degree_term = 0;
+  for (VertexId lv = 0; lv < graph.local_count(); ++lv) {
+    const VertexId gv = graph.to_global(lv);
+    const Weight k = graph.weighted_degree(gv);
+    degree_term += k * k;
+    for (const auto& e : graph.local().neighbors(lv))
+      if (e.dst == gv) intra += 2 * e.weight;
+  }
+  const auto sums = comm.allreduce_sum_vec<Weight>({intra, degree_term});
+  return modularity_of(sums[0], sums[1], graph.total_weight(), gamma);
+}
+
 /// Per-phase breakdown timers. Owned by dist_louvain and REUSED across
 /// phases; clear() at the top of run_phase is load-bearing -- timers that
 /// survive a phase un-cleared would silently fold phases 0..N-1 into phase
@@ -277,7 +300,7 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
         local_intra_weight(pool, g, state.owned_community, state.ghosts);
     const Weight degree_term = state.ledger.owned_degree_term();
     const auto sums = comm.allreduce_sum_vec<Weight>({intra, degree_term});
-    prev_mod = two_m > 0 ? sums[0] / two_m - gamma * sums[1] / (two_m * two_m) : 0.0;
+    prev_mod = modularity_of(sums[0], sums[1], two_m, gamma);
   } else {
     // Phase-initial modularity: singleton partition of the current graph --
     // by the coarsening invariance this equals the previous phase's final
@@ -286,7 +309,7 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
         local_intra_weight(pool, g, state.owned_community, state.ghosts);
     const Weight degree_term = state.ledger.owned_degree_term();
     const auto sums = comm.allreduce_sum_vec<Weight>({intra, degree_term});
-    prev_mod = two_m > 0 ? sums[0] / two_m - gamma * sums[1] / (two_m * two_m) : 0.0;
+    prev_mod = modularity_of(sums[0], sums[1], two_m, gamma);
   }
   state.initial_modularity = prev_mod;
 
@@ -595,7 +618,7 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
       const auto sums = comm.allreduce_sum_vec<Weight>(
           {intra, degree_term, static_cast<Weight>(local_moved),
            static_cast<Weight>(local_active)});
-      curr_mod = two_m > 0 ? sums[0] / two_m - gamma * sums[1] / (two_m * two_m) : 0.0;
+      curr_mod = modularity_of(sums[0], sums[1], two_m, gamma);
       global_moved = static_cast<std::int64_t>(sums[2]);
       if (cfg.record_iterations) {
         IterationTelemetry it;
@@ -658,8 +681,7 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
     const Weight intra = local_intra_weight(pool, g, state.owned_community, state.ghosts);
     const Weight degree_term = state.ledger.owned_degree_term();
     const auto sums = comm.allreduce_sum_vec<Weight>({intra, degree_term});
-    state.final_modularity =
-        two_m > 0 ? sums[0] / two_m - gamma * sums[1] / (two_m * two_m) : 0.0;
+    state.final_modularity = modularity_of(sums[0], sums[1], two_m, gamma);
   }
 
   telemetry.phase = phase;
@@ -744,20 +766,7 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
     // Initial modularity of the singleton partition (needed for the first
     // outer convergence check). Skipped on resume: the checkpoint restored
     // the exact outer-loop watermark instead.
-    Weight degree_term = 0;
-    Weight intra = 0;
-    for (VertexId lv = 0; lv < graph.local_count(); ++lv) {
-      const VertexId gv = graph.to_global(lv);
-      const Weight k = graph.weighted_degree(gv);
-      degree_term += k * k;
-      for (const auto& e : graph.local().neighbors(lv))
-        if (e.dst == gv) intra += 2 * e.weight;
-    }
-    const auto sums = comm.allreduce_sum_vec<Weight>({intra, degree_term});
-    const Weight two_m = graph.total_weight();
-    prev_outer_mod = two_m > 0 ? sums[0] / two_m -
-                                     cfg.base.resolution * sums[1] / (two_m * two_m)
-                               : 0.0;
+    prev_outer_mod = singleton_modularity(comm, graph, cfg.base.resolution);
   }
 
   const double tau_min = cfg.min_threshold();
@@ -954,20 +963,7 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
   if (warm_exit) {
     result.modularity = warm_exit_modularity;
   } else {
-    Weight intra = 0;
-    Weight degree_term = 0;
-    for (VertexId lv = 0; lv < graph.local_count(); ++lv) {
-      const VertexId gv = graph.to_global(lv);
-      const Weight k = graph.weighted_degree(gv);
-      degree_term += k * k;
-      for (const auto& e : graph.local().neighbors(lv))
-        if (e.dst == gv) intra += 2 * e.weight;
-    }
-    const auto sums = comm.allreduce_sum_vec<Weight>({intra, degree_term});
-    const Weight two_m = graph.total_weight();
-    result.modularity = two_m > 0 ? sums[0] / two_m -
-                                        cfg.base.resolution * sums[1] / (two_m * two_m)
-                                  : 0.0;
+    result.modularity = singleton_modularity(comm, graph, cfg.base.resolution);
   }
 
   // Final assignment for all original vertices: original partition slices

@@ -48,6 +48,31 @@ void assign_scalars(Result& out, const R& r) {
   out.seconds = r.seconds;
 }
 
+/// Adds one attempt's arq.*/heartbeat.* counters to the ladder telemetry,
+/// which accumulates across restarts and streaming updates alike. Must run
+/// before the attempt's metrics registry is replaced.
+void harvest_ladder(const util::MetricsRegistry& metrics,
+                    Result::Recovery& recovery) {
+  const util::MetricsSnapshot t = metrics.total();
+  recovery.nacks += t[util::Counter::kArqNacks];
+  recovery.retransmits += t[util::Counter::kArqRetransmits];
+  recovery.backoff_ms += t[util::Counter::kArqBackoffMs];
+  recovery.escalations += t[util::Counter::kArqEscalations];
+  recovery.slow_verdict_extensions += t[util::Counter::kHeartbeatExtensions];
+}
+
+/// Copies the session-lifetime fault injector's event totals (no-op without
+/// Plan::inject_faults).
+void harvest_injector(const comm::FaultInjector* faults,
+                      Result::Recovery& recovery) {
+  if (faults == nullptr) return;
+  recovery.injected_delays = faults->delayed.load();
+  recovery.injected_duplicates = faults->duplicated.load();
+  recovery.injected_corruptions = faults->corrupted.load();
+  recovery.injected_crashes = faults->crashes_fired.load();
+  recovery.injected_losses = faults->lost.load();
+}
+
 }  // namespace
 
 void Session::run_initial(const graph::Csr& g) {
@@ -116,26 +141,6 @@ void Session::run_initial(const graph::Csr& g) {
 
       active_ranks_ = plan_.ranks_;
 
-      // Fold one attempt's arq.*/heartbeat.* counters into the ladder
-      // telemetry. Must run before options_.metrics is replaced.
-      const auto harvest_ladder = [&] {
-        const util::MetricsSnapshot t = options_.metrics->total();
-        result_.recovery.nacks += t[util::Counter::kArqNacks];
-        result_.recovery.retransmits += t[util::Counter::kArqRetransmits];
-        result_.recovery.backoff_ms += t[util::Counter::kArqBackoffMs];
-        result_.recovery.escalations += t[util::Counter::kArqEscalations];
-        result_.recovery.slow_verdict_extensions +=
-            t[util::Counter::kHeartbeatExtensions];
-      };
-      const auto harvest_injector = [&] {
-        if (!options_.faults) return;
-        result_.recovery.injected_delays = options_.faults->delayed.load();
-        result_.recovery.injected_duplicates = options_.faults->duplicated.load();
-        result_.recovery.injected_corruptions = options_.faults->corrupted.load();
-        result_.recovery.injected_crashes = options_.faults->crashes_fired.load();
-        result_.recovery.injected_losses = options_.faults->lost.load();
-      };
-
       // Recovery driver: on any detectable communication failure, restart --
       // from the newest checkpoint when checkpointing is on, from scratch
       // otherwise -- up to max_restarts_ extra attempts. A rank-DEAD verdict
@@ -176,7 +181,7 @@ void Session::run_initial(const graph::Csr& g) {
             0, spent[util::Counter::kBytes] +
                    spent[util::Counter::kCheckpointBytes] - banked_bytes);
         banked = now;
-        harvest_ladder();
+        harvest_ladder(*options_.metrics, result_.recovery);
       };
       // Final-failure path: finish the books, persist what we know (best
       // effort -- never mask the original exception), and let the caller's
@@ -184,7 +189,7 @@ void Session::run_initial(const graph::Csr& g) {
       const auto finalize_failure = [&](int attempt) {
         result_.recovery.attempts = attempt + 1;
         result_.recovery.final_ranks = active_ranks_;
-        harvest_injector();
+        harvest_injector(options_.faults.get(), result_.recovery);
         try {
           write_artifacts();
         } catch (...) {
@@ -219,7 +224,7 @@ void Session::run_initial(const graph::Csr& g) {
               options_);
           result_.recovery.attempts = attempt + 1;
           result_.recovery.resumed_from_phase = r.resumed_from_phase;
-          harvest_ladder();
+          harvest_ladder(*options_.metrics, result_.recovery);
           assign_scalars(result_, r);
           result_.distributed = std::move(r);
           break;
@@ -253,7 +258,7 @@ void Session::run_initial(const graph::Csr& g) {
       }
 
       result_.recovery.final_ranks = active_ranks_;
-      harvest_injector();
+      harvest_injector(options_.faults.get(), result_.recovery);
       break;
     }
   }
@@ -327,17 +332,6 @@ UpdateStats Session::update_distributed(const EdgeBatch& batch) {
   std::int64_t reactivated = 0;
   long warm_iterations = 0;
   std::vector<graph::DistGraph> updated(rank_graphs_.size());
-
-  // Ladder telemetry keeps accumulating across updates: link-level repairs
-  // during a streaming batch count like any other.
-  const auto harvest_update_ladder = [&] {
-    const util::MetricsSnapshot t = options_.metrics->total();
-    result_.recovery.nacks += t[util::Counter::kArqNacks];
-    result_.recovery.retransmits += t[util::Counter::kArqRetransmits];
-    result_.recovery.backoff_ms += t[util::Counter::kArqBackoffMs];
-    result_.recovery.escalations += t[util::Counter::kArqEscalations];
-    result_.recovery.slow_verdict_extensions += t[util::Counter::kHeartbeatExtensions];
-  };
 
   // Updates run at the session's CURRENT world size (shrunk sessions stay
   // shrunk: the dead rank's hardware is still gone).
@@ -419,7 +413,7 @@ UpdateStats Session::update_distributed(const EdgeBatch& batch) {
       // update()/result() reports this cause -- and let the verdict
       // propagate. The pre-batch state itself is untouched (copies), but
       // there is no world left to run it on.
-      harvest_update_ladder();
+      harvest_ladder(*options_.metrics, result_.recovery);
       result_.recovery.attempts += 1;
       result_.recovery.verdicts_dead += 1;
       poisoned_ = std::string("session poisoned by rank-death during update ") +
@@ -427,7 +421,7 @@ UpdateStats Session::update_distributed(const EdgeBatch& batch) {
                   "): " + e.what() + "; re-open the plan to continue";
       throw;
     } catch (const comm::CommFailure&) {
-      harvest_update_ladder();
+      harvest_ladder(*options_.metrics, result_.recovery);
       result_.recovery.attempts += 1;
       // Transient failure past the budget: propagate, but do NOT poison --
       // nothing committed (copy-mutate-commit), so the next update() starts
@@ -435,18 +429,12 @@ UpdateStats Session::update_distributed(const EdgeBatch& batch) {
       if (attempt >= plan_.max_restarts_) throw;
     }
   }
-  harvest_update_ladder();
+  harvest_ladder(*options_.metrics, result_.recovery);
 
   rank_graphs_ = std::move(updated);
   assign_scalars(result_, r);
   result_.distributed = std::move(r);
-  if (options_.faults) {
-    result_.recovery.injected_delays = options_.faults->delayed.load();
-    result_.recovery.injected_duplicates = options_.faults->duplicated.load();
-    result_.recovery.injected_corruptions = options_.faults->corrupted.load();
-    result_.recovery.injected_crashes = options_.faults->crashes_fired.load();
-    result_.recovery.injected_losses = options_.faults->lost.load();
-  }
+  harvest_injector(options_.faults.get(), result_.recovery);
 
   stats.vertices_reactivated = reactivated;
   stats.reconverge_iterations = warm_iterations;

@@ -1,27 +1,24 @@
 // Segmented-reduction sweep kernel: the sorted-neighbor layout from
-// Forster's GPU Louvain, adapted to the epoch-stamped scatter idiom. Every
+// Forster's GPU Louvain, built on an epoch-stamped slot array. Every
 // engine's local-move scan runs it.
 //
-// The flat ScatterAccumulator path accumulates e_{v -> c} into a
-// slot-indexed sparse array and then walks touched() gathering values_[slot]
-// + the community degree per candidate -- every read in the gain loop is an
-// indirection into slot space. The segmented kernel instead groups each
-// vertex's arcs by destination-community slot as they stream by (STABLE
-// first-touch grouping), producing dense, contiguous arrays:
+// For one vertex at a time, the kernel groups the vertex's arcs by
+// destination-community slot as they stream by (STABLE first-touch
+// grouping), producing dense, contiguous arrays:
 //
 //   slots[i]  -- the i-th distinct community slot, in first-touch order
 //   sums[i]   -- e_{v -> slots[i]}, accumulated left-to-right in scan order
 //   (scratch) -- per-segment degree / gain arrays of the split passes
 //
-// Bitwise contract: first-touch segment order IS ScatterAccumulator's
-// touched() order, and each segment's sum is accumulated in the exact scan
-// order the flat path used (`values_[s] += w` becomes `sums_[seg] += w`), so
-// every floating-point bit matches the flat path. The ∆Q selection (max
-// gain, strictly positive, smallest community id on ties) is visit-order
+// Bitwise contract: segments appear in the order the adjacency scan first
+// touches their slot, and each segment's sum adds its arcs' weights one by
+// one in scan order (`sums_[seg] += w`), never tree-reduced. Both are
+// functions of the adjacency order alone -- no hashing, no thread count --
+// so every floating-point bit is reproducible. The ∆Q selection (max gain,
+// strictly positive, smallest community id on ties) is visit-order
 // independent, so best_segment() splits that loop into a degree gather, a
-// dense element-wise gain pass the compiler vectorizes (contiguous loads, no
-// calls, no branches), and a scalar argmax scan. Per-segment sums are NEVER
-// tree-reduced.
+// dense element-wise gain pass the compiler vectorizes (contiguous loads,
+// no calls, no branches), and a scalar argmax scan.
 #pragma once
 
 #include <cassert>
@@ -47,19 +44,18 @@
 
 namespace dlouvain::util {
 
-/// Stable group-by-slot accumulator: the segmented twin of
-/// ScatterAccumulator. add() streams arcs in scan order; segments appear in
-/// first-touch order and each segment's sum accumulates left-to-right, so
-/// sums()[i] is bitwise identical to the flat path's values_[slots()[i]].
-/// One per thread (not thread-safe), reused across vertices and batches.
+/// Stable group-by-slot accumulator. add() streams arcs in scan order;
+/// segments appear in first-touch order and each segment's sum accumulates
+/// left-to-right. One per thread (not thread-safe), reused across vertices
+/// and batches.
 ///
 /// Layout: epoch stamp and segment index share one packed 64-bit mark word
 /// per slot (epoch high 32, segment low 32), so the random-access side of
-/// add() touches exactly ONE cache line per arc -- the flat path touches
-/// two (stamps_[s] + values_[s]). The dense arrays are pre-sized to the
-/// reset() capacity, which makes the first-touch path branch-free (plain
-/// overwrites, no push_back). Together these are what make the segmented
-/// kernel faster than the flat gather, not just bitwise equal to it.
+/// add() touches exactly ONE cache line per arc, where separate stamp and
+/// value arrays would touch two. reset() bumps the epoch instead of
+/// clearing, so per-vertex reuse costs O(slots touched). The dense arrays
+/// are pre-sized to the reset() capacity, which makes the first-touch path
+/// branch-free (plain overwrites, no push_back).
 template <typename V>
 class SegmentedAccumulator {
  public:
@@ -97,7 +93,7 @@ class SegmentedAccumulator {
   /// Number of distinct slots touched since reset().
   [[nodiscard]] std::size_t segments() const noexcept { return count_; }
 
-  /// Distinct slots in first-touch order (== flat touched() order).
+  /// Distinct slots in first-touch order.
   [[nodiscard]] const std::int64_t* slots() const noexcept { return slots_.data(); }
 
   /// Per-segment scan-order sums, aligned with slots().
@@ -113,7 +109,7 @@ class SegmentedAccumulator {
                : -1;
   }
 
-  /// Sum for `slot` (V{} if untouched) -- flat get() equivalent.
+  /// Sum for `slot` (V{} if untouched).
   [[nodiscard]] V sum_of(std::int64_t slot) const {
     const std::int64_t seg = segment_of(slot);
     return seg >= 0 ? sums_[static_cast<std::size_t>(seg)] : V{};

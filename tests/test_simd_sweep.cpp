@@ -6,15 +6,12 @@
 //  * the runtime-dispatched AVX2 clone of the gain pass is bitwise identical
 //    to the portable pass (no FMA contraction);
 //  * the engines that run the kernel are bitwise thread-invariant on every
-//    topology class (ring, star, RMAT, LFR);
-//  * the bounds-checked ScatterAccumulator::at() twin (util/scatter.hpp)
-//    rejects out-of-range slots that the assert-based hot path trusts.
+//    topology class (ring, star, RMAT, LFR).
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <limits>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -24,7 +21,6 @@
 #include "gen/simple.hpp"
 #include "graph/csr.hpp"
 #include "util/prng.hpp"
-#include "util/scatter.hpp"
 #include "util/segmented.hpp"
 
 namespace {
@@ -187,24 +183,6 @@ TEST(Sweep, DistributedEngineIsThreadInvariantOnEveryTopology) {
                                std::to_string(threads));
     }
   }
-}
-
-// ---- checked scatter twin ---------------------------------------------------
-
-TEST(ScatterChecked, AtMatchesGetInRangeAndThrowsOutside) {
-  util::ScatterAccumulator<double> acc;
-  acc.reset(8);
-  acc.add(2, 1.5);
-  acc.add(2, 0.25);
-  acc.add(7, 3.0);
-  EXPECT_EQ(acc.at(2), acc.get(2));
-  EXPECT_EQ(acc.at(7), 3.0);
-  EXPECT_EQ(acc.at(0), 0.0);  // untouched slot reads the neutral value
-  EXPECT_THROW(acc.at(8), std::out_of_range);
-  EXPECT_THROW(acc.at(-1), std::out_of_range);
-
-  acc.reset(4);  // new epoch: the old slots read neutral again
-  EXPECT_EQ(acc.at(2), 0.0);
 }
 
 }  // namespace
