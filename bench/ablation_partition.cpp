@@ -5,6 +5,7 @@
 // ghost footprint, and end-to-end Louvain time under each policy.
 #include <algorithm>
 #include <iostream>
+#include <numeric>
 
 #include "bench/harness.hpp"
 #include "comm/world.hpp"

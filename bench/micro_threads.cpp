@@ -117,7 +117,6 @@ BENCHMARK(BM_SharedLouvain)->Arg(1)->Arg(2)->Arg(4);
 void BM_DistLouvain(benchmark::State& state) {
   const auto& g = rmat_csr();
   core::DistConfig cfg = core::DistConfig::etc(0.25);
-  cfg.record_iterations = false;
   cfg.threads_per_rank = static_cast<int>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::dist_louvain_inprocess(2, g, cfg));

@@ -1,16 +1,14 @@
-// Awaitable handles for nonblocking point-to-point operations (ISSUE 5).
+// Awaitable handles for nonblocking receives.
 //
 // The in-process transport is eager: a send deposits its payload in the
-// destination mailbox and returns, so SendHandle is trivially complete at
-// creation (exactly like an MPI eager-protocol MPI_Isend of a small
-// message). The interesting half is RecvHandle: a posted receive that has
-// not yet matched. test() polls without blocking, wait() blocks, and the
-// free functions wait_any / wait_all drive a SET of posted receives to
+// destination mailbox and returns, so only the receive side needs a handle.
+// RecvHandle is a posted receive that has not yet matched: wait() blocks
+// for it, and the free function wait_any drives a SET of posted receives to
 // completion in ARRIVAL order via Mailbox::get_any -- the progress engine
 // behind the collectives' arrival-order draining.
 //
-// Handles are created by Comm::irecv / Comm::isend (comm.hpp); they carry
-// pre-packed wire tags, so user code never constructs them directly.
+// Handles are created by Comm::irecv (comm.hpp); they carry pre-packed wire
+// tags, so user code never constructs them directly.
 //
 // Interplay with the ARQ layer (mailbox.cpp, docs/FAULT_TOLERANCE.md rung 1):
 // handles need no retransmit logic of their own. A RecvHandle only observes
@@ -18,8 +16,8 @@
 // per-stream sequence check, the CRC check, and the NACK/retransmit repair --
 // so a posted receive over a lossy wire simply completes later (after the
 // backoff) with the clean payload, in unchanged per-(src, tag) FIFO order.
-// If repair fails (retry budget exhausted, rank declared dead), wait()/test()
-// surface the escalated CommFailure/RankDead exactly like a blocking receive.
+// If repair fails (retry budget exhausted, rank declared dead), wait()
+// surfaces the escalated CommFailure/RankDead exactly like a blocking receive.
 #pragma once
 
 #include <chrono>
@@ -35,15 +33,14 @@
 namespace dlouvain::comm {
 
 /// A posted nonblocking receive. Movable, not copyable; one message per
-/// handle. Completion is observed via test()/wait()/wait_any; the payload is
+/// handle. Completion is observed via wait()/wait_any; the payload is
 /// consumed exactly once with take<T>(), which recycles the slab through the
 /// world's BufferPool.
 class RecvHandle {
  public:
   RecvHandle() = default;
   /// `packed_tag` is the wire tag (Comm::pack_tag output); `src` is the
-  /// sender's rank in the posting communicator, which is what messages are
-  /// stamped with.
+  /// sender's rank, which is what messages are stamped with.
   RecvHandle(Mailbox& mailbox, BufferPool* pool, Rank src, Tag packed_tag)
       : mailbox_(&mailbox), pool_(pool), src_(src), tag_(packed_tag) {}
 
@@ -55,22 +52,10 @@ class RecvHandle {
   [[nodiscard]] bool valid() const noexcept { return mailbox_ != nullptr; }
   [[nodiscard]] bool done() const noexcept { return done_; }
 
-  /// Nonblocking completion probe (MPI_Test): true once the message has been
-  /// pulled out of the mailbox. Throws WorldAborted if the world aborted.
-  bool test() {
-    if (done_) return true;
-    require_valid("test");
-    if (auto msg = mailbox_->try_get(src_, tag_)) {
-      msg_ = std::move(*msg);
-      done_ = true;
-    }
-    return done_;
-  }
-
   /// Block until the message arrives (MPI_Wait). Idempotent.
   void wait() {
     if (done_) return;
-    require_valid("wait");
+    if (!valid()) throw std::logic_error("RecvHandle::wait: empty handle");
     msg_ = mailbox_->get(src_, tag_);
     done_ = true;
   }
@@ -94,11 +79,6 @@ class RecvHandle {
   }
 
  private:
-  void require_valid(const char* who) const {
-    if (!valid())
-      throw std::logic_error(std::string("RecvHandle::") + who + ": empty handle");
-  }
-
   friend std::size_t wait_any(std::span<RecvHandle* const> handles);
 
   Mailbox* mailbox_{nullptr};
@@ -107,16 +87,6 @@ class RecvHandle {
   Tag tag_{0};
   bool done_{false};
   Message msg_{};
-};
-
-/// Handle for a nonblocking send. The transport is eager (buffered into the
-/// destination mailbox before isend returns), so the handle is born
-/// complete; it exists so call sites read like their MPI counterparts.
-class SendHandle {
- public:
-  [[nodiscard]] bool done() const noexcept { return true; }
-  bool test() const noexcept { return true; }  // NOLINT(modernize-use-nodiscard)
-  void wait() const noexcept {}
 };
 
 /// Block until any one of `handles` completes and return its index.
@@ -148,24 +118,6 @@ inline std::size_t wait_any(std::span<RecvHandle* const> handles) {
   h->msg_ = std::move(msg);
   h->done_ = true;
   return owner[want_index];
-}
-
-/// Drive every handle to completion, draining messages in arrival order.
-inline void wait_all(std::span<RecvHandle* const> handles) {
-  std::size_t remaining = 0;
-  for (RecvHandle* h : handles) {
-    if (h == nullptr || !h->valid()) throw std::logic_error("wait_all: null or empty handle");
-    if (!h->done()) ++remaining;
-  }
-  std::vector<RecvHandle*> pending;
-  pending.reserve(remaining);
-  for (RecvHandle* h : handles) {
-    if (!h->done()) pending.push_back(h);
-  }
-  while (!pending.empty()) {
-    const std::size_t i = wait_any(pending);
-    pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
-  }
 }
 
 }  // namespace dlouvain::comm

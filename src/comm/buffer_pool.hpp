@@ -24,10 +24,8 @@ namespace dlouvain::comm {
 class BufferPool {
  public:
   /// A buffer of size() == n, recycled from the pool when a matching slab is
-  /// available (capacity = the next power of two >= n). `reused`, when
-  /// non-null, reports whether a slab was recycled -- the caller counts it
-  /// into its own rank's block (the pool itself is multi-writer and cannot).
-  [[nodiscard]] std::vector<std::byte> acquire(std::size_t n, bool* reused = nullptr) {
+  /// available (capacity = the next power of two >= n).
+  [[nodiscard]] std::vector<std::byte> acquire(std::size_t n) {
     const std::size_t cap = slab_capacity(n);
     const std::size_t b = bucket_of(cap);
     {
@@ -38,11 +36,9 @@ class BufferPool {
         bucket.pop_back();
         held_bytes_ -= buf.capacity();
         buf.resize(n);
-        if (reused != nullptr) *reused = true;
         return buf;
       }
     }
-    if (reused != nullptr) *reused = false;
     std::vector<std::byte> buf;
     buf.reserve(cap);
     buf.resize(n);
@@ -63,12 +59,6 @@ class BufferPool {
     buckets_[b].push_back(std::move(buf));
   }
 
-  /// Bytes currently parked in the pool (diagnostics only).
-  [[nodiscard]] std::size_t held_bytes() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return held_bytes_;
-  }
-
  private:
   static constexpr std::size_t kMinSlab = 64;  ///< empty/1-element messages share a bucket
   static constexpr std::size_t kBuckets = 40;
@@ -82,7 +72,7 @@ class BufferPool {
     return static_cast<std::size_t>(std::countr_zero(cap));
   }
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::vector<std::vector<std::byte>> buckets_[kBuckets]{};
   std::size_t held_bytes_{0};
 };

@@ -1,4 +1,6 @@
 // Comm: the per-rank communicator handle -- the project's MPI_COMM_WORLD.
+// A (world, rank) pair whose calls are exactly the ones the engine, the
+// tools and the benches make; docs/PORTING.md maps each to its MPI call.
 //
 // Point-to-point operations are buffered (a send copies the payload into the
 // destination mailbox and returns immediately, like an eager-protocol
@@ -14,14 +16,12 @@
 // collective implementations.
 #pragma once
 
-#include <bit>
 #include <chrono>
 #include <cstddef>
 #include <cstring>
-#include <functional>
-#include <numeric>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "comm/async.hpp"
@@ -39,17 +39,14 @@ inline constexpr Tag kBcast = -2000;
 inline constexpr Tag kAllgather = -3000;
 inline constexpr Tag kGather = -4000;
 inline constexpr Tag kAlltoallv = -5000;
-inline constexpr Tag kScan = -6000;
 inline constexpr Tag kNeighbor = -7000;
-inline constexpr Tag kAlltoall = -7300;
 inline constexpr Tag kAllreduceVec = -7500;
 }  // namespace internal_tags
 
 /// An in-flight personalized exchange, returned by Comm::ialltoallv /
 /// Comm::ineighbor_alltoallv. The sends have already been deposited; the
-/// receives are posted but not yet matched. test() absorbs whatever has
-/// landed without blocking; wait() completes the exchange, draining the
-/// remaining peer buffers in ARRIVAL order (whichever lands first is
+/// receives are posted but not yet matched. wait() completes the exchange,
+/// draining the peer buffers in ARRIVAL order (whichever lands first is
 /// unpacked first -- no head-of-line blocking on the slowest peer) and
 /// records how much of the exchange's latency elapsed before the caller
 /// started waiting (hidden_seconds -- the overlap telemetry's raw metric).
@@ -59,18 +56,6 @@ class PendingAlltoallv {
   PendingAlltoallv() = default;
   PendingAlltoallv(PendingAlltoallv&&) = default;
   PendingAlltoallv& operator=(PendingAlltoallv&&) = default;
-
-  /// True once every peer buffer has been absorbed.
-  [[nodiscard]] bool done() const noexcept { return n_done_ == handles_.size(); }
-
-  /// Nonblocking progress: absorb every peer buffer that has already
-  /// arrived. Returns done().
-  bool test() {
-    for (std::size_t i = 0; i < handles_.size(); ++i) {
-      if (!handles_[i].done() && handles_[i].test()) absorb(i);
-    }
-    return done();
-  }
 
   /// Complete the exchange (blocking), then finalize the wait/hidden split:
   /// wait_seconds is time spent blocked in here; hidden_seconds sums, per
@@ -84,10 +69,8 @@ class PendingAlltoallv {
     std::vector<RecvHandle*> pending;
     std::vector<std::size_t> orig;
     for (std::size_t i = 0; i < handles_.size(); ++i) {
-      if (!handles_[i].done()) {
-        pending.push_back(&handles_[i]);
-        orig.push_back(i);
-      }
+      pending.push_back(&handles_[i]);
+      orig.push_back(i);
     }
     while (!pending.empty()) {
       const std::size_t i = wait_any(std::span<RecvHandle* const>(pending));
@@ -127,14 +110,12 @@ class PendingAlltoallv {
   void absorb(std::size_t i) {
     inbox_[slots_[i]] = handles_[i].template take<T>();
     arrivals_.push_back(handles_[i].arrival());
-    ++n_done_;
   }
 
   std::vector<RecvHandle> handles_;  ///< one posted receive per remote peer
   std::vector<std::size_t> slots_;   ///< inbox slot per handle
   std::vector<std::vector<T>> inbox_;
   std::vector<Clock::time_point> arrivals_;  ///< delivery instant per absorbed buffer
-  std::size_t n_done_{0};
   bool finished_{false};
   Clock::time_point launch_{};
   double wait_seconds_{0};
@@ -146,22 +127,14 @@ class Comm {
   Comm(World& world, Rank rank) : world_(&world), rank_(rank) {}
 
   [[nodiscard]] Rank rank() const noexcept { return rank_; }
-  [[nodiscard]] int size() const noexcept {
-    return group_.empty() ? world_->size() : static_cast<int>(group_.size());
-  }
+  [[nodiscard]] int size() const noexcept { return world_->size(); }
   [[nodiscard]] bool is_root() const noexcept { return rank_ == 0; }
-  [[nodiscard]] World& world() const noexcept { return *world_; }
 
-  /// This rank's counter block (keyed by WORLD rank, so split children keep
-  /// counting into the same block as their parent rank). Only call from the
-  /// owning rank's thread -- the block is deliberately not atomic.
-  [[nodiscard]] util::CounterBlock& counters() {
-    return world_->counters(to_world(rank_));
-  }
+  /// This rank's counter block. Only call from the owning rank's thread --
+  /// the block is deliberately not atomic.
+  [[nodiscard]] util::CounterBlock& counters() { return world_->counters(rank_); }
   /// This rank's trace ring, or nullptr when tracing is off.
-  [[nodiscard]] util::TraceBuffer* trace() const {
-    return world_->trace(to_world(rank_));
-  }
+  [[nodiscard]] util::TraceBuffer* trace() const { return world_->trace(rank_); }
 
   /// Crash trigger for deterministic fault injection: algorithm code calls
   /// this at well-defined progress points ({phase, iteration}); if the
@@ -182,8 +155,8 @@ class Comm {
                           ": injected crash at phase " + std::to_string(phase) +
                           ", iteration " + std::to_string(iteration));
       case FaultInjector::CrashKind::kPermanent:
-        world_->declare_dead(to_world(rank_));
-        throw RankDead(to_world(rank_),
+        world_->declare_dead(rank_);
+        throw RankDead(rank_,
                        "rank " + std::to_string(rank_) +
                            ": injected permanent death at phase " +
                            std::to_string(phase) + ", iteration " +
@@ -193,26 +166,24 @@ class Comm {
 
   // --- point to point -------------------------------------------------
 
-  /// Buffered send of raw bytes. `dst` is a rank of THIS communicator; the
-  /// message is stamped with the sender's rank in this communicator and the
-  /// communicator's context, so traffic never crosses between a parent and
-  /// its split children.
+  /// Buffered send of raw bytes; the message is stamped with the sender's
+  /// rank.
   void send_bytes(Rank dst, Tag tag, std::vector<std::byte> payload) {
     check_rank(dst);
     // Plain increments into the SENDER's block: send_bytes always runs on
     // the sending rank's thread (single-writer contract, util/metrics.hpp).
-    util::CounterBlock& ctr = world_->counters(to_world(rank_));
+    util::CounterBlock& ctr = world_->counters(rank_);
     ctr[util::Counter::kMessages] += 1;
     ctr[util::Counter::kBytes] += static_cast<std::int64_t>(payload.size());
     // Every send doubles as this rank's heartbeat for the rung-2 lane.
-    world_->beat(to_world(rank_));
-    world_->mailbox(to_world(dst)).put(Message{rank_, pack_tag(tag), std::move(payload)});
+    world_->beat(rank_);
+    world_->mailbox(dst).put(Message{rank_, pack_tag(tag), std::move(payload)});
   }
 
-  /// Blocking receive of raw bytes from (src, tag); src in this communicator.
+  /// Blocking receive of raw bytes from (src, tag).
   std::vector<std::byte> recv_bytes(Rank src, Tag tag) {
     check_rank(src);
-    return world_->mailbox(to_world(rank_)).get(src, pack_tag(tag)).payload;
+    return world_->mailbox(rank_).get(src, pack_tag(tag)).payload;
   }
 
   /// Typed buffered send of a contiguous range. The payload slab is
@@ -257,42 +228,13 @@ class Comm {
     return data[0];
   }
 
-  /// Combined exchange (MPI_Sendrecv): ship `data` to `dst` and return what
-  /// `src` shipped here under the same tag. Deadlock-free because sends are
-  /// buffered; provided so exchange patterns read as one operation.
-  template <typename T>
-  std::vector<T> sendrecv(Rank dst, Rank src, Tag tag, std::span<const T> data) {
-    send<T>(dst, tag, data);
-    return recv<T>(src, tag);
-  }
-
-  template <typename T>
-  std::vector<T> sendrecv(Rank dst, Rank src, Tag tag, const std::vector<T>& data) {
-    return sendrecv<T>(dst, src, tag, std::span<const T>(data));
-  }
-
   // --- nonblocking point to point ---------------------------------------
 
   /// Post a nonblocking receive for (src, tag). Complete via the handle's
-  /// test()/wait()/take<T>() or the free wait_any/wait_all (async.hpp).
+  /// wait()/take<T>() or the free wait_any (async.hpp).
   [[nodiscard]] RecvHandle irecv(Rank src, Tag tag) {
     check_rank(src);
-    return RecvHandle(world_->mailbox(to_world(rank_)), &world_->pool(), src,
-                      pack_tag(tag));
-  }
-
-  /// Nonblocking typed send. The transport is eager (the payload is
-  /// buffered into the destination mailbox before this returns), so the
-  /// handle is born complete -- provided for API symmetry with irecv.
-  template <typename T>
-  SendHandle isend(Rank dst, Tag tag, std::span<const T> data) {
-    send<T>(dst, tag, data);
-    return {};
-  }
-
-  template <typename T>
-  SendHandle isend(Rank dst, Tag tag, const std::vector<T>& data) {
-    return isend<T>(dst, tag, std::span<const T>(data));
+    return RecvHandle(world_->mailbox(rank_), &world_->pool(), src, pack_tag(tag));
   }
 
   // --- collectives ------------------------------------------------------
@@ -432,16 +374,6 @@ class Comm {
     return allreduce(local, [](const T& a, const T& b) { return a < b ? b : a; });
   }
 
-  template <typename T>
-  T allreduce_min(const T& local) {
-    return allreduce(local, [](const T& a, const T& b) { return b < a ? b : a; });
-  }
-
-  /// Logical AND across ranks (termination votes).
-  bool allreduce_land(bool local) {
-    return allreduce_min<int>(local ? 1 : 0) != 0;
-  }
-
   /// Element-wise sum of equal-length vectors across ranks. Each peer's
   /// contribution is streamed through the fold as it is received instead of
   /// materializing the p*n allgatherv concatenation, so peak memory is O(n)
@@ -475,12 +407,6 @@ class Comm {
     T acc{};
     for (Rank r = 0; r < rank_; ++r) acc += contributions[static_cast<std::size_t>(r)];
     return acc;
-  }
-
-  /// Inclusive prefix sum: rank r returns sum of ranks [0, r].
-  template <typename T>
-  T scan_sum(const T& local) {
-    return exscan_sum(local) + local;
   }
 
   /// Launch a personalized all-to-all of variable-length buffers without
@@ -522,25 +448,16 @@ class Comm {
     return ialltoallv<T>(std::move(outbox)).take();
   }
 
-  /// Sparse personalized exchange over a fixed neighbourhood -- the analogue
-  /// of MPI-3's MPI_Neighbor_alltoallv, which the paper names as the planned
-  /// scalability upgrade over dense all-to-all (Section VI). `neighbors`
-  /// lists the peer ranks this rank exchanges with (sorted, no self); the
-  /// neighbourhood must be SYMMETRIC across the world (if r lists s, s lists
-  /// r), which holds for the ghost-exchange topology of a symmetric graph.
-  /// outbox[i] goes to neighbors[i]; the result's slot [i] holds what
-  /// neighbors[i] sent here. Message count is O(sum of degrees) instead of
+  /// Nonblocking sparse personalized exchange over a fixed neighbourhood --
+  /// the analogue of MPI-3's MPI_Ineighbor_alltoallv, which the paper names
+  /// as the planned scalability upgrade over dense all-to-all (Section VI).
+  /// `neighbors` lists the peer ranks this rank exchanges with (sorted, no
+  /// self); the neighbourhood must be SYMMETRIC across the world (if r lists
+  /// s, s lists r), which holds for the ghost-exchange topology of a
+  /// symmetric graph. outbox[i] goes to neighbors[i]; the returned
+  /// operation's inbox slot [i] will hold what neighbors[i] sent here,
+  /// drained in arrival order. Message count is O(sum of degrees) instead of
   /// O(p^2).
-  template <typename T>
-  std::vector<std::vector<T>> neighbor_alltoallv(std::span<const Rank> neighbors,
-                                                 std::vector<std::vector<T>> outbox) {
-    return ineighbor_alltoallv<T>(neighbors, std::move(outbox)).take();
-  }
-
-  /// Nonblocking launch of the sparse exchange; same contract as
-  /// neighbor_alltoallv, completed via the returned operation. Inbox slot
-  /// [i] will hold what neighbors[i] sent here; replies are drained in
-  /// arrival order.
   template <typename T>
   PendingAlltoallv<T> ineighbor_alltoallv(std::span<const Rank> neighbors,
                                           std::vector<std::vector<T>> outbox) {
@@ -563,92 +480,16 @@ class Comm {
     return op;
   }
 
-  /// Fixed all-to-all: one element to/from each rank. Ships flat
-  /// one-element payloads directly -- no per-rank vector staging.
-  template <typename T>
-  std::vector<T> alltoall(const std::vector<T>& out) {
-    if (out.size() != static_cast<std::size_t>(size()))
-      throw std::logic_error("alltoall: need exactly one element per rank");
-    for (Rank r = 0; r < size(); ++r) {
-      if (r != rank_)
-        send<T>(r, internal_tags::kAlltoall,
-                std::span<const T>(&out[static_cast<std::size_t>(r)], 1));
-    }
-    std::vector<T> in(static_cast<std::size_t>(size()));
-    in[static_cast<std::size_t>(rank_)] = out[static_cast<std::size_t>(rank_)];
-    for (Rank r = 0; r < size(); ++r) {
-      if (r != rank_) in[static_cast<std::size_t>(r)] = recv_value<T>(r, internal_tags::kAlltoall);
-    }
-    return in;
-  }
-
-  // --- sub-communicators -------------------------------------------------
-
-  /// MPI_Comm_split: collective over THIS communicator. Ranks passing the
-  /// same `color` form a new communicator, ordered by (key, old rank). The
-  /// child gets its own context, so its traffic (including collectives)
-  /// never matches the parent's or a sibling's. Returns a fully usable Comm.
-  ///
-  /// Limits: nesting depth and split count are bounded by the context space
-  /// (~2^14 distinct communicators per world); user tags must stay below
-  /// kMaxUserTag.
-  Comm split(int color, int key = 0) {
-    struct Entry {
-      int color;
-      int key;
-      Rank old_rank;
-    };
-    const auto entries = allgather(Entry{color, key, rank_});
-
-    // Deterministic context for each (split call, color): contexts are
-    // allocated in sorted-distinct-color order on every member identically.
-    std::vector<int> colors;
-    for (const auto& e : entries) colors.push_back(e.color);
-    std::sort(colors.begin(), colors.end());
-    colors.erase(std::unique(colors.begin(), colors.end()), colors.end());
-    const auto color_index = static_cast<int>(
-        std::lower_bound(colors.begin(), colors.end(), color) - colors.begin());
-
-    Comm child(*world_, 0);
-    child.context_ = next_context_base_ + color_index;
-    if (child.context_ >= kMaxContexts)
-      throw std::logic_error("Comm::split: context space exhausted");
-    next_context_base_ += static_cast<int>(colors.size());
-
-    // Group members ordered by (key, old rank); translate to world ranks.
-    std::vector<Entry> members;
-    for (const auto& e : entries) {
-      if (e.color == color) members.push_back(e);
-    }
-    std::sort(members.begin(), members.end(), [](const Entry& a, const Entry& b) {
-      return a.key != b.key ? a.key < b.key : a.old_rank < b.old_rank;
-    });
-    child.group_.reserve(members.size());
-    for (const auto& e : members) {
-      if (e.old_rank == rank_) child.rank_ = static_cast<Rank>(child.group_.size());
-      child.group_.push_back(to_world(e.old_rank));
-    }
-    child.next_context_base_ = child.context_ * kContextBranch + 1;
-    return child;
-  }
-
  private:
-  // Tag packing: the wire tag encodes (context, logical tag) so communicators
-  // are isolated. Logical tags live in [kMinInternalTag, kMaxUserTag).
+  // Logical tags live in [kMinInternalTag, kMaxUserTag); the wire tag is the
+  // offset from the bottom of that range.
   static constexpr Tag kMinInternalTag = -8192;
   static constexpr Tag kMaxUserTag = 1 << 16;
-  static constexpr int kContextBranch = 16;
-  static constexpr int kMaxContexts = 1 << 14;
 
-  [[nodiscard]] Tag pack_tag(Tag tag) const {
+  [[nodiscard]] static Tag pack_tag(Tag tag) {
     if (tag < kMinInternalTag || tag >= kMaxUserTag)
       throw std::out_of_range("tag outside [internal, 65536)");
-    return context_ * (kMaxUserTag - kMinInternalTag) + (tag - kMinInternalTag);
-  }
-
-  /// Communicator rank -> world rank.
-  [[nodiscard]] Rank to_world(Rank r) const {
-    return group_.empty() ? r : group_[static_cast<std::size_t>(r)];
+    return tag - kMinInternalTag;
   }
 
   void check_rank(Rank r) const {
@@ -657,9 +498,6 @@ class Comm {
 
   World* world_;
   Rank rank_;
-  int context_{0};
-  int next_context_base_{1};       ///< next child context allocation base
-  std::vector<Rank> group_;        ///< world rank per communicator rank; empty = world
 };
 
 }  // namespace dlouvain::comm

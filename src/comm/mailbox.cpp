@@ -142,7 +142,6 @@ Mailbox::ScanResult Mailbox::scan_locked(std::span<const Want> wants) {
       // the RECEIVER's block -- receives run on the owner's thread,
       // honouring the single-writer contract of util/metrics.hpp.
       queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
-      ++duplicates_dropped_;
       if (world_ != nullptr)
         world_->counters(owner_)[util::Counter::kDuplicatesDropped] += 1;
       continue;
@@ -381,37 +380,12 @@ std::pair<Message, std::size_t> Mailbox::get_any(std::span<const Want> wants) {
   return get_any_impl(wants);
 }
 
-std::optional<Message> Mailbox::try_get(Rank src, Tag tag) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (aborted_) throw WorldAborted{};
-  const Want want{src, tag};
-  ScanResult scan = scan_locked({&want, 1});
-  if (!scan.delivered) return std::nullopt;
-  if (world_ != nullptr) world_->beat(owner_);
-  return std::move(scan.msg);
-}
-
 void Mailbox::abort() {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     aborted_ = true;
   }
   cv_.notify_all();
-}
-
-std::size_t Mailbox::pending() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
-}
-
-std::int64_t Mailbox::duplicates_dropped() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return duplicates_dropped_;
-}
-
-std::size_t Mailbox::retained_bytes() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return retained_bytes_;
 }
 
 std::string Mailbox::status_line_locked() const {

@@ -4,7 +4,9 @@
 // and notify; receivers block until a message whose (src, tag) matches is
 // present. Messages from the same source with the same tag are delivered in
 // FIFO order -- the non-overtaking guarantee MPI provides and that the
-// Louvain communication protocol relies on.
+// Louvain communication protocol relies on. Receives always block: get()
+// waits on one (src, tag) stream, get_any() on the first of several (the
+// primitive behind wait_any); there is no polling probe.
 //
 // The mailbox is also the runtime's detection layer (ISSUE 2 fault model):
 //  * every message is stamped with a per-(src, tag) sequence number on entry
@@ -34,7 +36,6 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -116,11 +117,6 @@ class Mailbox {
     Tag tag;
   };
 
-  /// Non-blocking receive: deliver the head of the (src, tag) stream if one
-  /// is present and visible, nullopt otherwise. Same dedup/loss/CRC
-  /// semantics as get() -- this is the progress engine's polling primitive.
-  std::optional<Message> try_get(Rank src, Tag tag);
-
   /// Block until a message matching ANY of `wants` is deliverable, then
   /// remove and return it together with the index of the want it matched.
   /// Among streams with deliverable heads, ARRIVAL order wins (the entry
@@ -132,16 +128,6 @@ class Mailbox {
 
   /// Wake all blocked receivers with WorldAborted.
   void abort();
-
-  /// Number of queued messages (diagnostics only).
-  [[nodiscard]] std::size_t pending() const;
-
-  /// Duplicate messages this mailbox has dropped (diagnostics only).
-  [[nodiscard]] std::int64_t duplicates_dropped() const;
-
-  /// Payload bytes currently retained for possible retransmission
-  /// (diagnostics only; 0 with ARQ off or everything acknowledged).
-  [[nodiscard]] std::size_t retained_bytes() const;
 
   /// One line for the deadlock report: blocked receivers and queue depth.
   /// Uses try_lock so a wedged peer cannot block the reporter; returns
@@ -212,7 +198,6 @@ class Mailbox {
   std::unordered_map<std::uint64_t, std::uint64_t> next_put_seq_;
   std::unordered_map<std::uint64_t, std::uint64_t> next_deliver_seq_;
   std::vector<std::pair<Rank, Tag>> waiting_;  ///< blocked receivers' (src, tag)
-  std::int64_t duplicates_dropped_{0};
 
   /// Unacked payload copies per stream (FIFO by seq) and the in-progress
   /// recovery state. Slabs come from arq_pool_ (private to this mailbox, so
@@ -220,7 +205,7 @@ class Mailbox {
   std::unordered_map<std::uint64_t, std::deque<Retained>> retained_;
   std::unordered_map<std::uint64_t, ArqState> arq_;
   BufferPool arq_pool_;
-  std::size_t retained_bytes_{0};
+  std::size_t retained_bytes_{0};  ///< printed by the deadlock status line
 };
 
 }  // namespace dlouvain::comm

@@ -9,7 +9,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -45,16 +44,6 @@ struct Message {
     return visible_at > arrived_at ? visible_at : arrived_at;
   }
 };
-
-/// Serialize a span of trivially copyable values into a byte buffer.
-template <typename T>
-std::vector<std::byte> to_bytes(std::span<const T> data) {
-  static_assert(std::is_trivially_copyable_v<T>,
-                "message elements must be trivially copyable");
-  std::vector<std::byte> bytes(data.size_bytes());
-  if (!bytes.empty()) std::memcpy(bytes.data(), data.data(), bytes.size());
-  return bytes;
-}
 
 /// Deserialize a byte buffer into a vector of T. The buffer size must be a
 /// multiple of sizeof(T); enforced by the caller (same-typed send/recv).

@@ -1,11 +1,11 @@
 #include "comm/world.hpp"
 
 #include <exception>
+#include <iostream>
+#include <mutex>
 #include <thread>
 
 #include "comm/comm.hpp"
-#include "comm/fault.hpp"
-#include "util/log.hpp"
 
 namespace dlouvain::comm {
 
@@ -43,16 +43,26 @@ std::string World::deadlock_report(Rank reporting) const {
   return report;
 }
 
-std::size_t rank_of(const Comm& comm) noexcept {
-  return static_cast<std::size_t>(comm.rank());
-}
-
-TrafficReport run(int nranks, const std::function<void(Comm&)>& fn,
-                  const RunOptions& options) {
+void run(int nranks, const std::function<void(Comm&)>& fn, const RunOptions& options) {
   World world(nranks, options);
 
   std::mutex error_mutex;
   std::exception_ptr first_error;
+
+  // Record the first failure, say which rank failed, and release the others.
+  // The stderr mutex is process-wide, so concurrent worlds never split a line.
+  const auto fail = [&](const std::string& what) {
+    {
+      const std::lock_guard<std::mutex> lock(error_mutex);
+      if (!first_error) first_error = std::current_exception();
+    }
+    {
+      static std::mutex stderr_mutex;
+      const std::lock_guard<std::mutex> lock(stderr_mutex);
+      std::cerr << "[dlouvain ERROR] " << what << "; aborting world\n";
+    }
+    world.abort_all();
+  };
 
   auto rank_main = [&](Rank rank) {
     Comm comm(world, rank);
@@ -61,20 +71,9 @@ TrafficReport run(int nranks, const std::function<void(Comm&)>& fn,
     } catch (const WorldAborted&) {
       // Unwound because another rank failed; nothing to record.
     } catch (const std::exception& e) {
-      {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-      util::log_error() << "rank " << rank << " failed (" << e.what()
-                        << "); aborting world";
-      world.abort_all();
+      fail("rank " + std::to_string(rank) + " failed (" + e.what() + ")");
     } catch (...) {
-      {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-      util::log_error() << "rank " << rank << " threw; aborting world";
-      world.abort_all();
+      fail("rank " + std::to_string(rank) + " threw");
     }
   };
 
@@ -89,21 +88,6 @@ TrafficReport run(int nranks, const std::function<void(Comm&)>& fn,
   }
 
   if (first_error) std::rethrow_exception(first_error);
-  // Joining (or inline execution) above gives the happens-before edge for
-  // reading the per-rank counter blocks. Report TOTAL traffic: algorithm
-  // messages plus any reclassified checkpoint I/O.
-  const util::MetricsSnapshot totals = world.metrics().total();
-  TrafficReport report{
-      totals[util::Counter::kMessages] + totals[util::Counter::kCheckpointMessages],
-      totals[util::Counter::kBytes] + totals[util::Counter::kCheckpointBytes],
-      totals[util::Counter::kDuplicatesDropped]};
-  if (const auto* inj = world.injector()) {
-    report.injected_delays = inj->delayed.load();
-    report.injected_duplicates = inj->duplicated.load();
-    report.injected_corruptions = inj->corrupted.load();
-    report.injected_losses = inj->lost.load();
-  }
-  return report;
 }
 
 }  // namespace dlouvain::comm

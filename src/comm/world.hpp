@@ -3,7 +3,8 @@
 //
 // This is the project's stand-in for an MPI job: `comm::run(p, fn)` is
 // `mpirun -np p`, and the `Comm` handle each rank receives is its
-// MPI_COMM_WORLD. See DESIGN.md section 2 for the substitution rationale.
+// MPI_COMM_WORLD -- the only communicator; a rank number is a world rank
+// everywhere. See DESIGN.md section 2 for the substitution rationale.
 //
 // RunOptions carries the fault-tolerance knobs: a receive deadline (blocked
 // receives throw CommTimeout with a deadlock diagnostic instead of hanging),
@@ -49,10 +50,10 @@ struct RunOptions {
   /// Shared so crash triggers stay one-shot across restart attempts of the
   /// same job. Null = no fault injection.
   std::shared_ptr<FaultInjector> faults;
-  /// Per-rank counter registry. Null = World creates its own (reachable via
-  /// World::metrics()). Pass one per recovery attempt so failed-attempt
-  /// traffic stays attributable instead of leaking into the next attempt.
-  /// Must be sized to the world size.
+  /// Per-rank counter registry. Null = World creates a private one (each
+  /// rank still reads its own block through Comm::counters()). Pass one per
+  /// recovery attempt so failed-attempt traffic stays attributable instead
+  /// of leaking into the next attempt. Must be sized to the world size.
   std::shared_ptr<util::MetricsRegistry> metrics;
   /// Null = tracing off (the default; spans become no-ops). Sized to at
   /// least the world size. May outlive several attempts: failed-attempt
@@ -87,18 +88,17 @@ class World {
 
   // --- rung-2 heartbeat lane ---
 
-  /// Record liveness for `world_rank` (called on every send and successful
+  /// Record liveness for `rank` (called on every send and successful
   /// receive; relaxed atomic store, no synchronisation required -- the lane
   /// is advisory, the verdict logic tolerates stale reads).
-  void beat(Rank world_rank) noexcept {
-    health_[static_cast<std::size_t>(world_rank)].last_beat_ns.store(
+  void beat(Rank rank) noexcept {
+    health_[static_cast<std::size_t>(rank)].last_beat_ns.store(
         std::chrono::steady_clock::now().time_since_epoch().count(),
         std::memory_order_relaxed);
   }
-  /// Mark `world_rank` permanently dead (its kill trigger fired). Sticky.
-  void declare_dead(Rank world_rank) noexcept {
-    health_[static_cast<std::size_t>(world_rank)].dead.store(true,
-                                                            std::memory_order_relaxed);
+  /// Mark `rank` permanently dead (its kill trigger fired). Sticky.
+  void declare_dead(Rank rank) noexcept {
+    health_[static_cast<std::size_t>(rank)].dead.store(true, std::memory_order_relaxed);
   }
   /// Lowest rank declared dead, or -1 if everyone is (presumed) alive.
   [[nodiscard]] Rank first_dead_rank() const noexcept {
@@ -119,16 +119,13 @@ class World {
     return false;
   }
 
-  /// Per-rank counter registry (replaces the old World-wide atomics). Each
-  /// rank counts into its own cache-line-aligned block from its own thread
-  /// -- see util/metrics.hpp for the single-writer contract.
-  [[nodiscard]] util::MetricsRegistry& metrics() noexcept { return *metrics_; }
-  [[nodiscard]] util::CounterBlock& counters(Rank world_rank) {
-    return metrics_->rank(world_rank);
-  }
+  /// `rank`'s block of the per-rank counter registry. Each rank counts into
+  /// its own cache-line-aligned block from its own thread -- see
+  /// util/metrics.hpp for the single-writer contract.
+  [[nodiscard]] util::CounterBlock& counters(Rank rank) { return metrics_->rank(rank); }
   /// Rank's trace ring, or nullptr when tracing is off.
-  [[nodiscard]] util::TraceBuffer* trace(Rank world_rank) const {
-    return trace_ ? trace_->buffer(world_rank) : nullptr;
+  [[nodiscard]] util::TraceBuffer* trace(Rank rank) const {
+    return trace_ ? trace_->buffer(rank) : nullptr;
   }
 
   /// Shared send-buffer slab pool: typed sends acquire payload buffers here,
@@ -151,35 +148,12 @@ class World {
 };
 
 /// Run `fn(comm)` on `nranks` concurrent rank-threads and join them all.
-/// If any rank throws, the world is aborted (blocked receives on other ranks
-/// unwind with WorldAborted) and the first non-abort exception is rethrown
-/// on the caller's thread.
-///
-/// Returns the total traffic (messages, bytes) the job generated, plus the
-/// fault-layer counters (all zero when no faults are injected).
-struct TrafficReport {
-  std::int64_t messages{0};
-  std::int64_t bytes{0};
-  std::int64_t duplicates_dropped{0};
-  std::int64_t injected_delays{0};
-  std::int64_t injected_duplicates{0};
-  std::int64_t injected_corruptions{0};
-  std::int64_t injected_losses{0};
-};
-TrafficReport run(int nranks, const std::function<void(Comm&)>& fn,
-                  const RunOptions& options = {});
-
-/// Helper used by run_collect (defined in world.cpp, where Comm is complete,
-/// to avoid a circular include).
-std::size_t rank_of(const Comm& comm) noexcept;
-
-/// As run(), but collects one R per rank (indexed by rank).
-template <typename R>
-std::vector<R> run_collect(int nranks, const std::function<R(Comm&)>& fn,
-                           const RunOptions& options = {}) {
-  std::vector<R> results(static_cast<std::size_t>(nranks));
-  run(nranks, [&](Comm& comm) { results[rank_of(comm)] = fn(comm); }, options);
-  return results;
-}
+/// If any rank throws, it writes one line to stderr, the world is aborted
+/// (blocked receives on other ranks unwind with WorldAborted) and the first
+/// non-abort exception is rethrown on the caller's thread. Traffic and
+/// fault counts are read from the RunOptions::metrics registry and the
+/// RunOptions::faults injector.
+void run(int nranks, const std::function<void(Comm&)>& fn,
+         const RunOptions& options = {});
 
 }  // namespace dlouvain::comm

@@ -14,6 +14,7 @@
 #include <stdexcept>
 
 #include "graph/binary_io.hpp"
+#include "louvain/early_term.hpp"
 #include "util/crc32.hpp"
 #include "util/prng.hpp"
 
@@ -234,13 +235,13 @@ std::uint64_t config_fingerprint(const DistConfig& cfg) {
   mix_f(cfg.base.resolution);
   mix(cfg.base.early_termination ? 1 : 0);
   mix_f(cfg.base.et_alpha);
-  mix_f(cfg.base.et_inactive_cutoff);
+  mix_f(louvain::kEtInactiveCutoff);
   mix(cfg.base.vertex_following ? 1 : 0);
   mix(static_cast<std::uint64_t>(cfg.variant));
   mix(cfg.add_threshold_cycling ? 1 : 0);
-  for (const double tau : cfg.cycle_thresholds) mix_f(tau);
-  for (const int len : cfg.cycle_lengths) mix(static_cast<std::uint64_t>(len));
-  mix_f(cfg.etc_exit_fraction);
+  for (const double tau : kCycleThresholds) mix_f(tau);
+  for (const int len : kCycleLengths) mix(static_cast<std::uint64_t>(len));
+  mix_f(kEtcExitFraction);
   mix(cfg.use_neighbor_exchange ? 1 : 0);
   mix(cfg.use_coloring ? 1 : 0);
   return h;

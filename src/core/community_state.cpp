@@ -364,7 +364,6 @@ void CommunityLedger::flush_deltas_finish(comm::Comm& comm) {
   if (!pending_flush_.has_value())
     throw std::logic_error("CommunityLedger: no delta flush in flight");
   pending_flush_->wait();
-  flush_wait_seconds_ = pending_flush_->wait_seconds();
   flush_hidden_seconds_ = pending_flush_->hidden_seconds();
   const auto inbox = pending_flush_->take();
   // Fixed rank order regardless of arrival order: owned_ accumulation stays

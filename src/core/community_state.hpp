@@ -142,8 +142,7 @@ class CommunityLedger {
   void flush_deltas_begin(comm::Comm& comm);
   void flush_deltas_finish(comm::Comm& comm);
 
-  /// Wait/hidden timing of the last completed flush (overlap telemetry).
-  [[nodiscard]] double flush_wait_seconds() const noexcept { return flush_wait_seconds_; }
+  /// Hidden timing of the last completed flush (overlap telemetry).
   [[nodiscard]] double flush_hidden_seconds() const noexcept {
     return flush_hidden_seconds_;
   }
@@ -202,7 +201,6 @@ class CommunityLedger {
 
   // In-flight delta flush between flush_deltas_begin and _finish.
   std::optional<comm::PendingAlltoallv<LedgerDeltaRecord>> pending_flush_;
-  double flush_wait_seconds_{0};
   double flush_hidden_seconds_{0};
 };
 

@@ -4,7 +4,6 @@
 #include <cctype>
 #include <cstdio>
 #include <numeric>
-#include <stdexcept>
 
 namespace dlouvain::core {
 
@@ -37,21 +36,18 @@ std::optional<Variant> parse_variant(std::string_view name) {
 
 double DistConfig::threshold_for_phase(int phase) const {
   if (!uses_cycling()) return base.threshold;
-  if (cycle_thresholds.empty() || cycle_thresholds.size() != cycle_lengths.size())
-    throw std::logic_error("DistConfig: malformed threshold cycle");
-  const int cycle_total = std::accumulate(cycle_lengths.begin(), cycle_lengths.end(), 0);
-  if (cycle_total <= 0) throw std::logic_error("DistConfig: empty threshold cycle");
-  int pos = phase % cycle_total;
-  for (std::size_t i = 0; i < cycle_lengths.size(); ++i) {
-    if (pos < cycle_lengths[i]) return cycle_thresholds[i];
-    pos -= cycle_lengths[i];
+  constexpr int kCycleTotal = std::accumulate(kCycleLengths.begin(), kCycleLengths.end(), 0);
+  int pos = phase % kCycleTotal;
+  for (std::size_t i = 0; i < kCycleLengths.size(); ++i) {
+    if (pos < kCycleLengths[i]) return kCycleThresholds[i];
+    pos -= kCycleLengths[i];
   }
-  return cycle_thresholds.back();
+  return kCycleThresholds.back();
 }
 
 double DistConfig::min_threshold() const {
   if (!uses_cycling()) return base.threshold;
-  return *std::min_element(cycle_thresholds.begin(), cycle_thresholds.end());
+  return *std::min_element(kCycleThresholds.begin(), kCycleThresholds.end());
 }
 
 }  // namespace dlouvain::core

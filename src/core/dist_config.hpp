@@ -1,15 +1,28 @@
 // Configuration for the distributed Louvain algorithm and its heuristic
-// variants (paper Section IV-B and the Section V evaluation legend).
+// variants (paper Section IV-B and the Section V evaluation legend). The
+// paper's fixed settings -- the Fig. 2 threshold schedule and the ETC exit
+// fraction -- are constants here, not fields: every run uses the paper's
+// values.
 #pragma once
 
+#include <array>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "louvain/config.hpp"
 
 namespace dlouvain::core {
+
+/// The Fig. 2 schedule: thresholds and how many consecutive phases each one
+/// covers, cycled. The final convergence check always re-runs at the
+/// minimum threshold ("our distributed implementation always forces Louvain
+/// iteration to run once more with the lowest threshold").
+inline constexpr std::array<double, 4> kCycleThresholds{1e-3, 1e-4, 1e-5, 1e-6};
+inline constexpr std::array<int, 4> kCycleLengths{3, 4, 3, 3};
+
+/// ETC: exit the phase when this fraction of all vertices is inactive.
+inline constexpr double kEtcExitFraction = 0.90;
 
 /// The variants evaluated in the paper's Section V.
 enum class Variant {
@@ -40,19 +53,6 @@ struct DistConfig {
   /// ET(0.25) + Threshold Cycling); setting this with variant kEt/kEtc
   /// enables the combination.
   bool add_threshold_cycling{false};
-
-  /// The Fig. 2 schedule: thresholds and how many consecutive phases each
-  /// one covers, cycled. The final convergence check always re-runs at the
-  /// minimum threshold ("our distributed implementation always forces
-  /// Louvain iteration to run once more with the lowest threshold").
-  std::vector<double> cycle_thresholds{1e-3, 1e-4, 1e-5, 1e-6};
-  std::vector<int> cycle_lengths{3, 4, 3, 3};
-
-  /// ETC: exit the phase when this fraction of all vertices is inactive.
-  double etc_exit_fraction{0.90};
-
-  /// Record per-iteration telemetry (modularity evolution for Figs. 5-6).
-  bool record_iterations{true};
 
   /// Run the per-iteration ghost exchange over the sparse neighbourhood
   /// topology (the paper's planned MPI-3 neighbourhood-collective upgrade)
@@ -123,7 +123,7 @@ struct DistConfig {
     return variant == Variant::kThresholdCycling || add_threshold_cycling;
   }
 
-  /// tau in effect for `phase` (0-based).
+  /// tau in effect for `phase` (0-based): kCycleThresholds under cycling.
   [[nodiscard]] double threshold_for_phase(int phase) const;
 
   /// The smallest threshold in the schedule (the forced final tau).

@@ -84,8 +84,10 @@ Weight modularity_of(Weight intra, Weight degree_term, Weight two_m, double gamm
   return two_m > 0 ? intra / two_m - gamma * degree_term / (two_m * two_m) : 0.0;
 }
 
-/// Modularity of the singleton partition of `graph` (collective). On a
-/// coarse graph this is the modularity of the partition it was built from.
+/// Modularity of the singleton partition of `graph` (collective); the run
+/// calls it once, at a fresh start. On a coarse graph this is the modularity
+/// of the partition it was built from, so the driver carries each kept
+/// phase's final value forward instead of recomputing it.
 Weight singleton_modularity(comm::Comm& comm, const graph::DistGraph& graph,
                             double gamma) {
   Weight intra = 0;
@@ -141,10 +143,12 @@ struct PhaseResult {
   Weight initial_modularity{0};
 };
 
+/// `singleton_mod` is the modularity of `g`'s singleton partition -- where
+/// a cold phase starts.
 PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
                       const DistConfig& cfg, int phase, double tau,
                       util::ThreadPool& pool, PhaseTimers& timers,
-                      PhaseTelemetry& telemetry,
+                      PhaseTelemetry& telemetry, Weight singleton_mod,
                       const WarmStart* warm = nullptr) {
   const VertexId local_n = g.local_count();
   const VertexId global_n = g.global_n();
@@ -165,7 +169,7 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
   // configured decay on top of the seeded activity.
   EtState et(cfg.uses_et() || warm != nullptr ? static_cast<std::size_t>(local_n) : 0,
              warm != nullptr && !cfg.uses_et() ? 0.0 : cfg.base.et_alpha,
-             cfg.base.et_inactive_cutoff, cfg.base.seed);
+             louvain::kEtInactiveCutoff, cfg.base.seed);
   if (warm != nullptr) et.seed_activity(warm->reactivated);
   std::vector<char> moved(static_cast<std::size_t>(local_n), 0);
 
@@ -222,7 +226,7 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
   std::vector<char> affected;
   Weight static_intra = 0;
   bool static_intra_done = false;
-  Weight prev_mod;
+  Weight prev_mod = singleton_mod;
   if (warm != nullptr) {
     for (VertexId lv = 0; lv < local_n; ++lv) {
       const auto lvi = static_cast<std::size_t>(lv);
@@ -296,15 +300,6 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
     // one): the warm phase's convergence checks measure gain over what the
     // previous converged state is worth on the updated graph.
     util::ScopedAccum scope(timers.allreduce);
-    const Weight intra =
-        local_intra_weight(pool, g, state.owned_community, state.ghosts);
-    const Weight degree_term = state.ledger.owned_degree_term();
-    const auto sums = comm.allreduce_sum_vec<Weight>({intra, degree_term});
-    prev_mod = modularity_of(sums[0], sums[1], two_m, gamma);
-  } else {
-    // Phase-initial modularity: singleton partition of the current graph --
-    // by the coarsening invariance this equals the previous phase's final
-    // modularity, so the convergence checks line up across phases.
     const Weight intra =
         local_intra_weight(pool, g, state.owned_community, state.ghosts);
     const Weight degree_term = state.ledger.owned_degree_term();
@@ -620,14 +615,12 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
            static_cast<Weight>(local_active)});
       curr_mod = modularity_of(sums[0], sums[1], two_m, gamma);
       global_moved = static_cast<std::int64_t>(sums[2]);
-      if (cfg.record_iterations) {
-        IterationTelemetry it;
-        it.iteration = iter;
-        it.modularity = curr_mod;
-        it.moved_vertices = global_moved;
-        it.active_vertices = static_cast<std::int64_t>(sums[3]);
-        telemetry.iteration_detail.push_back(it);
-      }
+      IterationTelemetry it;
+      it.iteration = iter;
+      it.modularity = curr_mod;
+      it.moved_vertices = global_moved;
+      it.active_vertices = static_cast<std::int64_t>(sums[3]);
+      telemetry.iteration_detail.push_back(it);
     }
 
     // ET probability updates (Eq. 3) happen after the iteration's outcome is
@@ -657,10 +650,9 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
       util::ScopedAccum scope(timers.allreduce);
       const util::TraceSpan span(tb, "allreduce", "collective", phase, iter);
       const auto global_inactive = comm.allreduce_sum<std::int64_t>(et.inactive_count());
-      if (cfg.record_iterations)
-        telemetry.iteration_detail.back().inactive_vertices = global_inactive;
+      telemetry.iteration_detail.back().inactive_vertices = global_inactive;
       if (static_cast<double>(global_inactive) >=
-          cfg.etc_exit_fraction * static_cast<double>(global_n))
+          kEtcExitFraction * static_cast<double>(global_n))
         exit_phase = true;
     }
     prev_mod = std::max(prev_mod, curr_mod);
@@ -771,11 +763,12 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
 
   const double tau_min = cfg.min_threshold();
 
-  // Set when a warm-start run exits via the renumber-only rebuild (no
-  // coarse graph to recompute the final modularity from).
-  bool warm_exit = false;
-  Weight warm_exit_modularity = 0;
-  VertexId warm_exit_communities = 0;
+  // Modularity and community count of the partition `graph` encodes (its
+  // singleton partition): the run-start (or restored) value, then each kept
+  // phase's exact final modularity and survivor count. The next cold phase
+  // starts from this value, and the last one is the run's result.
+  Weight graph_modularity = prev_outer_mod;
+  VertexId graph_communities = graph.global_n();
 
   // Breakdown timers live OUTSIDE the phase loop (one allocation, reused)
   // but are cleared by run_phase at every phase start -- see PhaseTimers.
@@ -824,17 +817,14 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
     // A checkpoint resume supplies its own (coarsened) state instead, and
     // every later phase runs on a graph the seed's indices no longer match.
     const WarmStart* phase_warm = (phase == 0 && !resumed) ? warm : nullptr;
-    auto phase_state =
-        run_phase(comm, graph, cfg, phase, tau, pool, timers, telemetry, phase_warm);
+    auto phase_state = run_phase(comm, graph, cfg, phase, tau, pool, timers, telemetry,
+                                 graph_modularity, phase_warm);
 
     // The exit decision depends only on collectively-identical modularities,
     // so it can be taken BEFORE the rebuild: a warm-start run that is about
-    // to exit skips the coarse-graph construction entirely (renumber only)
-    // -- the coarse graph of the exit phase is used for nothing but the
-    // final singleton-modularity recomputation, and run_phase already
-    // reports that phase's exact final modularity. Cold runs keep the full
-    // rebuild so their output stays bitwise identical to the pre-Session
-    // driver.
+    // to exit skips the coarse-graph construction entirely (renumber only),
+    // because nothing reads the coarse graph of the exit phase. A cold run
+    // still builds it.
     // A warm phase 0 measures its gain over the SEEDED partition's
     // modularity on the updated graph, not over the singleton baseline --
     // a small batch that locally re-converged exits right here, and only
@@ -934,15 +924,9 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
 
     prev_outer_mod = std::max(prev_outer_mod, phase_state.final_modularity);
     if (discard) break;
-    if (renumber_only) {
-      // Warm exit without a coarse graph: the phase's exact final
-      // modularity and the renumbering's community count stand in for the
-      // final-graph recomputation below.
-      warm_exit_modularity = phase_state.final_modularity;
-      warm_exit_communities = next.new_global_n;
-      warm_exit = true;
-      break;
-    }
+    graph_modularity = phase_state.final_modularity;
+    graph_communities = next.new_global_n;
+    if (renumber_only) break;
     graph = std::move(next.graph);
 
     if (gain <= tau) {
@@ -957,20 +941,15 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
     forced_final = false;
   }
 
-  // Final exact modularity: singleton partition of the final coarse graph
-  // -- except after a warm renumber-only exit, where the coarse graph was
-  // never built and the last phase's exact modularity is the same quantity.
-  if (warm_exit) {
-    result.modularity = warm_exit_modularity;
-  } else {
-    result.modularity = singleton_modularity(comm, graph, cfg.base.resolution);
-  }
+  // Final exact modularity: that of the last kept phase (the run-start value
+  // if none was kept).
+  result.modularity = graph_modularity;
 
   // Final assignment for all original vertices: original partition slices
   // concatenate in rank order to the full array.
   result.community = comm.allgatherv<CommunityId>(
       std::vector<CommunityId>(orig_to_cur.begin(), orig_to_cur.end()));
-  result.num_communities = warm_exit ? warm_exit_communities : graph.global_n();
+  result.num_communities = graph_communities;
   result.seconds = result.restored.seconds + total_timer.seconds();
 
   // Global executed-portion counter totals, identical on every rank: sum the

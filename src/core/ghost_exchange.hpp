@@ -210,9 +210,6 @@ class GhostField {
     pending_.reset();
   }
 
-  /// True between exchange_begin() and exchange_finish().
-  [[nodiscard]] bool exchange_in_flight() const noexcept { return pending_.has_value(); }
-
   /// Timing of the last completed exchange (zeros before the first one).
   [[nodiscard]] const GhostExchangeStats& last_exchange_stats() const noexcept {
     return stats_;

@@ -28,7 +28,8 @@ RebuildOutput rebuild(comm::Comm& comm, const graph::DistGraph& g,
   // old-id order, then shifted into the global meta-vertex range by a
   // parallel prefix sum. A community survives iff it still has members
   // anywhere; the ledger's delta-maintained sizes are authoritative at its
-  // owner.
+  // owner. One allgather of the survivor counts gives both the exclusive
+  // prefix (this rank's offset) and the total.
   std::vector<VertexId> survivor_of(local_n, kInvalidVertex);
   VertexId survivors = 0;
   VertexId offset = 0;
@@ -38,8 +39,11 @@ RebuildOutput rebuild(comm::Comm& comm, const graph::DistGraph& g,
     for (std::size_t lc = 0; lc < local_n; ++lc) {
       if (ledger.owned()[lc].size > 0) survivor_of[lc] = survivors++;
     }
-    offset = comm.exscan_sum(survivors);
-    new_global_n = comm.allreduce_sum(survivors);
+    const auto counts = comm.allgather(survivors);
+    for (int r = 0; r < p; ++r) {
+      if (r < comm.rank()) offset += counts[static_cast<std::size_t>(r)];
+      new_global_n += counts[static_cast<std::size_t>(r)];
+    }
   }
   const auto survivor = [&](CommunityId c) {
     const VertexId id = survivor_of[static_cast<std::size_t>(g.to_local(c))];

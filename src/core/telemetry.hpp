@@ -110,7 +110,7 @@ struct UpdateTelemetry {
 struct DistResult {
   /// Final community per ORIGINAL vertex, compact ids [0, num_communities).
   std::vector<CommunityId> community;
-  Weight modularity{0};  ///< exact (computed on the final coarse graph)
+  Weight modularity{0};  ///< exact: the last kept phase's final modularity
   CommunityId num_communities{0};
   int phases{0};
   long total_iterations{0};

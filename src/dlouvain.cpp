@@ -40,7 +40,6 @@ core::DistConfig Plan::dist_config() const {
   cfg.variant = variant_;
   cfg.add_threshold_cycling = cycling_;
   cfg.use_coloring = coloring_;
-  cfg.record_iterations = record_iterations_;
   cfg.threads_per_rank = threads_;
   // Effective checkpoint directory: checkpointing() wins when both are set
   // (validate() rejects two DIFFERENT directories); resume() alone keeps
@@ -90,7 +89,8 @@ void Plan::validate() const {
          engine_name(engine_) + ")");
   };
   if (coloring_) dist_only("coloring()");
-  if (cycling_) dist_only("threshold_cycling()");
+  if (cycling_ || variant_ == Variant::kThresholdCycling) dist_only("threshold_cycling()");
+  if (variant_ == Variant::kEtc) dist_only("variant(kEtc)");
   if (!checkpoint_dir_.empty()) dist_only("checkpointing()");
   if (resume_) dist_only("resume()");
   if (faults_) dist_only("inject_faults()");

@@ -260,7 +260,9 @@ class Plan {
 
   // -- algorithm ----------------------------------------------------------
   /// Heuristic variant (paper Section V). kEt/kEtc switch early termination
-  /// on; pair with alpha().
+  /// on; pair with alpha(). kThresholdCycling and kEtc need the distributed
+  /// engine: the serial and shared engines have no tau schedule and no ETC
+  /// vote, so validate() rejects those two variants there.
   Plan& variant(Variant v) { variant_ = v; return *this; }
   /// ET aggressiveness (paper alpha; only meaningful with kEt/kEtc).
   Plan& alpha(double a) { alpha_ = a; return *this; }
@@ -278,8 +280,6 @@ class Plan {
   Plan& coloring(bool on = true) { coloring_ = on; return *this; }
   /// Vertex-following preprocessing (serial/shared engines).
   Plan& vertex_following(bool on = true) { vertex_following_ = on; return *this; }
-  /// Record per-iteration telemetry (distributed engine, Figs. 5-6 series).
-  Plan& record_iterations(bool on = true) { record_iterations_ = on; return *this; }
 
   // -- fault tolerance (distributed engine; see docs/FAULT_TOLERANCE.md) --
   /// Write phase-boundary checkpoints into `dir` (every `every` phases).
@@ -390,7 +390,6 @@ class Plan {
   bool cycling_{false};
   bool coloring_{false};
   bool vertex_following_{false};
-  bool record_iterations_{true};
   std::string checkpoint_dir_;
   int checkpoint_every_{1};
   std::string resume_dir_;

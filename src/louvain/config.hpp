@@ -31,11 +31,10 @@ struct LouvainConfig {
   /// vertex carries an activity probability that decays by (1 - et_alpha)
   /// every iteration it stays put and resets to 1 when it moves; the vertex
   /// participates in an iteration with that probability. A vertex whose
-  /// probability falls below et_inactive_cutoff is labelled inactive
-  /// outright (the paper uses 2%).
+  /// probability falls below the paper's 2% (kEtInactiveCutoff,
+  /// louvain/early_term.hpp) is labelled inactive outright.
   bool early_termination{false};
   double et_alpha{0.25};
-  double et_inactive_cutoff{0.02};
 
   /// Vertex-following preprocessing (Grappolo heuristic): merge degree-1
   /// vertices into their sole neighbour before the first phase.

@@ -17,6 +17,10 @@
 
 namespace dlouvain::louvain {
 
+/// The activity probability below which the engines label a vertex inactive
+/// outright (paper: 2%).
+inline constexpr double kEtInactiveCutoff = 0.02;
+
 class EtState {
  public:
   EtState() = default;
@@ -66,11 +70,9 @@ class EtState {
     return count;
   }
 
-  [[nodiscard]] double cutoff() const noexcept { return cutoff_; }
-
  private:
   double alpha_{0};
-  double cutoff_{0.02};
+  double cutoff_{kEtInactiveCutoff};
   std::uint64_t seed_{0};
   std::vector<double> prob_;
 };

@@ -58,7 +58,7 @@ PhaseOutput run_phase(const graph::Csr& g, const LouvainConfig& cfg, int phase,
   std::vector<VertexId> size(static_cast<std::size_t>(n), 1);  // community sizes
 
   EtState et(cfg.early_termination ? static_cast<std::size_t>(n) : 0, cfg.et_alpha,
-             cfg.et_inactive_cutoff, cfg.seed);
+             kEtInactiveCutoff, cfg.seed);
 
   // Incrementally maintained modularity state. Initially every vertex is a
   // singleton: intra weight is just the self loops (A_vv = 2w), degree term

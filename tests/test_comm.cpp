@@ -98,13 +98,19 @@ TEST(Comm, ExceptionInOneRankPropagates) {
                std::runtime_error);
 }
 
-TEST(Comm, TrafficReportCountsMessages) {
-  const auto report = dc::run(2, [](dc::Comm& comm) {
-    if (comm.rank() == 0) comm.send<int>(1, 0, std::vector<int>{1, 2, 3, 4});
-    else (void)comm.recv<int>(0, 0);
-  });
-  EXPECT_EQ(report.messages, 1);
-  EXPECT_EQ(report.bytes, 16);
+TEST(Comm, MetricsCountMessagesAndBytes) {
+  dc::RunOptions options;
+  options.metrics = std::make_shared<dlouvain::util::MetricsRegistry>(2);
+  dc::run(
+      2,
+      [](dc::Comm& comm) {
+        if (comm.rank() == 0) comm.send<int>(1, 0, std::vector<int>{1, 2, 3, 4});
+        else (void)comm.recv<int>(0, 0);
+      },
+      options);
+  const auto totals = options.metrics->total();
+  EXPECT_EQ(totals[dlouvain::util::Counter::kMessages], 1);
+  EXPECT_EQ(totals[dlouvain::util::Counter::kBytes], 16);
 }
 
 class CommCollectives : public ::testing::TestWithParam<int> {};
@@ -214,16 +220,19 @@ TEST_P(CommCollectives, AllreduceMinMax) {
   const int p = GetParam();
   dc::run(p, [p](dc::Comm& comm) {
     EXPECT_EQ(comm.allreduce_max<int>(comm.rank()), p - 1);
-    EXPECT_EQ(comm.allreduce_min<int>(comm.rank()), 0);
   });
 }
 
 TEST_P(CommCollectives, AllreduceLand) {
+  // MPI_LAND through the generic allreduce: a termination vote.
   const int p = GetParam();
   dc::run(p, [p](dc::Comm& comm) {
-    EXPECT_TRUE(comm.allreduce_land(true));
+    const auto land = [&comm](bool vote) {
+      return comm.allreduce(vote ? 1 : 0, [](int a, int b) { return a & b; }) != 0;
+    };
+    EXPECT_TRUE(land(true));
     // Rank p-1 votes false, so the conjunction is always false.
-    EXPECT_FALSE(comm.allreduce_land(comm.rank() != p - 1));
+    EXPECT_FALSE(land(comm.rank() != p - 1));
   });
 }
 
@@ -243,7 +252,6 @@ TEST_P(CommCollectives, ExscanMatchesPrefixSums) {
     // Rank r contributes r+1; exscan result is sum 1..r.
     const long r = comm.rank();
     EXPECT_EQ(comm.exscan_sum<long>(r + 1), r * (r + 1) / 2);
-    EXPECT_EQ(comm.scan_sum<long>(r + 1), (r + 1) * (r + 2) / 2);
   });
 }
 
@@ -263,12 +271,14 @@ TEST_P(CommCollectives, AlltoallvRoutesPersonalizedBuffers) {
 }
 
 TEST_P(CommCollectives, AlltoallExchangesSingleElements) {
+  // MPI_Alltoall's pattern, one element to and from each rank, as alltoallv
+  // with one-element buffers.
   const int p = GetParam();
   dc::run(p, [p](dc::Comm& comm) {
-    std::vector<int> out(p);
-    for (int d = 0; d < p; ++d) out[d] = comm.rank() * p + d;
-    const auto in = comm.alltoall(out);
-    for (int s = 0; s < p; ++s) EXPECT_EQ(in[s], s * p + comm.rank());
+    std::vector<std::vector<int>> outbox(p);
+    for (int d = 0; d < p; ++d) outbox[d] = {comm.rank() * p + d};
+    const auto in = comm.alltoallv<int>(std::move(outbox));
+    for (int s = 0; s < p; ++s) EXPECT_EQ(in[s], std::vector<int>{s * p + comm.rank()});
   });
 }
 
@@ -300,76 +310,7 @@ TEST(Comm, ManyRanksStress) {
   });
 }
 
-// ---- Sub-communicators, sendrecv, tree broadcast (added with comm v2) --------
-
-TEST(CommSplit, EvenOddGroupsWorkIndependently) {
-  dc::run(6, [](dc::Comm& comm) {
-    auto sub = comm.split(comm.rank() % 2);
-    EXPECT_EQ(sub.size(), 3);
-    EXPECT_EQ(sub.rank(), comm.rank() / 2);
-    // Collectives inside the split see only the group.
-    const auto sum = sub.allreduce_sum<int>(comm.rank());
-    const int expect = comm.rank() % 2 == 0 ? 0 + 2 + 4 : 1 + 3 + 5;
-    EXPECT_EQ(sum, expect);
-  });
-}
-
-TEST(CommSplit, KeyControlsOrdering) {
-  dc::run(4, [](dc::Comm& comm) {
-    // Reverse the ranks via the key.
-    auto sub = comm.split(0, -comm.rank());
-    EXPECT_EQ(sub.rank(), comm.size() - 1 - comm.rank());
-    const auto gathered = sub.allgather<int>(comm.rank());
-    EXPECT_EQ(gathered, (std::vector<int>{3, 2, 1, 0}));
-  });
-}
-
-TEST(CommSplit, ParentAndChildTrafficDoNotMix) {
-  dc::run(4, [](dc::Comm& comm) {
-    auto sub = comm.split(comm.rank() % 2);
-    // Same (src, tag) posted on both communicators; each recv must get its
-    // own communicator's message.
-    if (comm.rank() == 0) {
-      comm.send_value<int>(2, 5, 111);        // world: 0 -> 2
-      sub.send_value<int>(1, 5, 222);         // evens: 0 -> (world 2)
-    }
-    if (comm.rank() == 2) {
-      EXPECT_EQ(sub.recv_value<int>(0, 5), 222);
-      EXPECT_EQ(comm.recv_value<int>(0, 5), 111);
-    }
-  });
-}
-
-TEST(CommSplit, NestedSplits) {
-  dc::run(8, [](dc::Comm& comm) {
-    auto half = comm.split(comm.rank() / 4);   // two groups of 4
-    auto quarter = half.split(half.rank() / 2);  // four groups of 2
-    EXPECT_EQ(quarter.size(), 2);
-    const auto sum = quarter.allreduce_sum<int>(1);
-    EXPECT_EQ(sum, 2);
-  });
-}
-
-TEST(CommSplit, SingletonGroups) {
-  dc::run(3, [](dc::Comm& comm) {
-    auto solo = comm.split(comm.rank());  // every rank its own color
-    EXPECT_EQ(solo.size(), 1);
-    EXPECT_EQ(solo.rank(), 0);
-    EXPECT_EQ(solo.allreduce_sum<int>(41), 41);
-    solo.barrier();
-  });
-}
-
-TEST(Comm, SendrecvExchangesInOneCall) {
-  dc::run(4, [](dc::Comm& comm) {
-    const int p = comm.size();
-    const dlouvain::Rank right = (comm.rank() + 1) % p;
-    const dlouvain::Rank left = (comm.rank() - 1 + p) % p;
-    const auto got = comm.sendrecv<int>(right, left, 3, std::vector<int>{comm.rank()});
-    ASSERT_EQ(got.size(), 1u);
-    EXPECT_EQ(got[0], left);
-  });
-}
+// ---- Tree broadcast ----------------------------------------------------------
 
 class BroadcastTree : public ::testing::TestWithParam<int> {};
 
@@ -420,7 +361,8 @@ TEST(FaultLayer, HungReceiveThrowsTimeoutWithDiagnostic) {
 TEST(FaultLayer, TimeoutDoesNotFireOnHealthyTraffic) {
   dc::RunOptions options;
   options.timeout_seconds = 5.0;
-  const auto report = dc::run(
+  options.metrics = std::make_shared<dlouvain::util::MetricsRegistry>(3);
+  dc::run(
       3,
       [](dc::Comm& comm) {
         for (int round = 0; round < 20; ++round) {
@@ -429,7 +371,7 @@ TEST(FaultLayer, TimeoutDoesNotFireOnHealthyTraffic) {
         }
       },
       options);
-  EXPECT_GT(report.messages, 0);
+  EXPECT_GT(options.metrics->total()[dlouvain::util::Counter::kMessages], 0);
 }
 
 TEST(FaultLayer, DuplicatedMessagesAreAbsorbed) {
@@ -441,8 +383,9 @@ TEST(FaultLayer, DuplicatedMessagesAreAbsorbed) {
   constexpr int kRounds = 25;
   dc::RunOptions options;
   options.faults = std::make_shared<dc::FaultInjector>(dc::FaultPlan().duplicate(1.0));
+  options.metrics = std::make_shared<dlouvain::util::MetricsRegistry>(4);
   std::vector<long> sums(4, -1);
-  const auto report = dc::run(
+  dc::run(
       4,
       [&](dc::Comm& comm) {
         if (comm.rank() == 0) {
@@ -456,8 +399,10 @@ TEST(FaultLayer, DuplicatedMessagesAreAbsorbed) {
       },
       options);
   EXPECT_EQ(sums, (std::vector<long>{10, 10, 10, 10}));
-  EXPECT_GE(report.duplicates_dropped, kRounds - 1);
-  EXPECT_LE(report.duplicates_dropped, report.injected_duplicates);
+  const auto dropped =
+      options.metrics->total()[dlouvain::util::Counter::kDuplicatesDropped];
+  EXPECT_GE(dropped, kRounds - 1);
+  EXPECT_LE(dropped, options.faults->duplicated.load());
 }
 
 TEST(FaultLayer, CorruptedPayloadIsDetected) {
@@ -482,7 +427,7 @@ TEST(FaultLayer, DelayedDeliveryPreservesResultsAndFifo) {
   options.faults =
       std::make_shared<dc::FaultInjector>(dc::FaultPlan().with_seed(99).delay(0.5, 1.0));
   std::vector<std::vector<int>> gathered(3);
-  const auto report = dc::run(
+  dc::run(
       3,
       [&](dc::Comm& comm) {
         if (comm.rank() == 0) {
@@ -495,7 +440,7 @@ TEST(FaultLayer, DelayedDeliveryPreservesResultsAndFifo) {
       },
       options);
   for (const auto& g : gathered) EXPECT_EQ(g, (std::vector<int>{0, 10, 20}));
-  EXPECT_GT(report.injected_delays, 0);
+  EXPECT_GT(options.faults->delayed.load(), 0);
 }
 
 TEST(FaultLayer, InjectedCrashFiresOnceAndDeterministically) {
@@ -520,7 +465,7 @@ TEST(FaultLayer, FateIsAFunctionOfTheSeed) {
     dc::RunOptions options;
     options.faults =
         std::make_shared<dc::FaultInjector>(dc::FaultPlan().with_seed(7).delay(0.3, 0.1));
-    const auto report = dc::run(
+    dc::run(
         2,
         [](dc::Comm& comm) {
           if (comm.rank() == 0) {
@@ -530,7 +475,7 @@ TEST(FaultLayer, FateIsAFunctionOfTheSeed) {
           }
         },
         options);
-    return report.injected_delays;
+    return options.faults->delayed.load();
   };
   const auto first = count_delays();
   EXPECT_GT(first, 0);
@@ -552,7 +497,7 @@ TEST(ArqLayer, LostMessagesAreRepairedByRetransmit) {
   options.metrics = std::make_shared<dlouvain::util::MetricsRegistry>(2);
   options.faults =
       std::make_shared<dc::FaultInjector>(dc::FaultPlan().with_seed(11).lose(0.25));
-  const auto report = dc::run(
+  dc::run(
       2,
       [](dc::Comm& comm) {
         if (comm.rank() == 0) {
@@ -565,13 +510,14 @@ TEST(ArqLayer, LostMessagesAreRepairedByRetransmit) {
         }
       },
       options);
-  EXPECT_GT(report.injected_losses, 0);
+  const auto losses = options.faults->lost.load();
+  EXPECT_GT(losses, 0);
   const auto totals = options.metrics->total();
   using dlouvain::util::Counter;
   const auto at = [&](Counter c) {
     return totals.values[static_cast<std::size_t>(c)];
   };
-  EXPECT_GE(at(Counter::kArqNacks), report.injected_losses);
+  EXPECT_GE(at(Counter::kArqNacks), losses);
   EXPECT_GE(at(Counter::kArqRetransmits), 1);
   EXPECT_EQ(at(Counter::kArqEscalations), 0);
 }
@@ -782,7 +728,7 @@ TEST(FaultLayer, TimeoutReportNamesEveryBlockedRankWithHandlesInFlight) {
     // Every rank is named; the reporter's own line carries both halves of
     // "who is stuck on whom": the blocked (src, tag) want and the x1 depth
     // of the stream that landed and was never drained. (Tags are wire tags
-    // -- context-packed -- so only the structure is asserted, not values.)
+    // -- offset-packed -- so only the structure is asserted, not values.)
     const std::string what = e.what();
     for (const char* frag :
          {"rank 0", "rank 1", "rank 2", "blocked on (src=", "]x1"}) {

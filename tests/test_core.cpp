@@ -176,6 +176,15 @@ INSTANTIATE_TEST_SUITE_P(WorldSizes, DistLouvainAtP, ::testing::Values(1, 2, 3, 
 
 class VariantQuality : public ::testing::TestWithParam<core::DistConfig> {};
 
+namespace dlouvain::core {
+// Names each VariantQuality instance by its paper legend label. Without it
+// gtest prints DistConfig's raw bytes, heap pointers included, so the test
+// names would change from build to build.
+void PrintTo(const DistConfig& cfg, std::ostream* os) {
+  *os << variant_label(cfg.variant, cfg.base.et_alpha);
+}
+}  // namespace dlouvain::core
+
 TEST_P(VariantQuality, QualityWithinBandOfBaseline) {
   const auto& cfg = GetParam();
   gen::Ssca2Params params;

@@ -340,7 +340,7 @@ TEST(NeighborCollectives, RoutesOverSparseTopology) {
     std::vector<std::vector<int>> outbox(2);
     for (std::size_t i = 0; i < 2; ++i)
       outbox[i] = {comm.rank() * 10 + neighbors[i]};
-    const auto inbox = comm.neighbor_alltoallv<int>(neighbors, std::move(outbox));
+    const auto inbox = comm.ineighbor_alltoallv<int>(neighbors, std::move(outbox)).take();
     for (std::size_t i = 0; i < 2; ++i) {
       ASSERT_EQ(inbox[i].size(), 1u);
       EXPECT_EQ(inbox[i][0], neighbors[i] * 10 + comm.rank());
@@ -352,7 +352,7 @@ TEST(NeighborCollectives, RejectsSelfInNeighborList) {
   dc::run(2, [](dc::Comm& comm) {
     std::vector<Rank> bad{comm.rank()};
     std::vector<std::vector<int>> outbox(1);
-    EXPECT_THROW((void)comm.neighbor_alltoallv<int>(bad, std::move(outbox)),
+    EXPECT_THROW((void)comm.ineighbor_alltoallv<int>(bad, std::move(outbox)).take(),
                  std::logic_error);
   });
 }

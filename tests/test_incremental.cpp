@@ -384,6 +384,9 @@ TEST(PlanValidate, RejectsDistributedKnobsOnLocalEngines) {
   const auto csr = dg::from_edges(g.num_vertices, g.edges);
   EXPECT_THROW(Plan::serial().coloring().run(csr), PlanError);
   EXPECT_THROW(Plan::serial().threshold_cycling().run(csr), PlanError);
+  EXPECT_THROW(Plan::serial().variant(dlouvain::Variant::kThresholdCycling).run(csr),
+               PlanError);
+  EXPECT_THROW(Plan::shared(2).variant(dlouvain::Variant::kEtc).run(csr), PlanError);
   EXPECT_THROW(Plan::serial().checkpointing("/tmp/x").run(csr), PlanError);
   EXPECT_THROW(Plan::serial().inject_faults(dc::FaultPlan().delay(0.1)).run(csr),
                PlanError);

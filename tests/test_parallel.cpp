@@ -227,7 +227,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Plan, AllEnginesAgreeOnObviousStructure) {
   const auto generated = gen::clique_chain(4, 5);
   const auto g = graph::from_edges(generated.num_vertices, generated.edges);
-  for (const auto plan :
+  for (const auto& plan :
        {Plan::serial(), Plan::shared(2), Plan::distributed(2).threads(2)}) {
     const auto result = plan.run(g);
     EXPECT_EQ(result.num_communities, 4);

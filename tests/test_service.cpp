@@ -416,7 +416,7 @@ TEST(Endpoint, CorruptFrameGetsErrorReplyAndDrop) {
 
 TEST(Endpoint, TcpLoopbackWorks) {
   svc::JobScheduler scheduler(svc::SchedulerOptions{.workers = 1});
-  svc::ServiceEndpoint endpoint(svc::EndpointOptions{.tcp_port = 0}, scheduler);
+  svc::ServiceEndpoint endpoint(svc::EndpointOptions{.unix_path = {}, .tcp_port = 0}, scheduler);
   endpoint.start();
   ASSERT_GT(endpoint.port(), 0);
   auto client = svc::ServiceClient::connect_tcp(endpoint.port());
