@@ -37,6 +37,9 @@ std::int64_t smallest_free_color(std::vector<std::int64_t>& used) {
 ColoringResult distance1_coloring(comm::Comm& comm, const graph::DistGraph& g,
                                   std::uint64_t seed) {
   const VertexId local_n = g.local_count();
+  const auto& row = g.local().offsets();
+  const auto& arcs = g.local().edges();
+  const auto& dst_slot = g.dst_slots();
 
   ColoringResult result;
   result.color.assign(static_cast<std::size_t>(local_n), kUncolored);
@@ -66,19 +69,22 @@ ColoringResult distance1_coloring(comm::Comm& comm, const graph::DistGraph& g,
 
       bool is_max = true;
       used.clear();
-      for (const auto& e : g.local().neighbors(lv)) {
-        if (e.dst == gv) continue;
+      const auto a_end = static_cast<std::size_t>(row[static_cast<std::size_t>(lv) + 1]);
+      for (auto a = static_cast<std::size_t>(row[static_cast<std::size_t>(lv)]); a < a_end;
+           ++a) {
+        const VertexId dst = arcs[a].dst;
+        if (dst == gv) continue;
+        const std::int64_t d = dst_slot[a];
         std::int64_t neighbor_color;
         bool neighbor_uncolored_at_round_start;
-        if (g.owns(e.dst)) {
-          const auto nlv = static_cast<std::size_t>(g.to_local(e.dst));
-          neighbor_color = result.color[nlv];
-          neighbor_uncolored_at_round_start = was_uncolored[nlv] != 0;
+        if (d < local_n) {
+          neighbor_color = result.color[static_cast<std::size_t>(d)];
+          neighbor_uncolored_at_round_start = was_uncolored[static_cast<std::size_t>(d)] != 0;
         } else {
-          neighbor_color = ghost_colors.of(e.dst);
+          neighbor_color = ghost_colors.values()[static_cast<std::size_t>(d - local_n)];
           neighbor_uncolored_at_round_start = neighbor_color == kUncolored;
         }
-        if (neighbor_uncolored_at_round_start && higher_priority(seed, e.dst, gv)) {
+        if (neighbor_uncolored_at_round_start && higher_priority(seed, dst, gv)) {
           is_max = false;
           break;
         }

@@ -10,6 +10,9 @@ namespace dlouvain::core {
 DistComponentsResult dist_connected_components(comm::Comm& comm,
                                                const graph::DistGraph& g) {
   const VertexId local_n = g.local_count();
+  const auto& row = g.local().offsets();
+  const auto& arcs = g.local().edges();
+  const auto& dst_slot = g.dst_slots();
 
   DistComponentsResult result;
   result.component.resize(static_cast<std::size_t>(local_n));
@@ -29,12 +32,14 @@ DistComponentsResult dist_connected_components(comm::Comm& comm,
       for (VertexId lv = 0; lv < local_n; ++lv) {
         const VertexId gv = g.to_global(lv);
         VertexId label = result.component[static_cast<std::size_t>(lv)];
-        for (const auto& e : g.local().neighbors(lv)) {
-          if (e.dst == gv) continue;
+        const auto a_end = static_cast<std::size_t>(row[static_cast<std::size_t>(lv) + 1]);
+        for (auto a = static_cast<std::size_t>(row[static_cast<std::size_t>(lv)]); a < a_end;
+             ++a) {
+          if (arcs[a].dst == gv) continue;
+          const std::int64_t d = dst_slot[a];
           const VertexId other =
-              g.owns(e.dst)
-                  ? result.component[static_cast<std::size_t>(g.to_local(e.dst))]
-                  : ghost_labels.of(e.dst);
+              d < local_n ? result.component[static_cast<std::size_t>(d)]
+                          : ghost_labels.values()[static_cast<std::size_t>(d - local_n)];
           label = std::min(label, other);
         }
         if (label < result.component[static_cast<std::size_t>(lv)]) {

@@ -821,10 +821,9 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
                                  graph_modularity, phase_warm);
 
     // The exit decision depends only on collectively-identical modularities,
-    // so it can be taken BEFORE the rebuild: a warm-start run that is about
-    // to exit skips the coarse-graph construction entirely (renumber only),
-    // because nothing reads the coarse graph of the exit phase. A cold run
-    // still builds it.
+    // so it can be taken BEFORE the rebuild: a run about to exit -- or at
+    // its last allowed phase -- skips the coarse-graph construction entirely
+    // (renumber only), because nothing reads the last phase's coarse graph.
     // A warm phase 0 measures its gain over the SEEDED partition's
     // modularity on the updated graph, not over the singleton baseline --
     // a small batch that locally re-converged exits right here, and only
@@ -836,7 +835,7 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
         phase_warm != nullptr ? std::max(tau, phase_warm->exit_threshold) : tau;
     const bool exits_now =
         gain <= tau_exit && !(cfg.uses_cycling() && tau > tau_min && !forced_final);
-    const bool renumber_only = warm != nullptr && exits_now;
+    const bool renumber_only = exits_now || phase + 1 == cfg.base.max_phases;
     // A cold phase that ended below the modularity it started from made the
     // partition worse (a sweep on stale ghost communities can do that), so
     // its moves are dropped and the run ends on the previous phase's

@@ -53,9 +53,9 @@ struct RebuildOutput {
 /// `build_graph = false` runs only the renumbering (steps 1-4 + the
 /// current->meta mapping), leaving `graph` default-constructed -- the
 /// coalescing pass and the coarse DistGraph::build collective are skipped.
-/// Used by the warm-start driver on its exit phase, where the coarse graph
-/// would be built only to be thrown away (docs/STREAMING.md); the flag must
-/// be collectively identical, since it changes which collectives run.
+/// Used on a run's last phase, where the coarse graph would be built only
+/// to be thrown away (docs/STREAMING.md); the flag must be collectively
+/// identical, since it changes which collectives run.
 ///
 /// `phase` labels the trace spans.
 RebuildOutput rebuild(comm::Comm& comm, const graph::DistGraph& g,

@@ -1,9 +1,11 @@
 #include "graph/dist_graph.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "util/parallel.hpp"
@@ -94,46 +96,59 @@ void DistGraph::derive_from_rows(comm::Comm& comm, util::ThreadPool* pool) {
       degrees_[static_cast<std::size_t>(lv)] = k;
     }
   });
-  derive_totals_and_ghosts(comm);
+  derive_totals(comm);
+  discover_ghosts(comm);
 }
 
-void DistGraph::derive_totals_and_ghosts(comm::Comm& comm) {
+void DistGraph::derive_totals(comm::Comm& comm) {
   // Serial sum in local-index order, then allreduced.
   Weight local_weight = 0;
   for (const Weight k : degrees_) local_weight += k;
   total_weight_ = comm.allreduce_sum(local_weight);
   global_arcs_ = comm.allreduce_sum(local_.num_arcs());
-  discover_ghosts(comm);
 }
 
-void DistGraph::apply_edge_changes(comm::Comm& comm,
-                                   std::span<const EdgeChange> changes,
-                                   util::ThreadPool* pool) {
+namespace {
+
+/// The run of the sorted global ids `ids` that rank r owns: owner intervals
+/// are contiguous in id space, so it is one binary-searched range.
+std::span<const VertexId> owned_run(const Partition1D& part,
+                                    const std::vector<VertexId>& ids, Rank r) {
+  const auto lo = std::lower_bound(ids.begin(), ids.end(), part.begin(r));
+  const auto hi = std::lower_bound(lo, ids.end(), part.end(r));
+  return {ids.data() + (lo - ids.begin()), static_cast<std::size_t>(hi - lo)};
+}
+
+}  // namespace
+
+DistGraph DistGraph::with_edge_changes(comm::Comm& comm,
+                                       std::span<const EdgeChange> changes,
+                                       util::ThreadPool* pool) const {
   const VertexId n = part_.num_vertices();
 
   // Validate the batch shape locally; the list is replicated, so every rank
   // reaches the same verdict without a collective.
   for (const EdgeChange& c : changes) {
     if (c.u < 0 || c.u >= n || c.v < 0 || c.v >= n)
-      throw std::invalid_argument("apply_edge_changes: endpoint out of range");
+      throw std::invalid_argument("with_edge_changes: endpoint out of range");
     if (c.u == c.v)
-      throw std::invalid_argument("apply_edge_changes: self loops not supported");
+      throw std::invalid_argument("with_edge_changes: self loops not supported");
     if (!c.remove && !(c.weight > 0))
-      throw std::invalid_argument("apply_edge_changes: added weight must be > 0");
+      throw std::invalid_argument("with_edge_changes: added weight must be > 0");
   }
 
   // A batch of k edges must not cost a full rebuild of |arcs| -- shipping
   // and re-sorting every arc through build() dominates Session::update on
-  // any real graph. Instead, splice only the touched CSR rows in place.
-  // Rows are in normal form (strictly ascending by destination; see
-  // assemble_rows), which this function preserves, so each touched row is a
-  // small sorted merge.
+  // any real graph. Instead, only the touched CSR rows are merged. Rows are
+  // in normal form (strictly ascending by destination; see assemble_rows),
+  // which this function preserves, so each touched row is a small sorted
+  // merge.
   //
   // Removals resolve against the pre-batch arc set, directions owned here.
   // Because rows are coalesced, each (src, dst) appears at most once: a
   // batch naming the same edge twice can match at most one arc, and the
   // excess is a batch error -- detected locally, agreed globally so every
-  // rank throws (or none does), before anything is mutated.
+  // rank throws (or none does), before anything is built.
   std::map<VertexId, std::vector<std::pair<VertexId, Weight>>> row_adds;
   std::map<VertexId, std::vector<VertexId>> row_removes;
   std::int64_t missing = 0;
@@ -156,7 +171,7 @@ void DistGraph::apply_edge_changes(comm::Comm& comm,
   }
   if (comm.allreduce_max<std::int64_t>(missing) > 0)
     throw std::invalid_argument(
-        "apply_edge_changes: batch removes an edge the graph does not have");
+        "with_edge_changes: batch removes an edge the graph does not have");
 
   // Additions after removals, in batch order (duplicate adds sum their
   // weights left to right, matching assemble_rows' arrival-order fold).
@@ -195,45 +210,181 @@ void DistGraph::apply_edge_changes(comm::Comm& comm,
     }
   }
 
-  // Splice: new offsets (old lengths adjusted for touched rows), then one
-  // O(arcs) copy -- untouched rows verbatim, touched rows from their merge.
+  // The ghost delta. Gained: remote destinations of added arcs that are not
+  // ghosts yet. Lost: remote destinations of removed arcs that no arc of the
+  // new slice references -- looked for only when the batch removes a
+  // remote arc, with one pass over the old slots of untouched rows.
   const VertexId local_n = local_count();
+  const auto ghost_base = static_cast<std::int64_t>(local_n);
   const auto& old_offsets = local_.offsets();
   const auto& old_half = local_.edges();
-  std::vector<EdgeId> offsets(static_cast<std::size_t>(local_n) + 1, 0);
-  for (VertexId lv = 0; lv < local_n; ++lv) {
-    const auto it = new_rows.find(lv);
-    const auto len = it != new_rows.end()
-                         ? static_cast<EdgeId>(it->second.size())
-                         : old_offsets[static_cast<std::size_t>(lv) + 1] -
-                               old_offsets[static_cast<std::size_t>(lv)];
-    offsets[static_cast<std::size_t>(lv) + 1] = offsets[static_cast<std::size_t>(lv)] + len;
+  std::vector<VertexId> gained;
+  for (const auto& [lv, adds] : row_adds) {
+    for (const auto& [dst, w] : adds) {
+      if (!owns(dst) && ghost_slot(dst) < 0) gained.push_back(dst);
+    }
   }
-  std::vector<HalfEdge> half(static_cast<std::size_t>(offsets.back()));
-  util::parallel_for(pool, local_n, [&](int, std::int64_t begin, std::int64_t end) {
-    for (VertexId lv = begin; lv < end; ++lv) {
-      const auto out = half.begin() + static_cast<std::ptrdiff_t>(offsets[static_cast<std::size_t>(lv)]);
-      const auto it = new_rows.find(lv);
-      if (it != new_rows.end()) {
-        std::copy(it->second.begin(), it->second.end(), out);
-      } else {
-        std::copy(old_half.begin() + static_cast<std::ptrdiff_t>(old_offsets[static_cast<std::size_t>(lv)]),
-                  old_half.begin() + static_cast<std::ptrdiff_t>(old_offsets[static_cast<std::size_t>(lv) + 1]),
-                  out);
+  std::sort(gained.begin(), gained.end());
+  gained.erase(std::unique(gained.begin(), gained.end()), gained.end());
+  std::vector<VertexId> lost;
+  for (const auto& [lv, dsts] : row_removes) {
+    for (const VertexId dst : dsts) {
+      if (!owns(dst)) lost.push_back(dst);
+    }
+  }
+  if (!lost.empty()) {
+    std::vector<char> unreferenced(ghosts_.size(), 0);
+    for (const VertexId gv : lost) unreferenced[static_cast<std::size_t>(ghost_slot(gv))] = 1;
+    auto touched = new_rows.begin();
+    for (VertexId lv = 0; lv < local_n; ++lv) {
+      if (touched != new_rows.end() && touched->first == lv) {
+        for (const auto& e : touched->second) {
+          if (owns(e.dst)) continue;
+          if (const auto slot = ghost_slot(e.dst); slot >= 0)
+            unreferenced[static_cast<std::size_t>(slot)] = 0;
+        }
+        ++touched;
+        continue;
+      }
+      for (auto a = old_offsets[static_cast<std::size_t>(lv)];
+           a < old_offsets[static_cast<std::size_t>(lv) + 1]; ++a) {
+        const std::int64_t slot = dst_slots_[static_cast<std::size_t>(a)];
+        if (slot >= ghost_base) unreferenced[static_cast<std::size_t>(slot - ghost_base)] = 0;
       }
     }
-  });
-  local_ = Csr(local_n, std::move(offsets), std::move(half));
+    std::sort(lost.begin(), lost.end());
+    lost.erase(std::unique(lost.begin(), lost.end()), lost.end());
+    std::erase_if(lost, [&](VertexId gv) {
+      return unreferenced[static_cast<std::size_t>(ghost_slot(gv))] == 0;
+    });
+  }
 
-  // Re-derive weighted degrees for touched rows only, then the totals and
-  // ghosts, mirrors, dst slots, boundary flags and neighbour topology.
+  DistGraph g;
+  g.rank_ = rank_;
+  g.part_ = part_;
+
+  // The new ghost list, a sorted merge of the surviving old ghosts and the
+  // gained ones, and where each old slot moved (-1: lost).
+  std::vector<std::int64_t> moved_to(ghosts_.size(), -1);
+  g.ghosts_.reserve(ghosts_.size() + gained.size() - lost.size());
+  {
+    auto next_gained = gained.begin();
+    auto next_lost = lost.begin();
+    for (std::size_t i = 0; i < ghosts_.size(); ++i) {
+      for (; next_gained != gained.end() && *next_gained < ghosts_[i]; ++next_gained)
+        g.ghosts_.push_back(*next_gained);
+      if (next_lost != lost.end() && *next_lost == ghosts_[i]) {
+        ++next_lost;
+        continue;
+      }
+      moved_to[i] = static_cast<std::int64_t>(g.ghosts_.size());
+      g.ghosts_.push_back(ghosts_[i]);
+    }
+    g.ghosts_.insert(g.ghosts_.end(), next_gained, gained.end());
+  }
+
+  // The new slice in one pass over the rows: each run of untouched rows is
+  // one block copy with its dst slots remapped; a touched row comes from its
+  // merge, its remote arcs searched in the new ghost list.
+  std::vector<EdgeId> offsets(static_cast<std::size_t>(local_n) + 1, 0);
+  {
+    EdgeId shift = 0;
+    auto touched = new_rows.begin();
+    for (VertexId lv = 0; lv < local_n; ++lv) {
+      const auto row = static_cast<std::size_t>(lv);
+      if (touched != new_rows.end() && touched->first == lv) {
+        shift += static_cast<EdgeId>(touched->second.size()) -
+                 (old_offsets[row + 1] - old_offsets[row]);
+        ++touched;
+      }
+      offsets[row + 1] = old_offsets[row + 1] + shift;
+    }
+  }
+  std::vector<HalfEdge> half(static_cast<std::size_t>(offsets.back()));
+  g.dst_slots_.resize(half.size());
+  util::parallel_for(pool, local_n, [&](int, std::int64_t begin, std::int64_t end) {
+    auto touched = new_rows.lower_bound(begin);
+    for (VertexId lv = begin; lv < end;) {
+      const VertexId stop =
+          touched != new_rows.end() && touched->first < end ? touched->first : end;
+      auto out = static_cast<std::size_t>(offsets[static_cast<std::size_t>(lv)]);
+      const auto from = static_cast<std::size_t>(old_offsets[static_cast<std::size_t>(lv)]);
+      const auto to = static_cast<std::size_t>(old_offsets[static_cast<std::size_t>(stop)]);
+      std::copy(old_half.begin() + static_cast<std::ptrdiff_t>(from),
+                old_half.begin() + static_cast<std::ptrdiff_t>(to),
+                half.begin() + static_cast<std::ptrdiff_t>(out));
+      for (std::size_t a = from; a < to; ++a, ++out) {
+        const std::int64_t slot = dst_slots_[a];
+        g.dst_slots_[out] =
+            slot < ghost_base ? slot
+                              : ghost_base + moved_to[static_cast<std::size_t>(slot - ghost_base)];
+      }
+      if (stop == end) break;
+      for (const HalfEdge& e : touched->second) {
+        half[out] = e;
+        g.dst_slots_[out] = owns(e.dst) ? static_cast<std::int64_t>(to_local(e.dst))
+                                        : ghost_base + g.ghost_slot(e.dst);
+        ++out;
+      }
+      lv = stop + 1;
+      ++touched;
+    }
+  });
+  g.local_ = Csr(local_n, std::move(offsets), std::move(half));
+
+  // Degrees and boundary flags change only in touched rows; the totals keep
+  // the full build's serial sum and allreduce, so their bits match it.
+  g.degrees_ = degrees_;
+  g.boundary_flags_ = boundary_flags_;
+  g.boundary_count_ = boundary_count_;
   for (const auto& [lv, merged] : new_rows) {
     const VertexId gv = to_global(lv);
     Weight k = 0;
-    for (const auto& e : merged) k += e.dst == gv ? 2 * e.weight : e.weight;
-    degrees_[static_cast<std::size_t>(lv)] = k;
+    bool boundary = false;
+    for (const auto& e : merged) {
+      k += e.dst == gv ? 2 * e.weight : e.weight;
+      boundary = boundary || !owns(e.dst);
+    }
+    const auto row = static_cast<std::size_t>(lv);
+    g.degrees_[row] = k;
+    g.boundary_count_ += (boundary ? 1 : 0) - (boundary_flags_[row] != 0 ? 1 : 0);
+    g.boundary_flags_[row] = boundary ? 1 : 0;
   }
-  derive_totals_and_ghosts(comm);
+  g.derive_totals(comm);
+
+  // Algorithm 4's exchange, carrying the delta: tell each owner which of its
+  // vertices we started and stopped ghosting -- [gained count, gained...,
+  // lost...] -- and patch our mirror lists from what the peers tell us.
+  const auto p = static_cast<std::size_t>(part_.num_ranks());
+  g.ghosts_by_owner_.resize(p);
+  std::vector<std::vector<VertexId>> delta(p);
+  for (std::size_t r = 0; r < p; ++r) {
+    const auto run = owned_run(part_, g.ghosts_, static_cast<Rank>(r));
+    g.ghosts_by_owner_[r].assign(run.begin(), run.end());
+    const auto gained_r = owned_run(part_, gained, static_cast<Rank>(r));
+    const auto lost_r = owned_run(part_, lost, static_cast<Rank>(r));
+    if (gained_r.empty() && lost_r.empty()) continue;
+    delta[r].push_back(static_cast<VertexId>(gained_r.size()));
+    delta[r].insert(delta[r].end(), gained_r.begin(), gained_r.end());
+    delta[r].insert(delta[r].end(), lost_r.begin(), lost_r.end());
+  }
+  const auto inbox = comm.alltoallv<VertexId>(std::move(delta));
+  g.mirrors_ = mirrors_;
+  for (std::size_t r = 0; r < p; ++r) {
+    const auto& from_r = inbox[r];
+    if (from_r.empty()) continue;
+    const auto gained_end = from_r.begin() + 1 + static_cast<std::ptrdiff_t>(from_r.front());
+    auto& list = g.mirrors_[r];
+    std::vector<VertexId> kept;
+    kept.reserve(list.size());
+    std::set_difference(list.begin(), list.end(), gained_end, from_r.end(),
+                        std::back_inserter(kept));
+    list.clear();
+    std::merge(kept.begin(), kept.end(), from_r.begin() + 1, gained_end,
+               std::back_inserter(list));
+  }
+  g.derive_neighbor_ranks();
+  return g;
 }
 
 void DistGraph::validate(comm::Comm& comm) const {
@@ -307,7 +458,6 @@ void DistGraph::discover_ghosts(comm::Comm& comm) {
     if (!owns(e.dst)) ghosts_by_owner_[static_cast<std::size_t>(part_.owner(e.dst))].push_back(e.dst);
   }
   ghosts_.clear();
-  ghost_index_.clear();
   for (auto& bucket : ghosts_by_owner_) {
     std::sort(bucket.begin(), bucket.end());
     bucket.erase(std::unique(bucket.begin(), bucket.end()), bucket.end());
@@ -315,19 +465,21 @@ void DistGraph::discover_ghosts(comm::Comm& comm) {
   }
   // Buckets are owner-ordered and internally sorted, and owner intervals are
   // contiguous in id space, so the concatenation is globally sorted.
-  ghost_index_.reserve(ghosts_.size());
-  for (std::size_t i = 0; i < ghosts_.size(); ++i) ghost_index_[ghosts_[i]] = i;
 
   // One-time arc -> slot translation: local row index for owned
   // destinations, local_count() + ghost slot for remote ones. Every
-  // per-iteration O(arcs) loop indexes through this instead of hashing.
+  // per-iteration O(arcs) loop indexes through this instead of searching.
+  // The hash is measured 2.5-5x faster than binary-searching ghosts_ here.
+  std::unordered_map<VertexId, std::size_t> ghost_index;
+  ghost_index.reserve(ghosts_.size());
+  for (std::size_t i = 0; i < ghosts_.size(); ++i) ghost_index[ghosts_[i]] = i;
   dst_slots_.resize(local_.edges().size());
   for (std::size_t a = 0; a < local_.edges().size(); ++a) {
     const VertexId dst = local_.edges()[a].dst;
     dst_slots_[a] = owns(dst)
                         ? static_cast<std::int64_t>(to_local(dst))
                         : static_cast<std::int64_t>(local_count()) +
-                              static_cast<std::int64_t>(ghost_index_.at(dst));
+                              static_cast<std::int64_t>(ghost_index.at(dst));
   }
 
   // Interior/boundary split (ISSUE 5): a vertex whose row references no
@@ -352,13 +504,16 @@ void DistGraph::discover_ghosts(comm::Comm& comm) {
   // ...then tell each owner which of its vertices we ghost, so owners know
   // their send lists (mirrors) for the per-iteration community updates.
   mirrors_ = comm.alltoallv<VertexId>(ghosts_by_owner_);
+  derive_neighbor_ranks();
+}
 
+void DistGraph::derive_neighbor_ranks() {
   // Static exchange topology: peers we either ghost from or mirror to. For
   // a symmetric graph the two imply each other, so the adjacency is
   // symmetric world-wide -- the prerequisite for neighbor_alltoallv.
   neighbor_ranks_.clear();
-  for (int r = 0; r < p; ++r) {
-    if (r == comm.rank()) continue;
+  for (int r = 0; r < num_ranks(); ++r) {
+    if (r == rank_) continue;
     if (!ghosts_by_owner_[static_cast<std::size_t>(r)].empty() ||
         !mirrors_[static_cast<std::size_t>(r)].empty())
       neighbor_ranks_.push_back(static_cast<Rank>(r));

@@ -8,8 +8,8 @@
 // each rank also knows which of its own vertices are ghosted where.
 #pragma once
 
+#include <algorithm>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "comm/comm.hpp"
@@ -25,7 +25,7 @@ enum class PartitionKind {
 };
 
 /// One undirected edge mutation of a streaming batch (see
-/// DistGraph::apply_edge_changes and dlouvain::EdgeBatch). `remove` drops
+/// DistGraph::with_edge_changes and dlouvain::EdgeBatch). `remove` drops
 /// the whole edge {u, v} regardless of weight; otherwise weight (> 0) is
 /// ADDED to the edge, creating it if absent.
 struct EdgeChange {
@@ -68,18 +68,20 @@ class DistGraph {
   /// Sorted unique global ids of remote vertices referenced by local edges.
   [[nodiscard]] const std::vector<VertexId>& ghosts() const noexcept { return ghosts_; }
 
-  /// Index of a ghost in ghosts(), or -1 if gv is not a ghost here.
+  /// Index of a ghost in ghosts(), or -1 if gv is not a ghost here. A binary
+  /// search of ghosts(); per-arc loops read dst_slots() instead.
   [[nodiscard]] std::int64_t ghost_slot(VertexId gv) const {
-    const auto it = ghost_index_.find(gv);
-    return it == ghost_index_.end() ? -1 : static_cast<std::int64_t>(it->second);
+    const auto it = std::lower_bound(ghosts_.begin(), ghosts_.end(), gv);
+    return it != ghosts_.end() && *it == gv ? it - ghosts_.begin() : -1;
   }
 
   /// Per-arc destination slots, aligned with local().edges(): arc a's
   /// destination resolves to dst_slots()[a], which is its local row index
-  /// when owned here and local_count() + ghost slot otherwise. Precomputed
-  /// once per build so the per-iteration hot loops (move scan, modularity,
-  /// rebuild) never pay the owns()/ghost_slot() hash lookup per edge -- the
-  /// index-translation trick of the Vite/Grappolo lineage.
+  /// when owned here and local_count() + ghost slot otherwise. Derived with
+  /// the ghost list (a full build hashes every remote arc once;
+  /// with_edge_changes remaps the old slots), so the per-iteration hot loops
+  /// (move scan, modularity, rebuild) never look a destination up per edge
+  /// -- the index-translation trick of the Vite/Grappolo lineage.
   [[nodiscard]] const std::vector<std::int64_t>& dst_slots() const noexcept {
     return dst_slots_;
   }
@@ -146,22 +148,31 @@ class DistGraph {
   static DistGraph from_replicated(comm::Comm& comm, const Csr& global,
                                    PartitionKind kind = PartitionKind::kEvenEdges);
 
-  /// Apply a batch of undirected edge additions/removals in place and
-  /// reclassify everything derived from the arc set: CSR, degrees, total
-  /// weight, ghosts, mirrors, dst slots, interior/boundary flags, neighbour
-  /// topology. Collective: every rank passes the SAME global change list
-  /// (the streaming-session contract); each applies the changes touching
-  /// its owned rows, so both directions of every edge stay consistent.
+  /// This slice after a batch of undirected edge additions/removals, with
+  /// everything derived from the arc set: CSR, degrees, total weight,
+  /// ghosts, mirrors, dst slots, interior/boundary flags, neighbour
+  /// topology. `*this` is left as it was. Collective: every rank passes the
+  /// SAME global change list (the streaming-session contract); each applies
+  /// the changes touching its owned rows, so both directions of every edge
+  /// stay consistent.
   ///
   /// Semantics per change: removals resolve against the PRE-batch arc set
   /// (removing an edge the graph does not have throws std::invalid_argument
-  /// on every rank); additions are applied afterwards and merge weights with
-  /// surviving or duplicate arcs. Self loops and out-of-range endpoints are
-  /// rejected. The partition is unchanged -- vertices never move ranks, so
-  /// a fixed (graph, batch sequence) yields an identical DistGraph at any
-  /// rank/thread count.
-  void apply_edge_changes(comm::Comm& comm, std::span<const EdgeChange> changes,
-                          util::ThreadPool* pool = nullptr);
+  /// on every rank, before anything is built); additions are applied
+  /// afterwards and merge weights with surviving or duplicate arcs. Self
+  /// loops and out-of-range endpoints are rejected. The partition is
+  /// unchanged -- vertices never move ranks, so a fixed (graph, batch
+  /// sequence) yields an identical DistGraph at any rank/thread count, and
+  /// the result equals build() of the same rows.
+  ///
+  /// Cost: one copy of the slice plus work in the batch. Untouched rows are
+  /// copied with their dst slots remapped; touched rows come from a sorted
+  /// merge. The ghost bookkeeping follows from the ghost ids the batch
+  /// gained and lost, and one alltoallv tells each owner those ids, which
+  /// patches its mirror lists (Algorithm 4's exchange, carrying the delta).
+  [[nodiscard]] DistGraph with_edge_changes(comm::Comm& comm,
+                                            std::span<const EdgeChange> changes,
+                                            util::ThreadPool* pool = nullptr) const;
 
   /// Collective consistency audit; throws std::logic_error (on every rank)
   /// describing the first violation found. Checks: every remote arc (u, v)
@@ -172,12 +183,16 @@ class DistGraph {
   void validate(comm::Comm& comm) const;
 
  private:
-  /// The tail every construction path shares: weighted degrees of all rows,
-  /// then derive_totals_and_ghosts.
+  /// The tail every full build shares: weighted degrees of all rows,
+  /// derive_totals, then discover_ghosts.
   void derive_from_rows(comm::Comm& comm, util::ThreadPool* pool);
-  /// Allreduced total weight and arc count, then discover_ghosts.
-  void derive_totals_and_ghosts(comm::Comm& comm);
+  /// Allreduced total weight (serial sum of the degrees first) and arc count.
+  void derive_totals(comm::Comm& comm);
+  /// Paper Algorithm 4 over every local arc: ghosts, dst slots, boundary
+  /// flags, ghosts_by_owner, mirrors, neighbour ranks.
   void discover_ghosts(comm::Comm& comm);
+  /// neighbor_ranks_ from the ghosts_by_owner_ and mirrors_ lists, O(p).
+  void derive_neighbor_ranks();
 
   Rank rank_{0};
   Partition1D part_;
@@ -189,7 +204,6 @@ class DistGraph {
   std::vector<std::int64_t> dst_slots_;
   std::vector<char> boundary_flags_;
   VertexId boundary_count_{0};
-  std::unordered_map<VertexId, std::size_t> ghost_index_;
   std::vector<std::vector<VertexId>> ghosts_by_owner_;
   std::vector<std::vector<VertexId>> mirrors_;
   std::vector<Rank> neighbor_ranks_;

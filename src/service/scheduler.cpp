@@ -63,6 +63,15 @@ std::string envelope_error(const JobRequest& req, const SchedulerOptions& opts) 
   return {};
 }
 
+/// The result-cache key of a request inside the envelope: its graph, its
+/// plan's config fingerprint and its rank count.
+std::uint64_t cache_key(const JobRequest& req) {
+  return util::hash_combine(
+      util::hash_combine(graph_fingerprint(req.num_vertices, req.edges),
+                         core::config_fingerprint(make_plan(req.config).dist_config())),
+      static_cast<std::uint64_t>(req.config.ranks));
+}
+
 std::future<Reply> ready_reply(Reply r) {
   std::promise<Reply> p;
   auto f = p.get_future();
@@ -175,15 +184,16 @@ std::future<Reply> JobScheduler::admit(std::shared_ptr<Job> job) {
 }
 
 std::future<Reply> JobScheduler::submit(JobRequest req) {
+  // The per-request work -- the envelope check and the cache key, which
+  // hashes every edge -- reads only the request and opts_ (fixed after
+  // construction), so it runs before the lock. The verdicts below keep
+  // their order: a draining service answers "draining" first.
+  const std::string error = envelope_error(req, opts_);
+  const std::uint64_t key = error.empty() ? cache_key(req) : 0;
+
   std::lock_guard<std::mutex> lk(mu_);
   if (draining_) return reject_now("draining: the service is shutting down");
-  if (std::string error = envelope_error(req, opts_); !error.empty())
-    return reject_now(error);
-
-  const std::uint64_t key = util::hash_combine(
-      util::hash_combine(graph_fingerprint(req.num_vertices, req.edges),
-                         core::config_fingerprint(make_plan(req.config).dist_config())),
-      static_cast<std::uint64_t>(req.config.ranks));
+  if (!error.empty()) return reject_now(error);
   const std::int64_t id = next_job_id_++;
 
   if (std::string* cached = cache_get_locked(key)) {
@@ -212,14 +222,14 @@ std::future<Reply> JobScheduler::submit(JobRequest req) {
 }
 
 std::future<Reply> JobScheduler::open_session(JobRequest req) {
+  const std::string error = envelope_error(req, opts_);  // before the lock, as in submit
   std::lock_guard<std::mutex> lk(mu_);
   if (draining_) return reject_now("draining: the service is shutting down");
   if (req.session_name.empty())
     return reject_now("open-session requires a non-empty session name");
   if (sessions_.count(req.session_name))
     return reject_now("session '" + req.session_name + "' already exists");
-  if (std::string error = envelope_error(req, opts_); !error.empty())
-    return reject_now(error);
+  if (!error.empty()) return reject_now(error);
   if (queue_.size() >= opts_.max_queue)
     return reject_now("queue full (" + std::to_string(queue_.size()) + " jobs)");
 

@@ -1,7 +1,7 @@
 // Session: the re-entrant streaming driver behind Plan::open()/run()
 // (docs/STREAMING.md). run_initial() is the old one-shot driver with the
-// per-rank graph slices retained; update() mutates them in place and
-// re-converges warm.
+// per-rank graph slices retained; update() splices each batch into new
+// slices and re-converges warm.
 #include "dlouvain.hpp"
 
 #include <unistd.h>
@@ -272,8 +272,8 @@ UpdateStats Session::update(const EdgeBatch& batch) {
   // Cheap local validation up front: a malformed batch must throw without
   // touching session state (and, distributed, without spinning up ranks).
   // Removal-of-an-absent-edge is graph-dependent and detected collectively
-  // by apply_edge_changes -- still before anything commits, because updates
-  // mutate per-rank COPIES and swap them in only on success.
+  // by with_edge_changes -- still before anything commits, because updates
+  // build NEW per-rank slices and swap them in only on success.
   const auto n = static_cast<VertexId>(result_.community.size());
   for (const auto& c : batch.changes()) {
     if (c.u < 0 || c.u >= n || c.v < 0 || c.v >= n)
@@ -314,15 +314,13 @@ UpdateStats Session::update_distributed(const EdgeBatch& batch) {
     if (r == kInvalidVertex) r = static_cast<VertexId>(v);
   }
 
-  // Sorted unique batch endpoints: the reactivation probe set.
-  std::vector<VertexId> touched;
-  touched.reserve(batch.size() * 2);
+  // Batch endpoints marked over all vertices: the reactivation probe, built
+  // once and read by every rank thread.
+  std::vector<char> touched(prev.size(), 0);
   for (const auto& c : batch.changes()) {
-    touched.push_back(c.u);
-    touched.push_back(c.v);
+    touched[static_cast<std::size_t>(c.u)] = 1;
+    touched[static_cast<std::size_t>(c.v)] = 1;
   }
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
 
   UpdateStats stats;
   for (const auto& c : batch.changes()) (c.remove ? stats.edges_removed : stats.edges_added) += 1;
@@ -342,11 +340,11 @@ UpdateStats Session::update_distributed(const EdgeBatch& batch) {
           active_ranks_,
           [&](comm::Comm& comm) {
             const auto rk = static_cast<std::size_t>(comm.rank());
-            // Mutate a COPY; the session's graphs swap only after the whole
-            // collective succeeds, so a crashed/failed update retries (or
-            // throws) against pristine state.
-            auto g = rank_graphs_[rk];
-            g.apply_edge_changes(comm, batch.changes());
+            // Build the post-batch slice beside the session's; the session's
+            // graphs swap only after the whole collective succeeds, so a
+            // crashed/failed update retries (or throws) against pristine
+            // state.
+            auto g = rank_graphs_[rk].with_edge_changes(comm, batch.changes());
 
             // Warm start: batch endpoints and their (post-batch)
             // neighbourhoods reactivate; everyone else is frozen into the
@@ -360,7 +358,7 @@ UpdateStats Session::update_distributed(const EdgeBatch& batch) {
             // drift exits at the (cheap) warm phase 0.
             warm.exit_threshold = plan_.update_fallback_;
             const auto hit = [&](VertexId gv) {
-              return std::binary_search(touched.begin(), touched.end(), gv);
+              return touched[static_cast<std::size_t>(gv)] != 0;
             };
             std::int64_t local_reactivated = 0;
             for (VertexId lv = 0; lv < local_n; ++lv) {
@@ -411,8 +409,8 @@ UpdateStats Session::update_distributed(const EdgeBatch& batch) {
       // old size can only hit the same dead rank again (kill triggers
       // re-fire until retired). Poison the session -- every later
       // update()/result() reports this cause -- and let the verdict
-      // propagate. The pre-batch state itself is untouched (copies), but
-      // there is no world left to run it on.
+      // propagate. The pre-batch state itself is untouched (the new slices
+      // are built beside it), but there is no world left to run it on.
       harvest_ladder(*options_.metrics, result_.recovery);
       result_.recovery.attempts += 1;
       result_.recovery.verdicts_dead += 1;
@@ -424,7 +422,7 @@ UpdateStats Session::update_distributed(const EdgeBatch& batch) {
       harvest_ladder(*options_.metrics, result_.recovery);
       result_.recovery.attempts += 1;
       // Transient failure past the budget: propagate, but do NOT poison --
-      // nothing committed (copy-mutate-commit), so the next update() starts
+      // nothing committed (build-then-commit), so the next update() starts
       // from the pristine pre-batch state with a fresh restart budget.
       if (attempt >= plan_.max_restarts_) throw;
     }

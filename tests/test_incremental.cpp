@@ -1,13 +1,14 @@
 // Streaming-update tests (ISSUE 6): the Session API, warm-start equivalence
 // against from-scratch runs on the same final graph, streaming determinism
-// across thread counts and under message-level fault injection, in-place
-// DistGraph edge mutation, Plan validation, and the v2 manifest.
+// across thread counts and under message-level fault injection, the
+// DistGraph edge splice, Plan validation, and the v2 manifest.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <random>
 #include <set>
 #include <string>
@@ -25,6 +26,7 @@
 #include "graph/csr.hpp"
 #include "graph/dist_graph.hpp"
 #include "louvain/serial.hpp"
+#include "util/parallel.hpp"
 
 namespace core = dlouvain::core;
 namespace dg = dlouvain::graph;
@@ -242,46 +244,137 @@ TEST(StreamingDeterminism, DelayAndDuplicationInvariant) {
   EXPECT_GT(faulty.recovery.injected_delays + faulty.recovery.injected_duplicates, 0);
 }
 
-// ---- DistGraph::apply_edge_changes vs rebuild-from-scratch ------------------
+// ---- DistGraph::with_edge_changes vs rebuild-from-scratch -------------------
+
+namespace {
+
+/// Every field of `spliced` equals the full derivation in `rebuilt`.
+void expect_same_slice(const dg::DistGraph& spliced, const dg::DistGraph& rebuilt,
+                       int step) {
+  ASSERT_EQ(spliced.local_count(), rebuilt.local_count()) << "batch " << step;
+  EXPECT_EQ(spliced.local().offsets(), rebuilt.local().offsets()) << "batch " << step;
+  ASSERT_EQ(spliced.local().edges().size(), rebuilt.local().edges().size());
+  for (std::size_t i = 0; i < spliced.local().edges().size(); ++i) {
+    EXPECT_EQ(spliced.local().edges()[i].dst, rebuilt.local().edges()[i].dst);
+    EXPECT_DOUBLE_EQ(spliced.local().edges()[i].weight, rebuilt.local().edges()[i].weight);
+  }
+  EXPECT_DOUBLE_EQ(spliced.total_weight(), rebuilt.total_weight()) << "batch " << step;
+  EXPECT_EQ(spliced.global_arcs(), rebuilt.global_arcs()) << "batch " << step;
+  for (VertexId lv = 0; lv < spliced.local_count(); ++lv) {
+    const VertexId gv = spliced.to_global(lv);
+    EXPECT_DOUBLE_EQ(spliced.weighted_degree(gv), rebuilt.weighted_degree(gv))
+        << "batch " << step << " row " << gv;
+  }
+  EXPECT_EQ(spliced.ghosts(), rebuilt.ghosts()) << "batch " << step;
+  for (std::size_t i = 0; i < spliced.ghosts().size(); ++i)
+    EXPECT_EQ(spliced.ghost_slot(spliced.ghosts()[i]), static_cast<std::int64_t>(i));
+  EXPECT_EQ(spliced.dst_slots(), rebuilt.dst_slots()) << "batch " << step;
+  EXPECT_EQ(spliced.boundary_flags(), rebuilt.boundary_flags()) << "batch " << step;
+  EXPECT_EQ(spliced.boundary_count(), rebuilt.boundary_count()) << "batch " << step;
+  EXPECT_EQ(spliced.ghosts_by_owner(), rebuilt.ghosts_by_owner()) << "batch " << step;
+  EXPECT_EQ(spliced.mirrors(), rebuilt.mirrors()) << "batch " << step;
+  EXPECT_EQ(spliced.neighbor_ranks(), rebuilt.neighbor_ranks()) << "batch " << step;
+}
+
+/// Splices `batches` one after another into one slice of `before` and,
+/// after batch i, compares it field by field with DistGraph::build of the
+/// rows of `after[i]` under the SAME partition (the splice keeps the
+/// original vertex distribution; from_replicated would re-cut on the new
+/// edge counts). `pin(i, slice)` adds checks of its own after batch i.
+void expect_splices_match_builds(
+    const dg::Csr& before, const std::vector<EdgeBatch>& batches,
+    const std::vector<dg::Csr>& after, int ranks, dg::PartitionKind kind, int threads,
+    const std::function<void(std::size_t, const dg::DistGraph&)>& pin = {}) {
+  dc::run(ranks, [&](dc::Comm& comm) {
+    dlouvain::util::ThreadPool pool(threads);
+    auto slice = dg::DistGraph::from_replicated(comm, before, kind);
+    for (std::size_t step = 0; step < batches.size(); ++step) {
+      slice = slice.with_edge_changes(comm, batches[step].changes(), &pool);
+      std::vector<Edge> owned_arcs;
+      for (VertexId lv = 0; lv < slice.local_count(); ++lv) {
+        const VertexId gv = slice.to_global(lv);
+        for (const auto& e : after[step].neighbors(gv))
+          owned_arcs.push_back(Edge{gv, e.dst, e.weight});
+      }
+      const auto rebuilt = dg::DistGraph::build(comm, slice.partition(),
+                                                std::move(owned_arcs),
+                                                /*symmetrize=*/false);
+      expect_same_slice(slice, rebuilt, static_cast<int>(step));
+      if (pin) pin(step, slice);
+    }
+  });
+}
+
+}  // namespace
 
 TEST(ApplyEdgeChanges, MatchesFromReplicatedRebuild) {
-  auto ledger = EdgeLedger::from(gen::planted_partition(120, 4, 0.30, 0.02, 13));
-  const auto before = ledger.csr();
-  std::mt19937_64 rng(77);
-  const auto batch = ledger.next_batch(rng, 8, 5);
-  const auto after = ledger.csr();
-
-  constexpr int kRanks = 4;
-  dc::run(kRanks, [&](dc::Comm& comm) {
-    auto mutated = dg::DistGraph::from_replicated(comm, before);
-    mutated.apply_edge_changes(comm, batch.changes());
-    // Rebuild from scratch under the SAME partition (apply_edge_changes
-    // keeps the original vertex distribution; from_replicated would re-cut
-    // kEvenEdges on the new edge counts).
-    std::vector<Edge> owned_arcs;
-    for (VertexId lv = 0; lv < mutated.local_count(); ++lv) {
-      const VertexId gv = mutated.to_global(lv);
-      for (const auto& e : after.neighbors(gv)) {
-        owned_arcs.push_back(Edge{gv, e.dst, e.weight});
+  // Mixed random batches on a planted partition, edge-balanced cut.
+  {
+    auto ledger = EdgeLedger::from(gen::planted_partition(120, 4, 0.30, 0.02, 13));
+    const auto before = ledger.csr();
+    std::mt19937_64 rng(77);
+    std::vector<EdgeBatch> batches;
+    std::vector<dg::Csr> after;
+    for (int i = 0; i < 4; ++i) {
+      batches.push_back(ledger.next_batch(rng, 8, 5));
+      after.push_back(ledger.csr());
+    }
+    for (const int threads : {1, 3})
+      expect_splices_match_builds(before, batches, after, 4, dg::PartitionKind::kEvenEdges,
+                                  threads);
+  }
+  // Scripted ghost gains and losses on a chain of four 8-cliques, one clique
+  // per rank: rank r owns [8r, 8r + 8) and the bridges {7,8}, {15,16},
+  // {23,24} are its only remote arcs.
+  {
+    auto ledger = EdgeLedger::from(gen::clique_chain(4, 8));
+    const auto before = ledger.csr();
+    std::vector<EdgeBatch> batches;
+    std::vector<dg::Csr> after;
+    const auto apply = [&](EdgeBatch batch) {
+      for (const auto& c : batch.changes()) {
+        const auto key = std::minmax(c.u, c.v);
+        const auto it = std::find_if(ledger.edges.begin(), ledger.edges.end(), [&](const Edge& e) {
+          return std::minmax(e.src, e.dst) == key;
+        });
+        if (c.remove) {
+          ASSERT_NE(it, ledger.edges.end()) << "no edge {" << c.u << "," << c.v << "}";
+          ledger.edges.erase(it);
+        } else if (it != ledger.edges.end())
+          it->weight += c.weight;
+        else
+          ledger.edges.push_back(Edge{key.first, key.second, c.weight});
       }
-    }
-    const auto rebuilt = dg::DistGraph::build(comm, mutated.partition(),
-                                              std::move(owned_arcs),
-                                              /*symmetrize=*/false);
-
-    ASSERT_EQ(mutated.local_count(), rebuilt.local_count());
-    EXPECT_EQ(mutated.local().offsets(), rebuilt.local().offsets());
-    ASSERT_EQ(mutated.local().edges().size(), rebuilt.local().edges().size());
-    for (std::size_t i = 0; i < mutated.local().edges().size(); ++i) {
-      EXPECT_EQ(mutated.local().edges()[i].dst, rebuilt.local().edges()[i].dst);
-      EXPECT_DOUBLE_EQ(mutated.local().edges()[i].weight,
-                       rebuilt.local().edges()[i].weight);
-    }
-    EXPECT_DOUBLE_EQ(mutated.total_weight(), rebuilt.total_weight());
-    EXPECT_EQ(mutated.ghosts(), rebuilt.ghosts());
-    EXPECT_EQ(mutated.boundary_flags(), rebuilt.boundary_flags());
-    EXPECT_EQ(mutated.neighbor_ranks(), rebuilt.neighbor_ranks());
-  });
+      batches.push_back(std::move(batch));
+      after.push_back(ledger.csr());
+    };
+    apply(EdgeBatch().add(7, 9, 1.0).add(0, 1, 2.0));  // creates ghost 9 on rank 0
+    apply(EdgeBatch().remove(7, 9));  // rank 0 drops its last arc to ghost 9, keeps 8
+    apply(EdgeBatch().remove(15, 16).add(3, 5, 1.0));  // ranks 1 and 2 stop neighbouring
+    apply(EdgeBatch().add(15, 16, 1.0));                // ...and neighbour again
+    apply(EdgeBatch().add(0, 31, 1.0).add(6, 30, 2.0).remove(23, 24));  // ranks 0-3 meet, 2-3 part
+    apply(EdgeBatch().remove(0, 31).add(0, 30, 1.0));  // rank 0 drops 31; 3 keeps 0 via 30
+    // The fixture reaches each case it names.
+    const auto pin = [](std::size_t step, const dg::DistGraph& slice) {
+      const std::vector<std::vector<VertexId>> unbatched{
+          {8}, {7, 16}, {15, 24}, {23}};  // each rank's ghosts before any batch
+      const auto r = static_cast<std::size_t>(slice.rank());
+      std::vector<VertexId> want = unbatched[r];
+      if (step == 0 && r == 0) want = {8, 9};
+      if (step == 2 && r == 1) want = {7};
+      if (step == 2 && r == 2) want = {24};
+      if (step >= 4 && r == 0) want = {8, 30, 31};
+      if (step >= 4 && r == 2) want = {15};
+      if (step >= 4 && r == 3) want = {0, 6};
+      if (step == 5 && r == 0) want = {8, 30};
+      EXPECT_EQ(slice.ghosts(), want) << "batch " << step << " rank " << r;
+      if (step == 2 && (r == 1 || r == 2)) {
+        EXPECT_EQ(slice.neighbor_ranks().size(), 1U) << "rank " << r;
+      }
+    };
+    expect_splices_match_builds(before, batches, after, 4, dg::PartitionKind::kEvenVertices, 1,
+                                pin);
+  }
 }
 
 TEST(ApplyEdgeChanges, RemovalOfAbsentEdgeThrowsEverywhere) {
@@ -289,10 +382,10 @@ TEST(ApplyEdgeChanges, RemovalOfAbsentEdgeThrowsEverywhere) {
   const auto csr = dg::from_edges(g.num_vertices, g.edges);
   constexpr int kRanks = 2;
   dc::run(kRanks, [&](dc::Comm& comm) {
-    auto dist = dg::DistGraph::from_replicated(comm, csr);
+    const auto dist = dg::DistGraph::from_replicated(comm, csr);
     const std::vector<dg::EdgeChange> changes{
         dg::EdgeChange{0, 2, 0.0, true}};  // ring has no chord 0-2
-    EXPECT_THROW(dist.apply_edge_changes(comm, changes), std::invalid_argument);
+    EXPECT_THROW((void)dist.with_edge_changes(comm, changes), std::invalid_argument);
   });
 }
 
@@ -640,19 +733,19 @@ TEST(CheckpointLock, StaleLockReclaimedLiveLockHonoured) {
 // the PRE-batch graph and additions apply after, regardless of listed order;
 // duplicate adds sum (on top of the surviving pre-batch weight); duplicate
 // removes are an error. Pinned here for BOTH engines: absolute graph-level
-// semantics via apply_edge_changes against an explicitly-built expected
+// semantics via with_edge_changes against an explicitly-built expected
 // graph, and engine-level equivalence via bitwise-identical session results
 // for equivalent batches.
 
 namespace {
 
-/// apply_edge_changes(before, changes) must produce exactly `expected`
+/// with_edge_changes(before, changes) must produce exactly `expected`
 /// (weights compared bitwise via EXPECT_DOUBLE_EQ on every arc).
 void expect_changes_yield(const dg::Csr& before, const std::vector<dg::EdgeChange>& changes,
                           const dg::Csr& expected) {
   dc::run(2, [&](dc::Comm& comm) {
-    auto mutated = dg::DistGraph::from_replicated(comm, before);
-    mutated.apply_edge_changes(comm, changes);
+    const auto mutated =
+        dg::DistGraph::from_replicated(comm, before).with_edge_changes(comm, changes);
     for (VertexId lv = 0; lv < mutated.local_count(); ++lv) {
       const VertexId gv = mutated.to_global(lv);
       const auto got = mutated.local().neighbors(lv);
@@ -717,10 +810,10 @@ TEST(EdgeBatchSemantics, DuplicateRemoveThrowsEverywhere) {
   const DupFixture fx;
   // The second removal names an edge the pre-batch graph holds only once.
   dc::run(2, [&](dc::Comm& comm) {
-    auto dist = dg::DistGraph::from_replicated(comm, fx.before);
+    const auto dist = dg::DistGraph::from_replicated(comm, fx.before);
     const std::vector<dg::EdgeChange> dup{dg::EdgeChange{0, 1, 0.0, true},
                                           dg::EdgeChange{1, 0, 0.0, true}};
-    EXPECT_THROW(dist.apply_edge_changes(comm, dup), std::invalid_argument);
+    EXPECT_THROW((void)dist.with_edge_changes(comm, dup), std::invalid_argument);
   });
   // Same verdict through a serial session, which must stay unmutated.
   auto session = Plan::serial().open(fx.before);
@@ -736,10 +829,10 @@ TEST(EdgeBatchSemantics, AddThenRemoveOfAbsentEdgeThrows) {
   // {0,9} is absent pre-batch; the add in the same batch does NOT rescue
   // the removal (removals resolve pre-batch, by contract).
   dc::run(2, [&](dc::Comm& comm) {
-    auto dist = dg::DistGraph::from_replicated(comm, fx.before);
+    const auto dist = dg::DistGraph::from_replicated(comm, fx.before);
     const std::vector<dg::EdgeChange> changes{dg::EdgeChange{0, 9, 1.0, false},
                                               dg::EdgeChange{0, 9, 0.0, true}};
-    EXPECT_THROW(dist.apply_edge_changes(comm, changes), std::invalid_argument);
+    EXPECT_THROW((void)dist.with_edge_changes(comm, changes), std::invalid_argument);
   });
   auto session = Plan::serial().open(fx.before);
   EXPECT_THROW(session.update(EdgeBatch().add(0, 9, 1.0).remove(0, 9)),

@@ -169,6 +169,11 @@ struct FamilyCase {
   dg::Csr (*make)();
 };
 
+// Names each FamilySweep instance's parameter by its family. Without it
+// gtest prints FamilyCase's raw bytes, two pointers, into the ctest names,
+// so they would change from build to build.
+void PrintTo(const FamilyCase& family, std::ostream* os) { *os << family.name; }
+
 namespace {
 
 dg::Csr make_lfr_graph() {

@@ -145,6 +145,8 @@ TEST(Tracing, RebuildSpanHoldsItsStepsAndNotTheLoadSampling) {
   // The rebuild span times what breakdown.rebuild times: the Fig. 1 steps
   // and the chain update, each under its own child span, and not the
   // per-phase load-sampling allgather (a `load_sample` span on every run).
+  // The last phase's coarse graph is never read, so its rebuild renumbers
+  // and updates the chain but neither coalesces nor ships.
   constexpr int kRanks = 4;
   auto store = std::make_shared<util::TraceStore>(kRanks);
   dc::RunOptions options;
@@ -172,15 +174,18 @@ TEST(Tracing, RebuildSpanHoldsItsStepsAndNotTheLoadSampling) {
     }
     EXPECT_EQ(samples, result.phases) << "rank " << r;
     for (const auto& b : rebuilds) {
+      const bool last = b.phase == result.phases - 1;
       for (const std::string_view step :
            {"rebuild_renumber", "rebuild_resolve", "rebuild_coalesce", "rebuild_ship",
             "rebuild_chain"}) {
+        const bool builds = step == "rebuild_coalesce" || step == "rebuild_ship";
         int held = 0;
         for (const auto& e : events) {
           if (std::string_view(e.name) == step && e.phase == b.phase && inside(e, b))
             ++held;
         }
-        EXPECT_EQ(held, 1) << "rank " << r << " phase " << b.phase << ": " << step;
+        EXPECT_EQ(held, builds && last ? 0 : 1)
+            << "rank " << r << " phase " << b.phase << ": " << step;
       }
     }
   }
