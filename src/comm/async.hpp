@@ -13,9 +13,10 @@
 // Interplay with the ARQ layer (mailbox.cpp, docs/FAULT_TOLERANCE.md rung 1):
 // handles need no retransmit logic of their own. A RecvHandle only observes
 // messages the mailbox DELIVERS, and delivery already sits downstream of the
-// per-stream sequence check, the CRC check, and the NACK/retransmit repair --
-// so a posted receive over a lossy wire simply completes later (after the
-// backoff) with the clean payload, in unchanged per-(src, tag) FIFO order.
+// per-stream sequence check, the CRC check (on an injected wire), and the
+// NACK/retransmit repair -- so a posted receive over a lossy wire simply
+// completes later (after the backoff) with the clean payload, in unchanged
+// per-(src, tag) FIFO order.
 // If repair fails (retry budget exhausted, rank declared dead), wait()
 // surfaces the escalated CommFailure/RankDead exactly like a blocking receive.
 #pragma once

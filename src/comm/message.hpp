@@ -28,7 +28,8 @@ struct Message {
   // Wire-integrity metadata, stamped by the destination mailbox as the
   // message is enqueued (the in-process analogue of a transport header).
   // `seq` numbers the (src, tag) stream for duplicate suppression; `crc` is
-  // the CRC32 of the payload at send time, verified on receive; `visible_at`
+  // the CRC32 of the payload at send time, verified on receive -- stamped
+  // only on a wire with injected message faults, 0 otherwise; `visible_at`
   // implements injected delivery delays (epoch = immediately visible);
   // `arrived_at` records the enqueue instant, so receivers can tell how long
   // a buffer sat waiting -- the raw input of the overlap telemetry's

@@ -26,7 +26,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -77,25 +76,6 @@ class GhostField {
     for (VertexId lv = 0; lv < g.local_count(); ++lv)
       field.prev_owned_[static_cast<std::size_t>(lv)] = static_cast<T>(g.to_global(lv));
     return field;
-  }
-
-  /// Value for ghost vertex gv, found by binary search of the sorted ghost
-  /// list (DistGraph::ghost_slot). Debug-asserted, no checks in release
-  /// builds -- callers that cannot guarantee gv is a ghost use at(). Per-arc
-  /// loops index values() through DistGraph::dst_slots() instead.
-  [[nodiscard]] const T& of(VertexId gv) const {
-    const auto slot = graph_->ghost_slot(gv);
-    assert(slot >= 0 && "GhostField::of: not a ghost vertex");
-    return values_[static_cast<std::size_t>(slot)];
-  }
-
-  /// Checked twin of of() (the same binary search): throws
-  /// std::out_of_range when gv is not a ghost of this rank. For
-  /// protocol-boundary callers and tests.
-  [[nodiscard]] const T& at(VertexId gv) const {
-    const auto slot = graph_->ghost_slot(gv);
-    if (slot < 0) throw std::out_of_range("GhostField: not a ghost vertex");
-    return values_[static_cast<std::size_t>(slot)];
   }
 
   /// Collective: push the current value of every mirrored owned vertex to

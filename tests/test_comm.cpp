@@ -16,6 +16,7 @@
 #include "comm/comm.hpp"
 #include "comm/fault.hpp"
 #include "comm/world.hpp"
+#include "util/crc32.hpp"
 #include "util/metrics.hpp"
 
 namespace dc = dlouvain::comm;
@@ -418,6 +419,33 @@ TEST(FaultLayer, CorruptedPayloadIsDetected) {
                    },
                    options),
                dc::CorruptMessage);
+}
+
+TEST(FaultLayer, PayloadChecksumOnlyOnAnInjectedWire) {
+  // The CRC sees only bytes changed while a message is queued, and in
+  // process only a message-fault injector changes them: a clean wire (no
+  // injector, or crash triggers only) neither stamps nor verifies it.
+  const auto round_trip = [](dc::FaultInjector* injector) {
+    dc::Mailbox box(nullptr, 0, 0, injector);
+    dc::Message msg;
+    msg.src = 1;
+    msg.tag = 4;
+    msg.payload = {std::byte{0x12}, std::byte{0x34}, std::byte{0x56}, std::byte{0x78}};
+    box.put(msg);
+    const dc::Message got = box.get(1, 4);
+    EXPECT_EQ(got.payload, msg.payload);
+    return got;
+  };
+  EXPECT_EQ(round_trip(nullptr).crc, 0u);
+  dc::FaultInjector crash_only(dc::FaultPlan().crash(0, 1).kill(1, 2));
+  ASSERT_FALSE(crash_only.injects_messages());
+  EXPECT_EQ(round_trip(&crash_only).crc, 0u);
+
+  dc::FaultInjector duplicating(dc::FaultPlan().duplicate(1.0));
+  const dc::Message got = round_trip(&duplicating);
+  EXPECT_NE(got.crc, 0u);
+  EXPECT_EQ(got.crc, dlouvain::util::crc32(got.payload));
+  EXPECT_GT(duplicating.duplicated.load(), 0);
 }
 
 TEST(FaultLayer, DelayedDeliveryPreservesResultsAndFifo) {

@@ -1,12 +1,16 @@
 // Unit tests for the util library: PRNG determinism and distribution sanity,
-// timers, running stats, CLI parsing, table rendering.
+// timers, running stats, CLI parsing, table rendering, CRC32.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <thread>
+#include <vector>
 
 #include "util/cli.hpp"
+#include "util/crc32.hpp"
 #include "util/prng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -180,4 +184,53 @@ TEST(Table, MarkdownHasSeparatorRow) {
 TEST(Table, FmtFormatsNumbers) {
   EXPECT_EQ(du::TextTable::fmt(3.14159, 2), "3.14");
   EXPECT_EQ(du::TextTable::fmt(static_cast<long long>(42)), "42");
+}
+
+namespace {
+
+/// Bitwise CRC32 (reflected IEEE polynomial, 8 shifts per byte): the
+/// definition the table-driven Crc32 must reproduce.
+std::uint32_t crc32_bitwise(const unsigned char* data, std::size_t size) {
+  std::uint32_t c = 0xffffffffu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xffffffffu;
+}
+
+}  // namespace
+
+TEST(Crc32, KnownAnswers) {
+  constexpr std::string_view check = "123456789";
+  EXPECT_EQ(du::crc32(check.data(), check.size()), 0xCBF43926u);
+  EXPECT_EQ(du::crc32(nullptr, 0), 0u);
+  EXPECT_EQ(du::Crc32().value(), 0u);
+}
+
+TEST(Crc32, AnySplitMatchesOneShotAndBitwiseReference) {
+  std::vector<unsigned char> bytes(64);
+  std::uint64_t s = 7;
+  for (auto& b : bytes) b = static_cast<unsigned char>(du::splitmix64(s));
+  for (std::size_t len = 0; len <= bytes.size(); ++len) {
+    const std::uint32_t want = crc32_bitwise(bytes.data(), len);
+    ASSERT_EQ(du::crc32(bytes.data(), len), want) << "length " << len;
+    for (std::size_t split = 0; split <= len; ++split) {
+      du::Crc32 crc;
+      crc.update(bytes.data(), split);
+      crc.update(bytes.data() + split, len - split);
+      ASSERT_EQ(crc.value(), want) << "length " << len << ", split " << split;
+    }
+  }
+}
+
+TEST(Crc32, UnalignedStartsOverALargeBuffer) {
+  std::vector<unsigned char> bytes((1u << 20) + 8);
+  std::uint64_t s = 11;
+  for (auto& b : bytes) b = static_cast<unsigned char>(du::splitmix64(s) >> 24);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const std::size_t len = bytes.size() - 8;
+    EXPECT_EQ(du::crc32(bytes.data() + offset, len), crc32_bitwise(bytes.data() + offset, len))
+        << "offset " << offset;
+  }
 }
