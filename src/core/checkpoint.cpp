@@ -8,6 +8,7 @@
 #include <bit>
 #include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -24,21 +25,13 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr std::uint64_t kMetaMagic = 0x444c434b4d455431ULL;   // "DLCKMET1"
-constexpr std::uint64_t kChainMagic = 0x444c434b43484e31ULL;  // "DLCKCHN1"
-constexpr std::uint64_t kCountersMagic = 0x444c434b43545231ULL;  // "DLCKCTR1"
-// v2 (ISSUE 4): adds the sibling counters.bin file. The meta.bin field
-// layout is unchanged, so v1 checkpoints stay readable -- they simply have
-// no counters file and resume with zero restored counters.
-// v3: meta.bin appends the coarse graph's ownership map (its partition
-// split points). Every rebuild ships to the even-vertices split, so the map
-// always equals partition_even_vertices(n, p); it stays in the format
-// because dropping it would need a version bump. Loads shape-check it and
-// recompute the split, as they do for v1/v2 checkpoints (no map).
-constexpr std::uint32_t kVersion = 3;
-constexpr std::uint32_t kMinVersion = 1;
+constexpr std::uint64_t kStateMagic = 0x444c434b53544154ULL;  // "DLCKSTAT"
+// The one record layout this build reads and writes; 1-3 were the retired
+// multi-file layouts. A record of any other version is skipped like a
+// corrupt one (older checkpoint, or fresh start).
+constexpr std::uint32_t kVersion = 4;
 
-// ---- CRC-sealed little record files ------------------------------------
+// ---- the sealed state record --------------------------------------------
 
 /// Append-only buffer writer; write() seals the file with a trailing CRC32.
 class ByteWriter {
@@ -55,7 +48,7 @@ class ByteWriter {
     if (!file) throw std::runtime_error("checkpoint: cannot create " + path.string());
     file.write(reinterpret_cast<const char*>(buffer_.data()),
                static_cast<std::streamsize>(buffer_.size()));
-    const std::uint32_t crc = util::crc32(buffer_.data(), buffer_.size());
+    const std::uint32_t crc = util::crc32(buffer_);
     file.write(reinterpret_cast<const char*>(&crc), sizeof crc);
     if (!file) throw std::runtime_error("checkpoint: write failed for " + path.string());
   }
@@ -68,23 +61,14 @@ class ByteWriter {
   std::vector<std::byte> buffer_;
 };
 
-/// Whole-file reader that verifies the trailing CRC32 before any field is
-/// parsed. `ok()` is false (never throws) on missing/short/corrupt files so
-/// validation can fall back to an older checkpoint.
+/// Cursor over a record body. A read past the end yields zero and clears
+/// ok(), so a short record fails its range checks instead of throwing.
 class ByteReader {
  public:
-  explicit ByteReader(const fs::path& path) {
-    std::ifstream file(path, std::ios::binary);
-    if (!file) return;
-    buffer_.assign(std::istreambuf_iterator<char>(file), std::istreambuf_iterator<char>());
-    if (buffer_.size() < sizeof(std::uint32_t)) return;
-    std::uint32_t stored = 0;
-    std::memcpy(&stored, buffer_.data() + buffer_.size() - sizeof stored, sizeof stored);
-    buffer_.resize(buffer_.size() - sizeof stored);
-    ok_ = stored == util::crc32(buffer_.data(), buffer_.size());
-  }
+  explicit ByteReader(std::span<const std::byte> bytes) : bytes_(bytes) {}
 
   [[nodiscard]] bool ok() const noexcept { return ok_; }
+  [[nodiscard]] std::size_t remaining() const noexcept { return bytes_.size() - cursor_; }
 
   std::uint64_t get_u64() { return get_raw<std::uint64_t>(); }
   std::int64_t get_i64() { return get_raw<std::int64_t>(); }
@@ -96,92 +80,80 @@ class ByteReader {
  private:
   template <typename T>
   T get_raw() {
-    if (cursor_ + sizeof(T) > buffer_.size()) {
+    if (sizeof(T) > remaining()) {
       ok_ = false;
       return T{};
     }
     T v;
-    std::memcpy(&v, buffer_.data() + cursor_, sizeof v);
+    std::memcpy(&v, bytes_.data() + cursor_, sizeof v);
     cursor_ += sizeof v;
     return v;
   }
-  std::vector<char> buffer_;
+  std::span<const std::byte> bytes_;
   std::size_t cursor_{0};
-  bool ok_{false};
+  bool ok_{true};
 };
 
-// ---- checkpoint pieces --------------------------------------------------
-
-struct MetaInfo {
-  int ranks{0};
-  VertexId orig_global_n{0};
+/// A parsed state.bin. orig_global_n is chain.size().
+struct StateRecord {
   CheckpointState state;
   std::uint64_t fingerprint{0};
+  std::vector<VertexId> chain;  ///< global original -> current vertex map
 };
 
-std::optional<MetaInfo> read_meta(const fs::path& path) {
-  ByteReader in(path);
-  if (!in.ok()) return std::nullopt;
-  if (in.get_u64() != kMetaMagic) return std::nullopt;
-  const std::uint32_t version = in.get_u32();
-  if (version < kMinVersion || version > kVersion) return std::nullopt;
-  MetaInfo meta;
-  meta.ranks = in.get_i32();
-  meta.state.next_phase = in.get_i32();
-  meta.state.phases_done = in.get_i32();
-  meta.state.iterations_done = in.get_i64();
-  meta.orig_global_n = in.get_i64();
-  meta.state.prev_outer_mod = in.get_f64_bits();
-  meta.state.forced_final = in.get_u8() != 0;
-  meta.fingerprint = in.get_u64();
-  if (!in.ok() || meta.ranks <= 0 || meta.state.next_phase < 0 || meta.orig_global_n < 0)
-    return std::nullopt;
-  if (version >= 3) {
-    // The ownership map: shape-checked only (see kVersion).
-    const std::int64_t count = in.get_i64();
-    if (!in.ok() || count != meta.ranks + 1) return std::nullopt;
-    std::vector<VertexId> starts(static_cast<std::size_t>(count));
-    for (auto& s : starts) s = in.get_i64();
-    if (!in.ok() || starts.front() != 0) return std::nullopt;
-    if (!std::is_sorted(starts.begin(), starts.end())) return std::nullopt;
-  }
-  return meta;
-}
+/// The one parser of a sealed state record (body + CRC32). nullopt unless the
+/// CRC matches, the magic and version are this build's, every field is in
+/// range and the record is exactly as long as its vertex count says. The
+/// length is checked before the chain is allocated, so a resealed count can
+/// never drive the allocation.
+std::optional<StateRecord> parse_state(std::span<const std::byte> sealed) {
+  if (sealed.size() < sizeof(std::uint32_t)) return std::nullopt;
+  const auto body = sealed.first(sealed.size() - sizeof(std::uint32_t));
+  std::uint32_t stored = 0;
+  std::memcpy(&stored, sealed.data() + body.size(), sizeof stored);
+  if (stored != util::crc32(body)) return std::nullopt;
 
-std::optional<std::vector<VertexId>> read_chain(const fs::path& path) {
-  ByteReader in(path);
-  if (!in.ok()) return std::nullopt;
-  if (in.get_u64() != kChainMagic) return std::nullopt;
+  ByteReader in(body);
+  if (in.get_u64() != kStateMagic || in.get_u32() != kVersion) return std::nullopt;
+  StateRecord record;
+  CheckpointState& s = record.state;
+  s.next_phase = in.get_i32();
+  s.phases_done = in.get_i32();
+  s.iterations_done = in.get_i64();
+  s.prev_outer_mod = in.get_f64_bits();
+  const std::uint8_t forced_final = in.get_u8();
+  s.forced_final = forced_final != 0;
+  s.counters.seconds = in.get_f64_bits();
+  s.counters.messages = in.get_i64();
+  s.counters.bytes = in.get_i64();
+  record.fingerprint = in.get_u64();
   const std::int64_t n = in.get_i64();
-  if (!in.ok() || n < 0) return std::nullopt;
-  std::vector<VertexId> chain(static_cast<std::size_t>(n));
-  for (auto& v : chain) v = in.get_i64();
-  if (!in.ok()) return std::nullopt;
-  return chain;
-}
-
-/// Best-effort read of the v2 counters sidecar: zeros (never nullopt-like
-/// failure) when the file is absent, short or corrupt, so a v1 checkpoint or
-/// a damaged sidecar degrades to "no restored counters" instead of refusing
-/// to resume.
-RunCounters read_counters(const fs::path& path) {
-  ByteReader in(path);
-  if (!in.ok()) return {};
-  if (in.get_u64() != kCountersMagic) return {};
-  RunCounters c;
-  c.seconds = in.get_f64_bits();
-  c.messages = in.get_i64();
-  c.bytes = in.get_i64();
-  if (!in.ok() || c.messages < 0 || c.bytes < 0) return {};
-  return c;
-}
-
-bool graph_file_valid(const fs::path& path) {
-  try {
-    return graph::verify_binary_crc(path.string());
-  } catch (const std::exception&) {
-    return false;
+  if (!in.ok() || s.next_phase < 0 || s.phases_done < 0 || s.iterations_done < 0 ||
+      !std::isfinite(s.prev_outer_mod) || forced_final > 1 ||
+      !std::isfinite(s.counters.seconds) || s.counters.seconds < 0 ||
+      s.counters.messages < 0 || s.counters.bytes < 0 || n < 0)
+    return std::nullopt;
+  if (in.remaining() % sizeof(VertexId) != 0 ||
+      in.remaining() / sizeof(VertexId) != static_cast<std::uint64_t>(n))
+    return std::nullopt;
+  record.chain.resize(static_cast<std::size_t>(n));
+  for (auto& v : record.chain) {
+    v = in.get_i64();
+    if (v < 0 || v >= n) return std::nullopt;
   }
+  return record;
+}
+
+/// The whole file, or nothing when it cannot be read.
+std::vector<std::byte> read_file(const fs::path& path) {
+  std::error_code ec;
+  const auto size = fs::file_size(path, ec);
+  if (ec) return {};
+  std::vector<std::byte> bytes(static_cast<std::size_t>(size));
+  std::ifstream file(path, std::ios::binary);
+  file.read(reinterpret_cast<char*>(bytes.data()), static_cast<std::streamsize>(size));
+  if (!file) return {};
+  return bytes;
 }
 
 /// Phase indices of `dir`'s phase_<k> subdirectories, newest first. Does not
@@ -207,15 +179,30 @@ fs::path phase_dir(const std::string& dir, int phase) {
   return fs::path(dir) / ("phase_" + std::to_string(phase));
 }
 
-/// Full structural validation (meta + chain CRCs, graph file CRC).
-std::optional<MetaInfo> validate_checkpoint(const std::string& dir, int phase) {
-  const fs::path base = phase_dir(dir, phase);
-  auto meta = read_meta(base / "meta.bin");
-  if (!meta) return std::nullopt;
-  ByteReader chain_probe(base / "chain.bin");
-  if (!chain_probe.ok()) return std::nullopt;
-  if (!graph_file_valid(base / "graph.dlel")) return std::nullopt;
-  return meta;
+/// Does `path` hold a sealed coarse graph that has a vertex for every chain
+/// entry?
+bool graph_matches(const fs::path& path, std::span<const VertexId> chain) {
+  try {
+    if (!graph::verify_binary_crc(path.string())) return false;
+    const VertexId n = graph::read_binary_header(path.string()).num_vertices;
+    return std::ranges::all_of(chain, [n](VertexId v) { return v < n; });
+  } catch (const std::exception&) {
+    return false;
+  }
+}
+
+/// The state.bin bytes of the newest whole checkpoint in `dir`: its record
+/// parses, names its own phase, and its graph.dlel matches. Empty when no
+/// checkpoint qualifies; older ones are the fallback for a damaged newest.
+std::vector<std::byte> newest_valid_state(const std::string& dir) {
+  for (const int k : candidate_phases(dir)) {
+    auto bytes = read_file(phase_dir(dir, k) / "state.bin");
+    const auto record = parse_state(bytes);
+    if (record && record->state.next_phase == k &&
+        graph_matches(phase_dir(dir, k) / "graph.dlel", record->chain))
+      return bytes;
+  }
+  return {};
 }
 
 }  // namespace
@@ -273,46 +260,27 @@ void checkpoint_save(comm::Comm& comm, const std::string& dir,
   graph::write_distributed(comm, g, (tmp / "graph.dlel").string());
 
   if (comm.rank() == 0) {
-    ByteWriter meta;
-    meta.put_u64(kMetaMagic);
-    meta.put_u32(kVersion);
-    meta.put_i32(comm.size());
-    meta.put_i32(state.next_phase);
-    meta.put_i32(state.phases_done);
-    meta.put_i64(state.iterations_done);
-    meta.put_i64(orig_global_n);
-    meta.put_f64_bits(state.prev_outer_mod);
-    meta.put_u8(state.forced_final ? 1 : 0);
-    meta.put_u64(fingerprint);
-    // v3: the ownership map (split points of the coarse graph's partition,
-    // identical on every rank).
-    const auto& starts = g.partition().starts();
-    meta.put_i64(static_cast<std::int64_t>(starts.size()));
-    for (const VertexId s : starts) meta.put_i64(s);
-    meta.write(tmp / "meta.bin");
-
-    ByteWriter chain_out;
-    chain_out.put_u64(kChainMagic);
-    chain_out.put_i64(static_cast<std::int64_t>(chain.size()));
-    for (const VertexId v : chain) chain_out.put_i64(v);
-    chain_out.write(tmp / "chain.bin");
-
-    ByteWriter counters_out;
-    counters_out.put_u64(kCountersMagic);
-    counters_out.put_f64_bits(state.counters.seconds);
-    counters_out.put_i64(state.counters.messages);
-    counters_out.put_i64(state.counters.bytes);
-    counters_out.write(tmp / "counters.bin");
+    ByteWriter record;
+    record.put_u64(kStateMagic);
+    record.put_u32(kVersion);
+    record.put_i32(state.next_phase);
+    record.put_i32(state.phases_done);
+    record.put_i64(state.iterations_done);
+    record.put_f64_bits(state.prev_outer_mod);
+    record.put_u8(state.forced_final ? 1 : 0);
+    record.put_f64_bits(state.counters.seconds);
+    record.put_i64(state.counters.messages);
+    record.put_i64(state.counters.bytes);
+    record.put_u64(fingerprint);
+    record.put_i64(orig_global_n);
+    for (const VertexId v : chain) record.put_i64(v);
+    record.write(tmp / "state.bin");
 
     // Commit: tmp -> phase_<k>, then drop superseded checkpoints. A crash
     // before the rename leaves the previous checkpoint untouched.
     const fs::path final_dir = phase_dir(dir, state.next_phase);
     fs::remove_all(final_dir);
     fs::rename(tmp, final_dir);
-    {
-      std::ofstream latest(fs::path(dir) / "LATEST", std::ios::trunc);
-      latest << final_dir.filename().string() << '\n';
-    }
     for (const int k : candidate_phases(dir)) {
       if (k != state.next_phase) fs::remove_all(phase_dir(dir, k));
     }
@@ -334,56 +302,22 @@ std::optional<ResumedState> checkpoint_load(comm::Comm& comm, const std::string&
   const util::TrafficReclassScope reclass(comm.counters(),
                                           util::Counter::kCheckpointMessages,
                                           util::Counter::kCheckpointBytes);
-  // Rank 0 picks the newest structurally-valid checkpoint; everyone agrees
-  // on the verdict before any collective I/O.
-  enum : std::int64_t { kNone = 0, kOk = 1, kConfigMismatch = 2 };
-  std::vector<std::int64_t> header(11, 0);
-  if (comm.rank() == 0) {
-    for (const int k : candidate_phases(dir)) {
-      const auto meta = validate_checkpoint(dir, k);
-      if (!meta) continue;  // corrupt/incomplete: fall back to an older one
-      if (meta->fingerprint != fingerprint) {
-        header[0] = kConfigMismatch;
-        break;
-      }
-      const RunCounters counters = read_counters(phase_dir(dir, k) / "counters.bin");
-      header = {kOk,
-                k,
-                meta->state.next_phase,
-                meta->state.phases_done,
-                meta->state.iterations_done,
-                meta->orig_global_n,
-                static_cast<std::int64_t>(
-                    std::bit_cast<std::uint64_t>(meta->state.prev_outer_mod)),
-                meta->state.forced_final ? 1 : 0,
-                static_cast<std::int64_t>(std::bit_cast<std::uint64_t>(counters.seconds)),
-                counters.messages,
-                counters.bytes};
-      break;
-    }
-  }
-  header = comm.broadcast(std::move(header));
-
-  if (header[0] == kConfigMismatch)
+  // Rank 0 picks the newest valid checkpoint and broadcasts its record (none:
+  // empty), so every rank parses the same bytes and reaches the same verdict
+  // before any collective I/O.
+  std::vector<std::byte> bytes;
+  if (comm.rank() == 0) bytes = newest_valid_state(dir);
+  auto record = parse_state(comm.broadcast(std::move(bytes)));
+  if (!record) return std::nullopt;
+  if (record->fingerprint != fingerprint)
     throw std::runtime_error(
         "checkpoint_load: checkpoint in " + dir +
         " was written with a different configuration; refusing to resume "
         "(delete the directory to start fresh)");
-  if (header[0] == kNone) return std::nullopt;
 
-  const int chosen = static_cast<int>(header[1]);
   ResumedState resumed;
-  resumed.state.next_phase = static_cast<int>(header[2]);
-  resumed.state.phases_done = static_cast<int>(header[3]);
-  resumed.state.iterations_done = header[4];
-  resumed.orig_global_n = header[5];
-  resumed.state.prev_outer_mod =
-      std::bit_cast<double>(static_cast<std::uint64_t>(header[6]));
-  resumed.state.forced_final = header[7] != 0;
-  resumed.state.counters.seconds =
-      std::bit_cast<double>(static_cast<std::uint64_t>(header[8]));
-  resumed.state.counters.messages = header[9];
-  resumed.state.counters.bytes = header[10];
+  resumed.state = record->state;
+  resumed.orig_global_n = static_cast<VertexId>(record->chain.size());
 
   // Coarse-graph partition: every checkpointed graph is a rebuild output,
   // which lives on the even-vertices split, so loading onto that split at
@@ -391,40 +325,21 @@ std::optional<ResumedState> checkpoint_load(comm::Comm& comm, const std::string&
   // written from. A different p is a valid repartition (not bitwise; see
   // the determinism contract in checkpoint.hpp).
   resumed.graph = graph::load_distributed(
-      comm, (phase_dir(dir, chosen) / "graph.dlel").string(),
+      comm, (phase_dir(dir, resumed.state.next_phase) / "graph.dlel").string(),
       graph::PartitionKind::kEvenVertices);
 
-  // Chain: rank 0 rereads, everyone takes its contiguous slice. Slice
-  // boundaries only need to concatenate in rank order; the even split works
-  // at any rank count.
-  std::vector<VertexId> chain;
-  if (comm.rank() == 0) {
-    auto loaded = read_chain(phase_dir(dir, chosen) / "chain.bin");
-    if (!loaded || static_cast<VertexId>(loaded->size()) != resumed.orig_global_n)
-      throw std::runtime_error("checkpoint_load: chain.bin of " + dir +
-                               " changed underneath us");
-    chain = std::move(*loaded);
-  }
-  chain = comm.broadcast(std::move(chain));
+  // Chain: every rank takes its contiguous slice. Slice boundaries only need
+  // to concatenate in rank order; the even split works at any rank count.
   const auto part = graph::partition_even_vertices(resumed.orig_global_n, comm.size());
-  resumed.orig_to_cur.assign(
-      chain.begin() + part.begin(comm.rank()), chain.begin() + part.end(comm.rank()));
+  resumed.orig_to_cur.assign(record->chain.begin() + part.begin(comm.rank()),
+                             record->chain.begin() + part.end(comm.rank()));
   return resumed;
 }
 
-std::optional<int> checkpoint_latest_phase(const std::string& dir) {
-  for (const int k : candidate_phases(dir)) {
-    if (validate_checkpoint(dir, k)) return k;
-  }
-  return std::nullopt;
-}
-
-std::optional<RunCounters> checkpoint_latest_counters(const std::string& dir) {
-  for (const int k : candidate_phases(dir)) {
-    if (validate_checkpoint(dir, k))
-      return read_counters(phase_dir(dir, k) / "counters.bin");
-  }
-  return std::nullopt;
+std::optional<CheckpointState> checkpoint_latest(const std::string& dir) {
+  auto record = parse_state(newest_valid_state(dir));
+  if (!record) return std::nullopt;
+  return record->state;
 }
 
 // ---- checkpoint directory ownership ------------------------------------

@@ -11,38 +11,34 @@
 // sufficient for bitwise-identical continuation at the same rank count.
 //
 // On-disk layout (one directory per job):
-//   <dir>/phase_<k>/meta.bin      scalars + config fingerprint + (v3) the
-//                                 active vertex-range ownership map,
-//                                 CRC32-sealed
-//   <dir>/phase_<k>/graph.dlel    coarse graph via graph::write_distributed
-//   <dir>/phase_<k>/chain.bin     global orig_to_cur array, CRC32-sealed
-//   <dir>/phase_<k>/counters.bin  cumulative run counters (v2), CRC32-sealed
-//   <dir>/LATEST                  name of the newest complete checkpoint
+//   <dir>/phase_<k>/state.bin    one CRC32-sealed record, in order: magic and
+//                                version; next phase, phases done, iterations
+//                                done; prev_outer_mod (raw bits) and the
+//                                forced-final flag; the run counters (seconds
+//                                bits, messages, bytes); the config
+//                                fingerprint; orig_global_n, then the
+//                                orig_to_cur chain (orig_global_n ids)
+//   <dir>/phase_<k>/graph.dlel   coarse graph via graph::write_distributed
 //
-// counters.bin is deliberately a SEPARATE file: meta/graph/chain stay
-// byte-identical across ghost-exchange wire modes (a PR3 invariant), while
-// the counters legitimately differ (delta mode ships fewer bytes) and the
-// elapsed-seconds field is wall-clock. A missing or corrupt counters.bin
-// never invalidates a checkpoint -- resume proceeds with zero restored
-// counters, exactly the v1 behaviour.
+// Each format has one version. Validation, the recovery driver's peek and
+// the load all parse state.bin with the same code: a record whose CRC, magic,
+// version, field ranges or length do not check out -- or whose graph.dlel
+// fails its CRC or lacks a vertex its chain names -- is skipped, and the next
+// older checkpoint (or a fresh start) is used instead.
 //
 // Writes are atomic: everything lands in a tmp directory that is renamed
-// into place before LATEST is updated, so a crash mid-checkpoint leaves the
-// previous checkpoint intact. Loads validate magic, version, CRC and the
-// config fingerprint; structural corruption falls back to an older
-// checkpoint (or none), while a fingerprint mismatch -- resuming with a
-// DIFFERENT config, which would silently produce wrong results -- throws.
+// into place, so a crash mid-checkpoint leaves the previous checkpoint
+// intact. A fingerprint mismatch -- resuming with a DIFFERENT config, which
+// would silently produce wrong results -- throws instead of falling back.
 //
 // Determinism contract: resuming at the SAME rank count reproduces the
 // uninterrupted run bit for bit (test_robustness.cpp proves it for every
 // kill point): a checkpointed graph is always a rebuild output on the
 // even-vertices split, which every load recomputes, so a same-p resume
-// lands on the exact partition (meta.bin v3 still records that ownership
-// map; loads only shape-check it). Resuming at a DIFFERENT rank count is
-// supported -- the graph is
-// repartitioned on load -- and yields a valid clustering with exact
-// bookkeeping, but not the same bits: sweep orders are keyed on partition
-// offsets, so the move sequence legitimately differs.
+// lands on the exact partition. Resuming at a DIFFERENT rank count is
+// supported -- the graph is repartitioned on load -- and yields a valid
+// clustering with exact bookkeeping, but not the same bits: sweep orders
+// are keyed on partition offsets, so the move sequence legitimately differs.
 //
 // Different-p resume is also the machinery behind the rung-3 shrink
 // (docs/FAULT_TOLERANCE.md): when a rank is declared DEAD, the Session
@@ -126,7 +122,7 @@ struct CheckpointState {
   std::int64_t iterations_done{0};
   Weight prev_outer_mod{0};  ///< stored as raw bits, restored exactly
   bool forced_final{false};
-  RunCounters counters;  ///< cumulative totals at this boundary (v2; zero in v1)
+  RunCounters counters;  ///< cumulative totals at this boundary
 };
 
 /// Everything checkpoint_load reconstructs for this rank.
@@ -157,15 +153,11 @@ void checkpoint_save(comm::Comm& comm, const std::string& dir,
 std::optional<ResumedState> checkpoint_load(comm::Comm& comm, const std::string& dir,
                                             std::uint64_t fingerprint);
 
-/// Non-collective peek (for the recovery driver between attempts): the phase
-/// index of the newest structurally-valid checkpoint in `dir`, if any.
-std::optional<int> checkpoint_latest_phase(const std::string& dir);
-
-/// Non-collective peek at the newest valid checkpoint's persisted run
-/// counters. nullopt when there is no valid checkpoint; zeros when the
-/// checkpoint predates v2 or its counters.bin is missing/corrupt. The
-/// recovery driver uses before/after deltas of this to split a failed
+/// Non-collective peek (for the recovery driver between attempts): the
+/// scalars of the newest valid checkpoint in `dir` -- the phase a resume
+/// would enter and the run counters it has banked -- or nullopt if none.
+/// The driver uses before/after deltas of the counters to split a failed
 /// attempt's traffic into salvaged (checkpointed) and wasted.
-std::optional<RunCounters> checkpoint_latest_counters(const std::string& dir);
+std::optional<CheckpointState> checkpoint_latest(const std::string& dir);
 
 }  // namespace dlouvain::core

@@ -121,7 +121,7 @@ struct DistResult {
   // -- counter semantics (the satellite-3 rule) ---------------------------
   // seconds/messages/bytes are WHOLE-JOB totals: on a resumed run they equal
   // restored pre-checkpoint counters (persisted in the checkpoint's
-  // counters.bin, v2) PLUS what this process measured -- the same rule
+  // state.bin) PLUS what this process measured -- the same rule
   // phases/total_iterations always followed. `restored` holds the restored
   // addend so callers can recover the this-process-only portion by
   // subtraction. messages/bytes count ALGORITHM traffic only; checkpoint

@@ -13,11 +13,10 @@ namespace dlouvain::graph {
 
 namespace {
 
-constexpr std::uint64_t kMagicV1 = 0x444c454c30303031ULL;  // "DLEL0001"
-constexpr std::uint64_t kMagicV2 = 0x444c454c30303032ULL;  // "DLEL0002"
+constexpr std::uint64_t kMagic = 0x444c454c30303032ULL;  // "DLEL0002"
 constexpr std::size_t kHeaderBytes = 3 * 8;
 constexpr std::size_t kRecordBytes = 8 + 8 + 8;
-constexpr std::size_t kFooterBytes = 4;  // u32 CRC, version 2 only
+constexpr std::size_t kFooterBytes = 4;  // u32 CRC
 
 struct PackedRecord {
   std::int64_t src;
@@ -70,7 +69,7 @@ void write_binary(const std::string& path, VertexId num_vertices,
     crc.update(data, size);
   };
 
-  const std::uint64_t magic = kMagicV2;
+  const std::uint64_t magic = kMagic;
   const std::int64_t n = num_vertices;
   const std::int64_t m = static_cast<std::int64_t>(undirected_edges.size());
   put(&magic, 8);
@@ -95,22 +94,20 @@ BinaryHeader read_binary_header(const std::string& path) {
   file.read(reinterpret_cast<char*>(&magic), 8);
   file.read(reinterpret_cast<char*>(&n), 8);
   file.read(reinterpret_cast<char*>(&m), 8);
-  if (!file || (magic != kMagicV1 && magic != kMagicV2))
-    throw std::runtime_error("read_binary_header: not a DLEL file: " + path);
+  if (!file || magic != kMagic)
+    throw std::runtime_error("read_binary_header: not a DLEL0002 file: " + path);
   if (n < 0 || m < 0)
     throw std::runtime_error("read_binary_header: negative counts in header of " + path);
 
-  const bool has_crc = magic == kMagicV2;
-  const std::uintmax_t expected = kHeaderBytes +
-                                  static_cast<std::uintmax_t>(m) * kRecordBytes +
-                                  (has_crc ? kFooterBytes : 0);
+  const std::uintmax_t expected =
+      kHeaderBytes + static_cast<std::uintmax_t>(m) * kRecordBytes + kFooterBytes;
   std::error_code ec;
   const std::uintmax_t actual = std::filesystem::file_size(path, ec);
   if (ec || actual != expected)
     throw std::runtime_error("read_binary_header: " + path + " is " +
                              std::to_string(actual) + " bytes but header implies " +
                              std::to_string(expected) + " (truncated or corrupt)");
-  return BinaryHeader{n, m, has_crc};
+  return BinaryHeader{n, m};
 }
 
 std::vector<Edge> read_binary_slice(const std::string& path, EdgeId lo, EdgeId hi) {
@@ -136,8 +133,6 @@ std::vector<Edge> read_binary_slice(const std::string& path, EdgeId lo, EdgeId h
 
 bool verify_binary_crc(const std::string& path) {
   const auto header = read_binary_header(path);
-  if (!header.has_crc) return true;  // version 1: nothing to check
-
   const std::uintmax_t covered =
       kHeaderBytes + static_cast<std::uintmax_t>(header.num_edges) * kRecordBytes;
   const std::uint32_t computed = file_crc(path, covered);
@@ -171,7 +166,7 @@ void write_distributed(comm::Comm& comm, const DistGraph& g, const std::string& 
   if (comm.rank() == 0) {
     std::ofstream file(path, std::ios::binary | std::ios::trunc);
     if (!file) throw std::runtime_error("write_distributed: cannot create " + path);
-    const std::uint64_t magic = kMagicV2;
+    const std::uint64_t magic = kMagic;
     const std::int64_t n = g.global_n();
     const std::int64_t m = total;
     file.write(reinterpret_cast<const char*>(&magic), 8);

@@ -6,18 +6,18 @@
 // where each rank seeks to and reads a disjoint contiguous record range.
 //
 // Layout (little-endian):
-//   magic   u64  'DLEL0002' (version 2; 'DLEL0001' files remain readable)
+//   magic   u64  'DLEL0002' (the one version read and written)
 //   n       i64  number of vertices
 //   m       i64  number of undirected edges (records)
 //   records m x { src i64, dst i64, weight f64 }
-//   crc     u32  CRC32 of header + records (version 2 only)
+//   crc     u32  CRC32 of header + records
 //
 // Reads are defensive: the header is checked against the file size, every
 // record's endpoints must lie in [0, n) and its weight must be finite and
 // non-negative (a hostile or truncated file used to drive an out-of-bounds
-// write through the degree accumulation in load_distributed), and version-2
-// files carry a whole-file CRC32 that load_distributed verifies before any
-// record is trusted.
+// write through the degree accumulation in load_distributed), and the
+// whole-file CRC32 is verified by load_distributed before any record is
+// trusted.
 #pragma once
 
 #include <string>
@@ -32,16 +32,15 @@ namespace dlouvain::graph {
 struct BinaryHeader {
   VertexId num_vertices{0};
   EdgeId num_edges{0};
-  bool has_crc{false};  ///< true for version-2 files (CRC32 footer present)
 };
 
-/// Write an undirected edge list (each edge once) to `path`. Emits the
-/// version-2 format (CRC32 footer).
+/// Write an undirected edge list (each edge once) to `path`, sealed with the
+/// CRC32 footer.
 void write_binary(const std::string& path, VertexId num_vertices,
                   const std::vector<Edge>& undirected_edges);
 
-/// Read just the header. Validates magic/version, non-negative counts, and
-/// that the file is exactly the size the header implies.
+/// Read just the header. Validates the DLEL0002 magic, non-negative counts,
+/// and that the file is exactly the size the header implies.
 BinaryHeader read_binary_header(const std::string& path);
 
 /// Read records [lo, hi) -- the per-rank slice read. Every record is
@@ -49,8 +48,8 @@ BinaryHeader read_binary_header(const std::string& path);
 /// is reported with its index.
 std::vector<Edge> read_binary_slice(const std::string& path, EdgeId lo, EdgeId hi);
 
-/// Recompute the whole-file CRC32 and compare with the footer. Version-1
-/// files carry no footer and trivially pass. Throws on unreadable files.
+/// Recompute the whole-file CRC32 and compare with the footer. Throws on
+/// unreadable files and on any header read_binary_header rejects.
 bool verify_binary_crc(const std::string& path);
 
 /// Collective: every rank reads its 1/p record slice concurrently, degrees

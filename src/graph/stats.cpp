@@ -38,39 +38,6 @@ DegreeStats degree_stats(const Csr& g) {
   return stats;
 }
 
-double mean_clustering_coefficient(const Csr& g, VertexId sample) {
-  const VertexId n = g.num_vertices();
-  if (n == 0 || sample <= 0) return 0.0;
-  const VertexId stride = std::max<VertexId>(1, n / sample);
-
-  double sum = 0;
-  VertexId counted = 0;
-  std::vector<VertexId> nbrs;
-  for (VertexId v = 0; v < n; v += stride) {
-    nbrs.clear();
-    for (const auto& e : g.neighbors(v))
-      if (e.dst != v) nbrs.push_back(e.dst);
-    const auto d = static_cast<double>(nbrs.size());
-    if (nbrs.size() < 2) continue;
-
-    // CSR rows are sorted, so neighbour-of-neighbour membership is a binary
-    // search over each u's (sorted) adjacency.
-    EdgeId closed = 0;
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const auto row = g.neighbors(nbrs[i]);
-      for (std::size_t j = i + 1; j < nbrs.size(); ++j) {
-        const auto it = std::lower_bound(
-            row.begin(), row.end(), nbrs[j],
-            [](const HalfEdge& e, VertexId target) { return e.dst < target; });
-        if (it != row.end() && it->dst == nbrs[j]) ++closed;
-      }
-    }
-    sum += 2.0 * static_cast<double>(closed) / (d * (d - 1));
-    ++counted;
-  }
-  return counted ? sum / static_cast<double>(counted) : 0.0;
-}
-
 namespace {
 
 VertexId find_root(std::vector<VertexId>& parent, VertexId v) {

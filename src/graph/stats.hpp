@@ -1,5 +1,5 @@
-// Structural summary statistics for graphs -- used by the CLI tool, the
-// generator validation tests, and the bench banners.
+// Structural summary statistics for graphs: degree statistics and connected
+// components (dlouvain_cli --stats, the generator validation tests).
 #pragma once
 
 #include <cstdint>
@@ -24,11 +24,6 @@ struct DegreeStats {
 };
 
 DegreeStats degree_stats(const Csr& g);
-
-/// Mean local clustering coefficient over (up to) `sample` vertices with
-/// degree >= 2, computed exactly by sorted-adjacency intersection.
-/// Deterministic: samples vertices at a fixed stride.
-double mean_clustering_coefficient(const Csr& g, VertexId sample = 2000);
 
 /// Connected components via union-find; returns component id per vertex
 /// (smallest member id) and the component count.

@@ -133,11 +133,12 @@ void Session::run_initial(const graph::Csr& g) {
       // What the newest on-disk checkpoint has banked so far (zero without
       // checkpointing). Per-attempt deltas of this split a failed attempt's
       // traffic into salvaged (resumable) and wasted.
+      const auto peek = [&] {
+        return cfg.checkpoint.dir.empty() ? std::nullopt
+                                          : core::checkpoint_latest(cfg.checkpoint.dir);
+      };
       core::RunCounters banked;
-      if (!cfg.checkpoint.dir.empty()) {
-        banked = core::checkpoint_latest_counters(cfg.checkpoint.dir)
-                     .value_or(core::RunCounters{});
-      }
+      if (const auto latest = peek()) banked = latest->counters;
 
       active_ranks_ = plan_.ranks_;
 
@@ -152,10 +153,8 @@ void Session::run_initial(const graph::Csr& g) {
       // traffic. Runs for the final failed attempt too (before the rethrow),
       // so a run that ultimately fails still reports honest waste.
       const auto account_failed_attempt = [&] {
-        const int next_resume =
-            cfg.checkpoint.dir.empty()
-                ? 0
-                : core::checkpoint_latest_phase(cfg.checkpoint.dir).value_or(0);
+        const auto latest = peek();
+        const int next_resume = latest ? latest->next_phase : 0;
         // Phases [next_resume, progress] ran this attempt and will run
         // again on the next one.
         result_.recovery.phases_replayed +=
@@ -165,11 +164,7 @@ void Session::run_initial(const graph::Csr& g) {
         // I/O) minus what it banked into a checkpoint -- the banked part
         // re-enters the final result through its restored counters.
         const util::MetricsSnapshot spent = options_.metrics->total();
-        core::RunCounters now;
-        if (!cfg.checkpoint.dir.empty()) {
-          now = core::checkpoint_latest_counters(cfg.checkpoint.dir)
-                    .value_or(core::RunCounters{});
-        }
+        const core::RunCounters now = latest ? latest->counters : core::RunCounters{};
         const std::int64_t banked_messages =
             std::max<std::int64_t>(0, now.messages - banked.messages);
         const std::int64_t banked_bytes =

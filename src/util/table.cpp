@@ -44,18 +44,4 @@ void TextTable::print(std::ostream& os) const {
   for (const auto& row : rows_) emit_row(row);
 }
 
-void TextTable::print_markdown(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& row) {
-    os << '|';
-    for (std::size_t c = 0; c < headers_.size(); ++c)
-      os << ' ' << (c < row.size() ? row[c] : std::string{}) << " |";
-    os << '\n';
-  };
-  emit(headers_);
-  os << '|';
-  for (std::size_t c = 0; c < headers_.size(); ++c) os << "---|";
-  os << '\n';
-  for (const auto& row : rows_) emit(row);
-}
-
 }  // namespace dlouvain::util

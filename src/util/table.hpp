@@ -1,8 +1,8 @@
-// Aligned plain-text table printing for the bench harnesses.
+// Aligned plain-text table printing for the bench harnesses, the examples
+// and the CLI.
 //
 // The bench binaries regenerate the paper's tables; TextTable keeps their
-// stdout output readable and diff-able (fixed column alignment, optional
-// markdown rendering for EXPERIMENTS.md).
+// stdout output readable and diff-able (fixed column alignment).
 #pragma once
 
 #include <concepts>
@@ -32,9 +32,6 @@ class TextTable {
 
   /// Render with space padding and a header rule.
   void print(std::ostream& os) const;
-
-  /// Render as a GitHub-flavoured markdown table.
-  void print_markdown(std::ostream& os) const;
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
 

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <string>
 
 #include "comm/comm.hpp"
@@ -29,6 +31,7 @@
 #include "louvain/serial.hpp"
 #include "louvain/shared.hpp"
 #include "quality/fscore.hpp"
+#include "util/crc32.hpp"
 
 namespace core = dlouvain::core;
 namespace dg = dlouvain::graph;
@@ -469,15 +472,15 @@ TEST(Checkpoint, CorruptCheckpointFallsBackToFreshStart) {
   const auto reference = dlouvain::Plan::distributed(2).run(g);
   const auto dir = fresh_dir("dl_ckpt_corrupt");
   (void)dlouvain::Plan::distributed(2).checkpointing(dir.string()).run(g);
-  const auto latest = core::checkpoint_latest_phase(dir.string());
+  const auto latest = core::checkpoint_latest(dir.string());
   ASSERT_TRUE(latest.has_value());
 
-  // Flip one byte in the committed meta record: the CRC must reject it and
+  // Flip one byte in the committed state record: the CRC must reject it and
   // the resume must degrade to a fresh (still-correct) run.
-  const auto meta_path =
-      dir / ("phase_" + std::to_string(*latest)) / "meta.bin";
+  const auto state_path =
+      dir / ("phase_" + std::to_string(latest->next_phase)) / "state.bin";
   {
-    std::fstream f(meta_path, std::ios::binary | std::ios::in | std::ios::out);
+    std::fstream f(state_path, std::ios::binary | std::ios::in | std::ios::out);
     f.seekp(12);
     char byte = 0;
     f.seekg(12);
@@ -486,13 +489,73 @@ TEST(Checkpoint, CorruptCheckpointFallsBackToFreshStart) {
     f.seekp(12);
     f.write(&byte, 1);
   }
-  EXPECT_FALSE(core::checkpoint_latest_phase(dir.string()).has_value());
+  EXPECT_FALSE(core::checkpoint_latest(dir.string()).has_value());
 
   const auto resumed = dlouvain::Plan::distributed(2).resume(dir.string()).run(g);
   EXPECT_EQ(resumed.recovery.resumed_from_phase, -1);  // fresh start
   EXPECT_EQ(resumed.community, reference.community);
   EXPECT_EQ(resumed.modularity, reference.modularity);
   std::filesystem::remove_all(dir);
+}
+
+TEST(Checkpoint, MalformedStateRecordIsSkipped) {
+  // A record whose CRC checks out but whose contents do not -- a vertex
+  // count its length disagrees with, a version this build does not write,
+  // or a chain id the coarse graph has no vertex for -- is skipped like a
+  // corrupt one: the peek finds nothing, and a resume starts fresh instead
+  // of failing inside the load.
+  const auto g = make_banded_graph();
+  const auto reference = dlouvain::Plan::distributed(2).run(g);
+  enum class Patch { kCount, kVersion, kChainId };
+  for (const Patch patch : {Patch::kCount, Patch::kVersion, Patch::kChainId}) {
+    SCOPED_TRACE(static_cast<int>(patch));
+    const auto dir = fresh_dir("dl_ckpt_malformed");
+    (void)dlouvain::Plan::distributed(2).checkpointing(dir.string()).run(g);
+    const auto latest = core::checkpoint_latest(dir.string());
+    ASSERT_TRUE(latest.has_value());
+    const auto phase = dir / ("phase_" + std::to_string(latest->next_phase));
+    const auto coarse = dg::read_binary_header((phase / "graph.dlel").string());
+    ASSERT_LT(coarse.num_vertices, g.num_vertices() - 1);
+
+    const auto path = phase / "state.bin";
+    std::string bytes;
+    {
+      std::ifstream in(path, std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    }
+    // The version word follows the u64 magic; orig_global_n precedes the
+    // chain of g.num_vertices() ids, which the CRC32 seals.
+    const std::size_t body = bytes.size() - sizeof(std::uint32_t);
+    const std::size_t chain_at =
+        body - static_cast<std::size_t>(g.num_vertices()) * sizeof(VertexId);
+    const auto put = [&](std::size_t at, auto value) {
+      std::memcpy(bytes.data() + at, &value, sizeof value);
+    };
+    switch (patch) {
+      case Patch::kCount:
+        put(chain_at - sizeof(VertexId), std::int64_t{1} << 40);
+        break;
+      case Patch::kVersion:
+        put(sizeof(std::uint64_t), std::uint32_t{3});
+        break;
+      case Patch::kChainId:  // a valid original id, beyond the coarse graph
+        put(chain_at, VertexId{g.num_vertices() - 1});
+        break;
+    }
+    put(body, dlouvain::util::crc32(bytes.data(), body));
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+
+    std::optional<core::CheckpointState> peek;
+    EXPECT_NO_THROW(peek = core::checkpoint_latest(dir.string()));
+    EXPECT_FALSE(peek.has_value());
+    const auto resumed = dlouvain::Plan::distributed(2).resume(dir.string()).run(g);
+    EXPECT_EQ(resumed.recovery.resumed_from_phase, -1);  // fresh start
+    EXPECT_EQ(resumed.community, reference.community);
+    std::filesystem::remove_all(dir);
+  }
 }
 
 TEST(FaultSweep, CrashEachRankAtEachPhaseRecoversBitwise) {
@@ -730,8 +793,10 @@ TEST(BinaryIo, CrcFooterDetectsBitRot) {
   std::filesystem::remove(path);
 }
 
-TEST(BinaryIo, VersionOneFilesRemainReadable) {
-  // Hand-write a v1 file (no footer): header + records with the old magic.
+TEST(BinaryIo, VersionOneFilesAreRejected) {
+  // Only DLEL0002 is read. Hand-write a v1 file (no footer): header + records
+  // with the old magic. Every reader refuses it, and a collective load fails
+  // on every rank.
   const auto path = std::filesystem::temp_directory_path() / "dl_v1.dlel";
   {
     std::ofstream f(path, std::ios::binary | std::ios::trunc);
@@ -743,14 +808,14 @@ TEST(BinaryIo, VersionOneFilesRemainReadable) {
     const struct { std::int64_t s, d; double w; } recs[2] = {{0, 1, 1.0}, {1, 2, 2.0}};
     f.write(reinterpret_cast<const char*>(recs), sizeof recs);
   }
-  const auto header = dg::read_binary_header(path.string());
-  EXPECT_EQ(header.num_vertices, 3);
-  EXPECT_EQ(header.num_edges, 2);
-  EXPECT_FALSE(header.has_crc);
-  EXPECT_TRUE(dg::verify_binary_crc(path.string()));  // nothing to verify
-  const auto edges = dg::read_binary_slice(path.string(), 0, 2);
-  ASSERT_EQ(edges.size(), 2u);
-  EXPECT_EQ(edges[1].weight, 2.0);
+  EXPECT_THROW((void)dg::read_binary_header(path.string()), std::runtime_error);
+  EXPECT_THROW((void)dg::verify_binary_crc(path.string()), std::runtime_error);
+  EXPECT_THROW((void)dg::read_binary_slice(path.string(), 0, 2), std::runtime_error);
+  EXPECT_THROW(dc::run(2,
+                       [&](dc::Comm& comm) {
+                         (void)dg::load_distributed(comm, path.string());
+                       }),
+               std::runtime_error);
   std::filesystem::remove(path);
 }
 
@@ -761,7 +826,6 @@ TEST(BinaryIo, WriteDistributedSealsAVerifiableFile) {
     auto dist = dg::DistGraph::from_replicated(comm, g);
     dg::write_distributed(comm, dist, path.string());
   });
-  EXPECT_TRUE(dg::read_binary_header(path.string()).has_crc);
   EXPECT_TRUE(dg::verify_binary_crc(path.string()));
   std::filesystem::remove(path);
 }

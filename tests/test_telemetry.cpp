@@ -11,9 +11,8 @@
 //    recovery.wasted_messages/bytes, never in Result::messages;
 //  * satellite 2: per-phase TimeBreakdowns sum to the run breakdown and
 //    never exceed their phase's wall time (no double counting);
-//  * satellite 3: counters survive checkpoint/resume (v2 counters.bin) and
-//    a v1-era checkpoint without counters.bin still resumes, with restored
-//    counters reading zero.
+//  * resumed runs report whole-job counters: the checkpoint's state.bin
+//    record carries the pre-checkpoint totals across a resume.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -374,17 +373,18 @@ TEST(Resume, WholeJobTotalsAreSelfConsistentAfterResume) {
                          .run(g);
   ASSERT_GE(first.phases, 2);
 
-  const auto banked = core::checkpoint_latest_counters(dir.string());
-  ASSERT_TRUE(banked.has_value()) << "v2 checkpoints must persist counters";
-  EXPECT_GT(banked->messages, 0);
-  EXPECT_GT(banked->seconds, 0);
-  EXPECT_LE(banked->messages, first.distributed->messages);
+  const auto latest = core::checkpoint_latest(dir.string());
+  ASSERT_TRUE(latest.has_value()) << "no checkpoint was written";
+  const core::RunCounters& banked = latest->counters;
+  EXPECT_GT(banked.messages, 0);
+  EXPECT_GT(banked.seconds, 0);
+  EXPECT_LE(banked.messages, first.distributed->messages);
 
   const auto resumed =
       Plan::distributed(2).threads(1).seed(123).resume(dir.string()).run(g);
   ASSERT_GE(resumed.distributed->resumed_from_phase, 0);
-  EXPECT_EQ(resumed.distributed->restored.messages, banked->messages);
-  EXPECT_EQ(resumed.distributed->restored.bytes, banked->bytes);
+  EXPECT_EQ(resumed.distributed->restored.messages, banked.messages);
+  EXPECT_EQ(resumed.distributed->restored.bytes, banked.bytes);
   // The satellite-3 rule: reported totals are whole-job = restored +
   // executed, mirroring what phases/total_iterations always did.
   EXPECT_EQ(resumed.distributed->messages,
@@ -394,43 +394,6 @@ TEST(Resume, WholeJobTotalsAreSelfConsistentAfterResume) {
             resumed.distributed->restored.bytes +
                 counter(resumed, util::Counter::kBytes));
   EXPECT_GE(resumed.distributed->seconds, resumed.distributed->restored.seconds);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(Resume, V1CheckpointWithoutCountersStillResumes) {
-  // A pre-v2 checkpoint has no counters.bin. Deleting the sidecar simulates
-  // one: the resume must succeed with restored counters reading zero -- a
-  // missing sidecar NEVER invalidates the checkpoint.
-  const auto g = rmat8();
-  const auto dir = fresh_dir("dl_resume_v1");
-  const auto first = Plan::distributed(2)
-                         .threads(1)
-                         .seed(123)
-                         .checkpointing(dir.string(), 1)
-                         .run(g);
-  ASSERT_GE(first.phases, 2);
-
-  int removed = 0;
-  for (const auto& entry : std::filesystem::recursive_directory_iterator(dir)) {
-    if (entry.is_regular_file() && entry.path().filename() == "counters.bin") {
-      std::filesystem::remove(entry.path());
-      ++removed;
-    }
-  }
-  ASSERT_GT(removed, 0) << "v2 checkpoints must write counters.bin";
-  EXPECT_FALSE(core::checkpoint_latest_counters(dir.string()).has_value() &&
-               core::checkpoint_latest_counters(dir.string())->messages != 0);
-
-  const auto resumed =
-      Plan::distributed(2).threads(1).seed(123).resume(dir.string()).run(g);
-  ASSERT_GE(resumed.distributed->resumed_from_phase, 0);
-  EXPECT_EQ(resumed.community, first.community);
-  EXPECT_EQ(resumed.distributed->restored.messages, 0);
-  EXPECT_EQ(resumed.distributed->restored.bytes, 0);
-  EXPECT_EQ(resumed.distributed->restored.seconds, 0);
-  // Self-consistency still holds: totals cover exactly what ran here.
-  EXPECT_EQ(resumed.distributed->messages,
-            counter(resumed, util::Counter::kMessages));
   std::filesystem::remove_all(dir);
 }
 

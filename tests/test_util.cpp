@@ -1,5 +1,5 @@
 // Unit tests for the util library: PRNG determinism and distribution sanity,
-// timers, running stats, CLI parsing, table rendering, CRC32.
+// timers, CLI parsing, table rendering, CRC32.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,7 +12,6 @@
 #include "util/cli.hpp"
 #include "util/crc32.hpp"
 #include "util/prng.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -82,7 +81,7 @@ TEST(Prng, XoshiroUnitInRange) {
 TEST(Timer, MeasuresElapsedTime) {
   du::WallTimer t;
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_GE(t.millis(), 15.0);
+  EXPECT_GE(t.seconds(), 0.015);
 }
 
 TEST(Timer, AccumSumsWindows) {
@@ -104,23 +103,6 @@ TEST(Timer, ScopedAccumStopsOnDestruction) {
   }
   EXPECT_EQ(acc.count(), 1);
   EXPECT_GT(acc.seconds(), 0.0);
-}
-
-TEST(Stats, RunningStatsBasics) {
-  du::RunningStats s;
-  for (double x : {1.0, 2.0, 3.0, 4.0}) s.add(x);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-  EXPECT_NEAR(s.stddev(), 1.29099, 1e-4);
-}
-
-TEST(Stats, PercentileInterpolates) {
-  std::vector<double> xs{10, 20, 30, 40};
-  EXPECT_DOUBLE_EQ(du::percentile(xs, 0), 10);
-  EXPECT_DOUBLE_EQ(du::percentile(xs, 100), 40);
-  EXPECT_DOUBLE_EQ(du::percentile(xs, 50), 25);
 }
 
 TEST(Cli, ParsesSpaceAndEqualsForms) {
@@ -171,14 +153,6 @@ TEST(Table, AlignsColumnsAndCountsRows) {
   const std::string s = os.str();
   EXPECT_NE(s.find("longer-name"), std::string::npos);
   EXPECT_NE(s.find("name"), std::string::npos);
-}
-
-TEST(Table, MarkdownHasSeparatorRow) {
-  du::TextTable t({"a", "b"});
-  t.add_row({"1", "2"});
-  std::ostringstream os;
-  t.print_markdown(os);
-  EXPECT_NE(os.str().find("|---|---|"), std::string::npos);
 }
 
 TEST(Table, FmtFormatsNumbers) {

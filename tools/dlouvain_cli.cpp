@@ -11,7 +11,7 @@
 //   --threads <t>                  compute threads per rank (default 1)
 //   --coloring                     colour-constrained sweeps (Section VI)
 //   --output <file>                write "vertex community" lines
-//   --stats                        print degree/component statistics first
+//   --stats                        also print the connected-component count
 //
 // fault tolerance (see docs/FAULT_TOLERANCE.md):
 //   --comm-timeout <s>             deadline for blocked receives (deadlock
@@ -52,8 +52,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "comm/world.hpp"
-#include "core/components.hpp"
 #include "dlouvain.hpp"
 #include "gen/surrogate.hpp"
 #include "graph/binary_io.hpp"
@@ -117,7 +115,8 @@ int run_cli(int argc, char** argv) {
       static_cast<int>(cli.get_int("threads", 1, "compute threads per rank (<=0 = auto)"));
   const bool coloring = cli.get_flag("coloring", false, "colour-constrained sweeps");
   const auto output = cli.get_string("output", "", "write 'vertex community' lines");
-  const bool stats = cli.get_flag("stats", false, "print graph statistics first");
+  const bool stats =
+      cli.get_flag("stats", false, "also print the connected-component count");
   const int summary = static_cast<int>(
       cli.get_int("summary", 0, "print the N largest communities' summaries"));
   const double comm_timeout =
@@ -208,15 +207,6 @@ int run_cli(int argc, char** argv) {
     csr = graph::from_edges(generated.num_vertices, generated.edges);
   }
 
-  core::DistComponentsResult components;
-  if (stats) {
-    comm::run(ranks, [&](comm::Comm& comm) {
-      auto dist = graph::DistGraph::from_replicated(comm, csr);
-      auto comp = core::dist_connected_components(comm, dist);
-      if (comm.is_root()) components = std::move(comp);
-    });
-  }
-
   auto plan = Plan::distributed(ranks)
                   .threads(threads)
                   .variant(*variant)
@@ -244,10 +234,8 @@ int run_cli(int argc, char** argv) {
 
   std::cout << "graph:        " << csr.num_vertices() << " vertices, "
             << csr.num_arcs() / 2 << " edges\n";
-  if (stats) {
-    std::cout << "components:   " << components.count << " (in "
-              << components.rounds << " propagation rounds)\n";
-  }
+  if (stats)
+    std::cout << "components:   " << graph::connected_components(csr).count << '\n';
   std::cout << "variant:      " << core::variant_label(*variant, alpha)
             << (coloring ? " + coloring" : "") << '\n'
             << "ranks:        " << ranks << " x " << threads << " thread(s)\n"
