@@ -336,6 +336,10 @@ std::optional<ResumedState> checkpoint_load(comm::Comm& comm, const std::string&
   return resumed;
 }
 
+void checkpoint_clear(const std::string& dir) {
+  for (const int k : candidate_phases(dir)) fs::remove_all(phase_dir(dir, k));
+}
+
 std::optional<CheckpointState> checkpoint_latest(const std::string& dir) {
   auto record = parse_state(newest_valid_state(dir));
   if (!record) return std::nullopt;

@@ -153,6 +153,11 @@ void checkpoint_save(comm::Comm& comm, const std::string& dir,
 std::optional<ResumedState> checkpoint_load(comm::Comm& comm, const std::string& dir,
                                             std::uint64_t fingerprint);
 
+/// Non-collective: remove every phase_<k> checkpoint in `dir` (a missing
+/// directory holds none). A fresh, non-resuming run calls it once it owns
+/// the directory, so none of its restarts resumes another job's checkpoint.
+void checkpoint_clear(const std::string& dir);
+
 /// Non-collective peek (for the recovery driver between attempts): the
 /// scalars of the newest valid checkpoint in `dir` -- the phase a resume
 /// would enter and the run counters it has banked -- or nullopt if none.

@@ -7,36 +7,15 @@
 
 namespace dlouvain {
 
-namespace {
-
-const char* engine_name(Engine e) {
-  switch (e) {
-    case Engine::kSerial: return "serial";
-    case Engine::kShared: return "shared";
-    case Engine::kDistributed: return "distributed";
-  }
-  return "?";
-}
-
-}  // namespace
-
-louvain::LouvainConfig Plan::base_config() const {
-  louvain::LouvainConfig cfg;
-  cfg.threshold = threshold_;
-  cfg.max_phases = max_phases_;
-  cfg.max_iterations_per_phase = max_iterations_;
-  cfg.resolution = resolution_;
-  cfg.early_termination = variant_ == Variant::kEt || variant_ == Variant::kEtc;
-  cfg.et_alpha = alpha_;
-  cfg.vertex_following = vertex_following_;
-  cfg.seed = seed_;
-  return cfg;
-}
-
 core::DistConfig Plan::dist_config() const {
   core::DistConfig cfg;
-  cfg.base = base_config();
-  cfg.base.vertex_following = false;  // a serial/shared-only preprocessing
+  cfg.base.threshold = threshold_;
+  cfg.base.max_phases = max_phases_;
+  cfg.base.max_iterations_per_phase = max_iterations_;
+  cfg.base.resolution = resolution_;
+  cfg.base.early_termination = variant_ == Variant::kEt || variant_ == Variant::kEtc;
+  cfg.base.et_alpha = alpha_;
+  cfg.base.seed = seed_;
   cfg.variant = variant_;
   cfg.add_threshold_cycling = cycling_;
   cfg.use_coloring = coloring_;
@@ -53,7 +32,6 @@ core::DistConfig Plan::dist_config() const {
 void Plan::validate() const {
   const auto fail = [](std::string msg) { throw PlanError(std::move(msg)); };
 
-  // -- engine-independent ranges ------------------------------------------
   if (threshold_ < 0) fail("threshold() must be >= 0");
   if (resolution_ <= 0) fail("resolution() must be > 0");
   if (max_phases_ < 1) fail("max_phases() must be >= 1");
@@ -74,31 +52,7 @@ void Plan::validate() const {
     fail("checkpointing(\"" + checkpoint_dir_ + "\") and resume(\"" + resume_dir_ +
          "\") name different directories; use one directory (or drop one call)");
   }
-
-  // -- engine/knob compatibility ------------------------------------------
-  if (engine_ == Engine::kDistributed) {
-    if (ranks_ < 1) fail("distributed() needs at least 1 rank");
-    if (vertex_following_) {
-      fail("vertex_following() is a serial/shared-only preprocessing; the "
-           "distributed engine does not support it");
-    }
-    return;
-  }
-  const auto dist_only = [&](const char* what) {
-    fail(std::string(what) + " needs the distributed engine (this plan is " +
-         engine_name(engine_) + ")");
-  };
-  if (coloring_) dist_only("coloring()");
-  if (cycling_ || variant_ == Variant::kThresholdCycling) dist_only("threshold_cycling()");
-  if (variant_ == Variant::kEtc) dist_only("variant(kEtc)");
-  if (!checkpoint_dir_.empty()) dist_only("checkpointing()");
-  if (resume_) dist_only("resume()");
-  if (faults_) dist_only("inject_faults()");
-  if (comm_timeout_ > 0) dist_only("comm_timeout()");
-  if (max_restarts_ > 0) dist_only("max_restarts()");
-  if (retransmit_max_ > 0) dist_only("retransmit()");
-  if (shrink_on_rank_loss_) dist_only("shrink_on_rank_loss()");
-  if (partition_ != graph::PartitionKind::kEvenEdges) dist_only("partition()");
+  if (ranks_ < 1) fail("distributed() needs at least 1 rank");
 }
 
 Result Plan::run(const graph::Csr& g) const {
@@ -114,22 +68,12 @@ Session Plan::open(const graph::Csr& g) const {
 }
 
 std::string Result::to_json() const {
-  std::string out;
-  if (engine == Engine::kDistributed && distributed) {
-    out = core::dist_result_to_json(*distributed);
-    out.pop_back();  // reopen the object to append the driver-level sections
-  } else {
-    out = "{\"schema\":\"";
-    out += core::kManifestSchema;
-    out += "\",\"engine\":\"";
-    out += engine == Engine::kSerial ? "serial" : "shared";
-    out += '"';
-    out += ",\"modularity\":" + core::json_number(modularity);
-    out += ",\"num_communities\":" + std::to_string(num_communities);
-    out += ",\"phases\":" + std::to_string(phases);
-    out += ",\"total_iterations\":" + std::to_string(total_iterations);
-    out += ",\"seconds\":" + core::json_number(seconds);
-  }
+  // A run that failed for good has no DistResult; its best-effort manifest
+  // keeps the one shape with zeroed result fields. Both arms are lvalues, so
+  // a completed run's result is not copied.
+  const core::DistResult failed;
+  std::string out = core::dist_result_to_json(distributed ? *distributed : failed);
+  out.pop_back();  // reopen the object to append the driver-level sections
   out += ",\"updates\":";
   core::append_updates_json(out, updates);
   out += ",\"recovery\":{\"attempts\":" + std::to_string(recovery.attempts);

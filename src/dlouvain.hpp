@@ -1,10 +1,8 @@
 // dlouvain -- the library's single public front door.
 //
-// A `Plan` names an engine (serial, shared-memory threaded, or distributed)
-// and carries every tunable as a fluent builder; `run()` dispatches to the
-// right implementation and normalizes the outcome into one `Result` shape,
-// so callers pick an engine the way they pick a parameter instead of
-// learning three APIs:
+// A `Plan` describes one run of the paper's distributed algorithm over
+// in-process ranks and carries every tunable as a fluent builder; `run()`
+// executes it and returns one `Result`:
 //
 //   #include "dlouvain.hpp"
 //
@@ -31,25 +29,24 @@
 //
 // Plans are validated before anything runs: run()/open() first call
 // validate(), which throws a single PlanError naming the offending setting
-// (e.g. coloring() on the serial engine, or checkpointing() and resume()
-// pointed at different directories).
+// (e.g. a resolution() <= 0, or checkpointing() and resume() pointed at
+// different directories).
 //
-// The per-engine headers (louvain/serial.hpp, louvain/shared.hpp,
-// core/dist_louvain.hpp) stay public and unchanged for callers that want
-// the raw configs or the collective, real-Comm entry points; Plan is sugar
-// over them, not a replacement. base_config()/dist_config() are the single
-// materialization point: run()/open() execute exactly the config those
-// return, so dropping down to the raw engines with them reproduces a
-// Plan-driven run bit for bit. Engine-specific details (per-phase
-// telemetry, traffic counters) remain available on Result::distributed /
-// Result::local.
+// The serial reference and the shared-memory comparator of the paper's
+// Tables I-III are not behind Plan: call louvain::louvain_serial
+// (louvain/serial.hpp) or louvain::louvain_shared (louvain/shared.hpp) with
+// a louvain::LouvainConfig, whose defaults equal Plan's. The raw distributed
+// entry points (core/dist_louvain.hpp) stay public for callers that want the
+// config or a real Comm. dist_config() is the single materialization point:
+// run()/open() execute exactly the config it returns, so dropping down to
+// core::dist_louvain_inprocess with it reproduces a Plan-driven run bit for
+// bit. Per-phase telemetry and traffic counters are on Result::distributed.
 //
-// Every engine honours the determinism contract: for a fixed Plan (minus
-// `threads`), the assignment and every modularity bit are identical at any
-// thread count. The distributed engine's results also depend on `ranks` --
-// but not on how its per-rank work is threaded. A Session extends the
-// contract to streams: a fixed (Plan, batch sequence) yields bitwise-
-// identical assignments at any thread count.
+// Determinism contract: for a fixed Plan (minus `threads`), the assignment
+// and every modularity bit are identical at any thread count. Results
+// depend on `ranks` -- but not on how each rank's work is threaded. A
+// Session extends the contract to streams: a fixed (Plan, batch sequence)
+// yields bitwise-identical assignments at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -63,7 +60,6 @@
 #include "core/dist_louvain.hpp"
 #include "graph/csr.hpp"
 #include "graph/dist_graph.hpp"
-#include "louvain/config.hpp"
 #include "util/types.hpp"
 
 namespace dlouvain {
@@ -96,8 +92,7 @@ class SessionPoisoned : public std::runtime_error {
 /// the weights (on top of the pre-batch weight when the edge exists and is
 /// not removed in this batch), while removing the same edge twice is an
 /// error -- the second removal names an edge the pre-batch graph holds only
-/// once. These semantics are engine-independent (test_incremental pins the
-/// serial and distributed engines to the same behaviour).
+/// once. test_incremental's EdgeBatchSemantics pins these rules.
 class EdgeBatch {
  public:
   /// Add weight `w` (> 0) to edge {u, v}, creating it if absent.
@@ -126,13 +121,12 @@ class EdgeBatch {
 struct UpdateStats {
   std::int64_t edges_added{0};
   std::int64_t edges_removed{0};
-  /// Vertices the warm start reactivated (global; 0 for an empty batch and
-  /// for serial/shared sessions, which recompute in full).
+  /// Vertices the warm start reactivated (global; 0 for an empty batch).
   std::int64_t vertices_reactivated{0};
   /// Iterations the warm phase-0 re-convergence ran.
   std::int64_t reconverge_iterations{0};
   /// True when the warm result drifted past Plan::update_fallback and the
-  /// batch was recomputed from scratch (always true for serial/shared).
+  /// batch was recomputed from scratch.
   bool fell_back_to_full{false};
   double seconds{0};
 };
@@ -141,14 +135,7 @@ struct UpdateStats {
 /// never open the core namespace.
 using core::Variant;
 
-/// Which implementation a Plan dispatches to.
-enum class Engine {
-  kSerial,       ///< single-threaded reference (louvain/serial.hpp)
-  kShared,       ///< pool-threaded comparator (louvain/shared.hpp)
-  kDistributed,  ///< in-process-ranks distributed algorithm (core/)
-};
-
-/// Engine-agnostic outcome of a Plan::run.
+/// Outcome of a Plan::run, and a Session's current clustering.
 struct Result {
   /// Final community id per original vertex, compacted to
   /// [0, num_communities).
@@ -158,16 +145,13 @@ struct Result {
   int phases{0};
   long total_iterations{0};
   double seconds{0};
-  Engine engine{Engine::kSerial};
 
   /// Full distributed result (telemetry, traffic counters, per-phase
-  /// assignments) when engine == kDistributed.
+  /// detail). Every completed run engages it.
   std::optional<core::DistResult> distributed;
-  /// Full serial/shared result (per-phase stats) otherwise.
-  std::optional<louvain::LouvainResult> local;
 
-  /// How the distributed run survived failures (always populated by the
-  /// distributed engine; attempts == 1 means it succeeded first try).
+  /// How the run survived failures (attempts == 1 means it succeeded
+  /// first try).
   struct Recovery {
     int attempts{1};            ///< runs launched, including the success
     int phases_replayed{0};     ///< phases re-run across all restarts
@@ -206,7 +190,7 @@ struct Result {
     int verdicts_dead{0};
     /// Rung 3 -- shrink-to-survivors: times the world shrank by one rank,
     /// and the rank count that finished the job (== Plan::ranks when no
-    /// shrink happened; 0 for non-distributed engines).
+    /// shrink happened).
     int shrinks{0};
     int final_ranks{0};
   };
@@ -217,52 +201,38 @@ struct Result {
   core::UpdateTelemetry updates;
 
   /// Machine-readable run manifest (schema "dlouvain-run-manifest/7"; see
-  /// docs/OBSERVABILITY.md). Valid JSON for every engine; the distributed
-  /// engine adds counters, breakdown and per-phase detail. Same content
-  /// `Plan::metrics(path)` writes to disk.
+  /// docs/OBSERVABILITY.md). A run that failed for good has no `distributed`
+  /// result; its manifest has the same shape with zeroed result fields.
+  /// Same content `Plan::metrics(path)` writes to disk.
   [[nodiscard]] std::string to_json() const;
 };
 
 class Session;
 
-/// Fluent description of one community-detection run. Start from a named
-/// engine constructor, chain setters, end with run(); plans are plain values
-/// and can be stored, copied and reused.
+/// Fluent description of one distributed community-detection run. Start
+/// from Plan::distributed(ranks), chain setters, end with run(); plans are
+/// plain values and can be stored, copied and reused.
 class Plan {
  public:
-  /// Single-threaded reference implementation.
-  static Plan serial() { return Plan(Engine::kSerial); }
-
-  /// Shared-memory threaded comparator; `threads` <= 0 = hardware
-  /// concurrency.
-  static Plan shared(int threads = 0) {
-    Plan p(Engine::kShared);
-    p.threads_ = threads;
-    return p;
-  }
-
   /// The paper's distributed algorithm over `ranks` in-process ranks.
   static Plan distributed(int ranks = 4) {
-    Plan p(Engine::kDistributed);
+    Plan p;
     p.ranks_ = ranks;
     return p;
   }
 
-  // -- engine shape -------------------------------------------------------
-  /// In-process ranks (distributed engine only).
+  // -- shape --------------------------------------------------------------
+  /// In-process ranks.
   Plan& ranks(int n) { ranks_ = n; return *this; }
-  /// Compute threads: the whole pool (shared engine) or per rank
-  /// (distributed engine). <= 0 = hardware concurrency; ignored by the
-  /// serial engine. Never changes results (see util/parallel.hpp).
+  /// Compute threads per rank. <= 0 = hardware concurrency. Never changes
+  /// results (see util/parallel.hpp).
   Plan& threads(int n) { threads_ = n; return *this; }
-  /// Initial partition of the input across ranks (distributed engine).
+  /// Initial partition of the input across ranks.
   Plan& partition(graph::PartitionKind kind) { partition_ = kind; return *this; }
 
   // -- algorithm ----------------------------------------------------------
   /// Heuristic variant (paper Section V). kEt/kEtc switch early termination
-  /// on; pair with alpha(). kThresholdCycling and kEtc need the distributed
-  /// engine: the serial and shared engines have no tau schedule and no ETC
-  /// vote, so validate() rejects those two variants there.
+  /// on; pair with alpha().
   Plan& variant(Variant v) { variant_ = v; return *this; }
   /// ET aggressiveness (paper alpha; only meaningful with kEt/kEtc).
   Plan& alpha(double a) { alpha_ = a; return *this; }
@@ -276,12 +246,10 @@ class Plan {
   /// Add the Fig. 2 threshold-cycling schedule on top of the variant (the
   /// paper's Table VI combination); implied by kThresholdCycling itself.
   Plan& threshold_cycling(bool on = true) { cycling_ = on; return *this; }
-  /// Colour-constrained sweeps (distributed engine, paper Section VI).
+  /// Colour-constrained sweeps (paper Section VI).
   Plan& coloring(bool on = true) { coloring_ = on; return *this; }
-  /// Vertex-following preprocessing (serial/shared engines).
-  Plan& vertex_following(bool on = true) { vertex_following_ = on; return *this; }
 
-  // -- fault tolerance (distributed engine; see docs/FAULT_TOLERANCE.md) --
+  // -- fault tolerance (see docs/FAULT_TOLERANCE.md) ----------------------
   /// Write phase-boundary checkpoints into `dir` (every `every` phases).
   Plan& checkpointing(std::string dir, int every = 1) {
     checkpoint_dir_ = std::move(dir);
@@ -343,16 +311,11 @@ class Plan {
   /// Write the run manifest (Result::to_json()) to `path` after the run.
   Plan& metrics(std::string path) { metrics_path_ = std::move(path); return *this; }
 
-  // -- materialized configs (for callers dropping to the raw APIs) --------
-  [[nodiscard]] Engine engine() const { return engine_; }
+  // -- materialized config (for callers dropping to the raw API) ----------
   [[nodiscard]] int num_ranks() const { return ranks_; }
   [[nodiscard]] int num_threads() const { return threads_; }
-  /// The LouvainConfig this plan describes (serial/shared engines; also the
-  /// `base` of dist_config()). THE materialization point: run()/open()'s
-  /// serial/shared branches execute exactly this config.
-  [[nodiscard]] louvain::LouvainConfig base_config() const;
-  /// The DistConfig this plan describes. THE materialization point: the
-  /// distributed engine executes exactly this config, so
+  /// The DistConfig this plan describes. THE materialization point:
+  /// run()/open() execute exactly this config, so
   /// core::dist_louvain_inprocess(num_ranks(), g, plan.dist_config(), ...)
   /// reproduces plan.run(g) bit for bit (test_incremental pins this).
   [[nodiscard]] core::DistConfig dist_config() const;
@@ -374,9 +337,8 @@ class Plan {
 
  private:
   friend class Session;
-  explicit Plan(Engine engine) : engine_(engine) {}
+  Plan() = default;
 
-  Engine engine_;
   int ranks_{4};
   int threads_{1};
   graph::PartitionKind partition_{graph::PartitionKind::kEvenEdges};
@@ -389,7 +351,6 @@ class Plan {
   int max_iterations_{512};
   bool cycling_{false};
   bool coloring_{false};
-  bool vertex_following_{false};
   std::string checkpoint_dir_;
   int checkpoint_every_{1};
   std::string resume_dir_;
@@ -416,8 +377,7 @@ class Plan {
 ///
 /// Determinism: a fixed (Plan, batch sequence) yields bitwise-identical
 /// assignments and modularity at any thread count. Move-only (owns the
-/// partitioned graph state). Serial/shared sessions are supported but not
-/// incremental: every update recomputes in full (and says so in its stats).
+/// partitioned graph state).
 class Session {
  public:
   Session(Session&&) noexcept = default;
@@ -467,8 +427,6 @@ class Session {
   explicit Session(const Plan& plan) : plan_(plan) {}
 
   void run_initial(const graph::Csr& g);
-  UpdateStats update_distributed(const EdgeBatch& batch);
-  UpdateStats update_local(const EdgeBatch& batch);
   void write_artifacts() const;
 
   Plan plan_;
@@ -486,11 +444,9 @@ class Session {
   /// Ranks currently running the session: Plan::ranks at open, decremented
   /// by every rung-3 shrink. Updates run at this size too.
   int active_ranks_{0};
-  /// Distributed engine: each rank's slice of the CURRENT fine graph,
-  /// mutated in place by update(); index = rank (re-sized on shrink).
+  /// Each rank's slice of the CURRENT fine graph, mutated in place by
+  /// update(); index = rank (re-sized on shrink).
   std::vector<graph::DistGraph> rank_graphs_;
-  /// Serial/shared engines: the current graph, rebuilt per update.
-  graph::Csr csr_;
   /// Session-lifetime run options: the fault injector (crash triggers stay
   /// one-shot across the whole stream) and the trace store (update spans
   /// flush alongside the initial run's) persist; the metrics registry is

@@ -48,6 +48,13 @@ std::string envelope_error(const JobRequest& req, const SchedulerOptions& opts) 
   if (req.config.ranks < 1 || req.config.ranks > opts.max_ranks)
     return "ranks " + std::to_string(req.config.ranks) + " outside the service limit [1, " +
            std::to_string(opts.max_ranks) + "]";
+  // Each rank runs one thread plus threads - 1 pool workers, and a
+  // threads <= 0 would mean one per core on every rank.
+  const std::int64_t job_threads = std::int64_t{req.config.ranks} * req.config.threads;
+  if (job_threads < 1 || job_threads > opts.max_ranks)
+    return "ranks " + std::to_string(req.config.ranks) + " x threads " +
+           std::to_string(req.config.threads) + " outside the service limit [1, " +
+           std::to_string(opts.max_ranks) + "] threads per job";
   if (static_cast<std::int64_t>(req.edges.size()) > opts.max_edges)
     return "graph of " + std::to_string(req.edges.size()) +
            " edges exceeds the service limit of " + std::to_string(opts.max_edges);

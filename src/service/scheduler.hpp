@@ -52,7 +52,10 @@ struct SchedulerOptions {
   int workers{2};            ///< concurrent job executions
   std::size_t max_queue{64};     ///< queued-but-not-running bound (admission)
   std::size_t cache_capacity{32};  ///< LRU result-cache entries
-  int max_ranks{64};         ///< per-job Plan limit (admission)
+  /// Per-job thread limit (admission): bounds the rank count and the job's
+  /// threads, ranks x threads (each rank is one thread plus threads - 1
+  /// pool workers); both are admitted in [1, max_ranks].
+  int max_ranks{64};
   /// Per-job graph size limit (admission): bounds both the edge count and
   /// the vertex count, which is admitted in [0, max_edges].
   std::int64_t max_edges{50'000'000};

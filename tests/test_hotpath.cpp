@@ -29,6 +29,8 @@
 #include "gen/ssca2.hpp"
 #include "graph/csr.hpp"
 #include "graph/dist_graph.hpp"
+#include "louvain/serial.hpp"
+#include "louvain/shared.hpp"
 #include "util/crc32.hpp"
 
 namespace {
@@ -69,7 +71,9 @@ struct Golden {
   long iterations;
 };
 
-void expect_golden(const Result& r, const Golden& want, const std::string& label) {
+/// Takes a Plan's Result or a comparator's louvain::LouvainResult.
+template <typename R>
+void expect_golden(const R& r, const Golden& want, const std::string& label) {
   EXPECT_EQ(bits_of(r.modularity), want.modularity_bits) << label;
   EXPECT_EQ(crc_of(r.community), want.community_crc) << label;
   EXPECT_EQ(r.num_communities, want.num_communities) << label;
@@ -92,13 +96,13 @@ constexpr Golden kDistP4EtcRmat{0x3fc5320bfcf4eeb4ULL, 0x2893ab57u, 225, 5, 25};
 constexpr Golden kDistP2TcRmat{0x3fc65be14dc1851fULL, 0x158f0e83u, 226, 5, 21};
 
 TEST(GoldenSeed, SerialMatchesPreOverhaulBits) {
-  expect_golden(Plan::serial().seed(123).run(rmat10()), kSerialRmat, "serial");
+  expect_golden(louvain::louvain_serial(rmat10(), {.seed = 123}), kSerialRmat, "serial");
 }
 
 TEST(GoldenSeed, SharedMatchesAcrossThreadCounts) {
   const auto g = rmat10();
   for (const int threads : {1, 4, 16}) {
-    expect_golden(Plan::shared(threads).seed(123).run(g), kSharedRmat,
+    expect_golden(louvain::louvain_shared(g, {.seed = 123}, threads), kSharedRmat,
                   "shared t" + std::to_string(threads));
   }
 }

@@ -25,7 +25,6 @@
 #include "gen/simple.hpp"
 #include "graph/csr.hpp"
 #include "graph/dist_graph.hpp"
-#include "louvain/serial.hpp"
 #include "util/parallel.hpp"
 
 namespace core = dlouvain::core;
@@ -35,7 +34,6 @@ namespace dc = dlouvain::comm;
 using dlouvain::CommunityId;
 using dlouvain::Edge;
 using dlouvain::EdgeBatch;
-using dlouvain::Engine;
 using dlouvain::Plan;
 using dlouvain::PlanError;
 using dlouvain::Result;
@@ -137,16 +135,6 @@ TEST(Session, DistConfigRoundTripsBitwise) {
   std::memcpy(&qa, &via_plan.modularity, sizeof qa);
   std::memcpy(&qb, &raw.modularity, sizeof qb);
   EXPECT_EQ(qa, qb);
-}
-
-TEST(Session, BaseConfigRoundTripsSerial) {
-  const auto g = gen::clique_chain(12, 8);
-  const auto csr = dg::from_edges(g.num_vertices, g.edges);
-  const auto plan = Plan::serial().threshold(1e-5).seed(99);
-  const auto via_plan = plan.run(csr);
-  const auto raw = dlouvain::louvain::louvain_serial(csr, plan.base_config());
-  EXPECT_EQ(via_plan.community, raw.community);
-  EXPECT_EQ(via_plan.modularity, raw.modularity);
 }
 
 // ---- Warm-start equivalence per graph family --------------------------------
@@ -446,48 +434,7 @@ TEST(Session, MalformedBatchThrowsWithoutMutating) {
   EXPECT_EQ(session.result().community, before);
 }
 
-// ---- Serial and shared sessions ---------------------------------------------
-
-TEST(Session, SerialSessionRecomputesInFull) {
-  auto ledger = EdgeLedger::from(gen::planted_partition(120, 4, 0.30, 0.02, 41));
-  auto session = Plan::serial().open(ledger.csr());
-  std::mt19937_64 rng(111);
-  const auto batch = ledger.next_batch(rng, 5, 3);
-  const auto stats = session.update(batch);
-  EXPECT_TRUE(stats.fell_back_to_full);
-  EXPECT_EQ(stats.vertices_reactivated, 0);
-
-  const auto scratch = Plan::serial().run(ledger.csr());
-  expect_bitwise_equal(session.result(), scratch);
-}
-
-TEST(Session, SharedSessionRemovalOfAbsentEdgeThrowsWithoutMutating) {
-  auto ledger = EdgeLedger::from(gen::clique_chain(8, 6));
-  auto session = Plan::shared(2).open(ledger.csr());
-  const auto before = session.result().community;
-  EXPECT_THROW(session.update(EdgeBatch().remove(0, 40)), std::invalid_argument);
-  EXPECT_EQ(session.result().community, before);
-  EXPECT_EQ(session.updates_applied(), 0);
-}
-
 // ---- Satellite 1: Plan::validate() ------------------------------------------
-
-TEST(PlanValidate, RejectsDistributedKnobsOnLocalEngines) {
-  const auto g = gen::ring(16);
-  const auto csr = dg::from_edges(g.num_vertices, g.edges);
-  EXPECT_THROW(Plan::serial().coloring().run(csr), PlanError);
-  EXPECT_THROW(Plan::serial().threshold_cycling().run(csr), PlanError);
-  EXPECT_THROW(Plan::serial().variant(dlouvain::Variant::kThresholdCycling).run(csr),
-               PlanError);
-  EXPECT_THROW(Plan::shared(2).variant(dlouvain::Variant::kEtc).run(csr), PlanError);
-  EXPECT_THROW(Plan::serial().checkpointing("/tmp/x").run(csr), PlanError);
-  EXPECT_THROW(Plan::serial().inject_faults(dc::FaultPlan().delay(0.1)).run(csr),
-               PlanError);
-  EXPECT_THROW(Plan::serial().max_restarts(2).run(csr), PlanError);
-  EXPECT_THROW(Plan::serial().comm_timeout(1.0).run(csr), PlanError);
-  EXPECT_THROW(Plan::serial().retransmit(3).run(csr), PlanError);
-  EXPECT_THROW(Plan::shared(2).shrink_on_rank_loss().run(csr), PlanError);
-}
 
 TEST(PlanValidate, RejectsOutOfRangeSettings) {
   EXPECT_THROW(Plan::distributed(0).validate(), PlanError);
@@ -503,7 +450,6 @@ TEST(PlanValidate, RejectsOutOfRangeSettings) {
       Plan::distributed(2).variant(dlouvain::Variant::kEtc).alpha(1.5).validate(),
       PlanError);
   EXPECT_THROW(Plan::distributed(2).checkpointing("/tmp/x", 0).validate(), PlanError);
-  EXPECT_THROW(Plan::distributed(2).vertex_following().validate(), PlanError);
   EXPECT_THROW(Plan::distributed(2).retransmit(-1).validate(), PlanError);
   EXPECT_THROW(Plan::distributed(2).retransmit(3, 0.0).validate(), PlanError);
   EXPECT_THROW(Plan::distributed(2).retransmit(3, -2.0).validate(), PlanError);
@@ -549,11 +495,6 @@ TEST(ManifestV2, UpdatesSectionAlwaysPresent) {
   const auto json = one_shot.to_json();
   EXPECT_NE(json.find("\"schema\":\"dlouvain-run-manifest/7\""), std::string::npos);
   EXPECT_NE(json.find("\"updates\":{\"batches_applied\":0"), std::string::npos);
-
-  const auto serial_json = Plan::serial().run(csr).to_json();
-  EXPECT_NE(serial_json.find("\"schema\":\"dlouvain-run-manifest/7\""),
-            std::string::npos);
-  EXPECT_NE(serial_json.find("\"updates\":{\"batches_applied\":0"), std::string::npos);
 }
 
 TEST(ManifestV2, UpdatesSectionTracksSession) {
@@ -618,6 +559,10 @@ TEST(SessionLifecycle, TransientExhaustionDoesNotPoisonNextUpdateRecovers) {
   EXPECT_TRUE(session.poisoned().empty());
   EXPECT_EQ(session.result().updates.batches_applied, 0);
   EXPECT_EQ(session.result().recovery.attempts, 2);  // initial + failed update attempt
+  // The failed attempt's traffic is charged as waste: it had already spliced
+  // the batch and run the warm adoption's collectives before the fault.
+  EXPECT_GT(session.result().recovery.wasted_messages, 0);
+  EXPECT_GT(session.result().recovery.wasted_bytes, 0);
 
   // ...and the SAME batch succeeds on retry (the one-shot trigger already
   // fired), with the session's state exactly pre-batch.
@@ -816,8 +761,8 @@ TEST(EdgeBatchSemantics, DuplicateRemoveThrowsEverywhere) {
                                           dg::EdgeChange{1, 0, 0.0, true}};
     EXPECT_THROW((void)dist.with_edge_changes(comm, dup), std::invalid_argument);
   });
-  // Same verdict through a serial session, which must stay unmutated.
-  auto session = Plan::serial().open(fx.before);
+  // Same verdict through a session, which must stay unmutated.
+  auto session = Plan::distributed(2).open(fx.before);
   const auto before_mod = session.result().modularity;
   EXPECT_THROW(session.update(EdgeBatch().remove(0, 1).remove(1, 0)),
                std::invalid_argument);
@@ -835,7 +780,7 @@ TEST(EdgeBatchSemantics, AddThenRemoveOfAbsentEdgeThrows) {
                                               dg::EdgeChange{0, 9, 0.0, true}};
     EXPECT_THROW((void)dist.with_edge_changes(comm, changes), std::invalid_argument);
   });
-  auto session = Plan::serial().open(fx.before);
+  auto session = Plan::distributed(2).open(fx.before);
   EXPECT_THROW(session.update(EdgeBatch().add(0, 9, 1.0).remove(0, 9)),
                std::invalid_argument);
   EXPECT_EQ(session.updates_applied(), 0);
@@ -844,15 +789,12 @@ TEST(EdgeBatchSemantics, AddThenRemoveOfAbsentEdgeThrows) {
 TEST(EdgeBatchSemantics, EquivalentBatchesConvergeBitwiseIdentically) {
   // Engine-level pin: two textually different but semantically equal
   // batches (same post-batch graph, same touched set) must leave two
-  // sessions bitwise identical -- distributed (warm path) and serial.
+  // sessions bitwise identical through the warm path.
   const DupFixture fx;
-  for (const auto make_plan : {+[] { return Plan::distributed(3); },
-                               +[] { return Plan::serial(); }}) {
-    auto a = make_plan().open(fx.before);
-    auto b = make_plan().open(fx.before);
-    // a: remove {0,1} then add it back at 4.  b: top up {0,1} by 3 (1+3=4).
-    a.update(EdgeBatch().remove(0, 1).add(0, 1, 4.0));
-    b.update(EdgeBatch().add(0, 1, 3.0));
-    expect_bitwise_equal(a.result(), b.result());
-  }
+  auto a = Plan::distributed(3).open(fx.before);
+  auto b = Plan::distributed(3).open(fx.before);
+  // a: remove {0,1} then add it back at 4.  b: top up {0,1} by 3 (1+3=4).
+  a.update(EdgeBatch().remove(0, 1).add(0, 1, 4.0));
+  b.update(EdgeBatch().add(0, 1, 3.0));
+  expect_bitwise_equal(a.result(), b.result());
 }

@@ -13,6 +13,7 @@
 #include "gen/rmat.hpp"
 #include "gen/simple.hpp"
 #include "graph/csr.hpp"
+#include "louvain/serial.hpp"
 #include "louvain/shared.hpp"
 #include "util/parallel.hpp"
 
@@ -227,13 +228,14 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Plan, AllEnginesAgreeOnObviousStructure) {
   const auto generated = gen::clique_chain(4, 5);
   const auto g = graph::from_edges(generated.num_vertices, generated.edges);
-  for (const auto& plan :
-       {Plan::serial(), Plan::shared(2), Plan::distributed(2).threads(2)}) {
-    const auto result = plan.run(g);
+  const auto expect_four_cliques = [](const auto& result) {
     EXPECT_EQ(result.num_communities, 4);
     EXPECT_NEAR(result.modularity, 0.68, 0.03);
     EXPECT_EQ(result.community.size(), 20u);
-  }
+  };
+  expect_four_cliques(louvain::louvain_serial(g));
+  expect_four_cliques(louvain::louvain_shared(g, {}, 2));
+  expect_four_cliques(Plan::distributed(2).threads(2).run(g));
 }
 
 TEST(Plan, MaterializesConfigsFaithfully) {
@@ -245,7 +247,6 @@ TEST(Plan, MaterializesConfigsFaithfully) {
                         .resolution(1.5)
                         .seed(42)
                         .coloring();
-  EXPECT_EQ(plan.engine(), Engine::kDistributed);
   EXPECT_EQ(plan.num_ranks(), 8);
   const auto cfg = plan.dist_config();
   EXPECT_EQ(cfg.variant, Variant::kEtc);
@@ -264,13 +265,7 @@ TEST(Plan, ResultCarriesEngineDetail) {
 
   const auto dist = Plan::distributed(2).run(g);
   ASSERT_TRUE(dist.distributed.has_value());
-  EXPECT_FALSE(dist.local.has_value());
   EXPECT_GT(dist.distributed->messages, 0);
-
-  const auto serial = Plan::serial().run(g);
-  ASSERT_TRUE(serial.local.has_value());
-  EXPECT_FALSE(serial.distributed.has_value());
-  EXPECT_EQ(serial.engine, Engine::kSerial);
 }
 
 }  // namespace

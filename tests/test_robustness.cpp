@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -558,6 +560,33 @@ TEST(Checkpoint, MalformedStateRecordIsSkipped) {
   }
 }
 
+TEST(Checkpoint, FreshRunNeverResumesAnotherJobsCheckpoint) {
+  // Job A leaves a late-phase checkpoint behind. Job B, a different graph
+  // under the same config, checkpoints fresh into the same directory and
+  // crashes before its first save: its restart must start over, not resume
+  // A's partition (the fingerprint does not cover the graph).
+  const auto dir = fresh_dir("dl_ckpt_other_job");
+  const auto a_gen = gen::planted_partition(240, 6, 0.30, 0.01, 11);
+  const auto a = dg::from_edges(a_gen.num_vertices, a_gen.edges);
+  const auto b_gen = gen::planted_partition(240, 4, 0.30, 0.01, 12);
+  const auto b = dg::from_edges(b_gen.num_vertices, b_gen.edges);
+  (void)dlouvain::Plan::distributed(2).checkpointing(dir.string()).run(a);
+  ASSERT_TRUE(core::checkpoint_latest(dir.string()).has_value());
+
+  const auto clean = dlouvain::Plan::distributed(2).run(b);
+  const auto result = dlouvain::Plan::distributed(2)
+                          .checkpointing(dir.string())
+                          .inject_faults(dc::FaultPlan().crash(1, 0))
+                          .max_restarts(1)
+                          .run(b);
+  EXPECT_EQ(result.recovery.attempts, 2);
+  EXPECT_EQ(result.recovery.resumed_from_phase, -1);
+  EXPECT_EQ(result.community, clean.community);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(result.modularity),
+            std::bit_cast<std::uint64_t>(clean.modularity));
+  std::filesystem::remove_all(dir);
+}
+
 TEST(FaultSweep, CrashEachRankAtEachPhaseRecoversBitwise) {
   // Exhaustive small sweep: every rank x every phase, with checkpointing and
   // one restart budgeted. Each scenario must converge to the reference bits.
@@ -642,6 +671,8 @@ TEST(FaultSweep, ExhaustedBudgetStillAccountsTheFinalAttempt) {
   EXPECT_GT(field("wasted_messages"), 0);  // ...and both attempts' traffic
   EXPECT_GT(field("wasted_bytes"), 0);
   EXPECT_EQ(field("injected_crashes"), 2);
+  // No attempt finished, yet the manifest names the engine that ran.
+  EXPECT_NE(json.find("\"engine\":\"distributed\""), std::string::npos) << json;
   std::filesystem::remove(manifest);
 }
 

@@ -248,6 +248,22 @@ TEST(Scheduler, RejectsBadPlansAndBadGraphsWithErrorReplies) {
   EXPECT_EQ(sched.stats().rejected, 3 + 4);
 }
 
+TEST(Scheduler, BoundsRanksTimesThreads) {
+  // Each rank runs one thread plus threads - 1 pool workers, so the rank
+  // limit also bounds ranks x threads; threads <= 0 (one per core) is out.
+  svc::JobScheduler sched(svc::SchedulerOptions{.workers = 1, .max_ranks = 4});
+  for (const int threads : {3, 0, -1}) {
+    svc::JobRequest req = karate_job(2);
+    req.config.threads = threads;
+    const svc::Reply reply = sched.submit(std::move(req)).get();
+    EXPECT_EQ(reply.type, svc::FrameType::kError) << threads;
+    EXPECT_NE(reply.body.find("[1, 4]"), std::string::npos) << reply.body;
+  }
+  svc::JobRequest at_limit = karate_job(2);
+  at_limit.config.threads = 2;
+  EXPECT_EQ(sched.submit(std::move(at_limit)).get().type, svc::FrameType::kManifest);
+}
+
 TEST(Scheduler, DrainCompletesEveryAdmittedJobThenRefuses) {
   svc::JobScheduler sched(svc::SchedulerOptions{.workers = 2});
   std::vector<std::future<svc::Reply>> futures;

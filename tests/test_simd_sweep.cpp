@@ -20,6 +20,7 @@
 #include "gen/rmat.hpp"
 #include "gen/simple.hpp"
 #include "graph/csr.hpp"
+#include "louvain/shared.hpp"
 #include "util/prng.hpp"
 #include "util/segmented.hpp"
 
@@ -70,8 +71,9 @@ std::vector<Fixture> fixtures() {
   return out;
 }
 
-void expect_bitwise_equal(const Result& got, const Result& want,
-                          const std::string& label) {
+/// Takes two Plan Results or two comparator louvain::LouvainResults.
+template <typename R>
+void expect_bitwise_equal(const R& got, const R& want, const std::string& label) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(got.modularity),
             std::bit_cast<std::uint64_t>(want.modularity))
       << label;
@@ -164,9 +166,9 @@ TEST(SegmentedKernel, Avx2CloneMatchesThePortablePassBitwise) {
 
 TEST(Sweep, SharedEngineIsThreadInvariantOnEveryTopology) {
   for (const auto& f : fixtures()) {
-    const auto one = Plan::shared(1).seed(123).run(f.g);
+    const auto one = louvain::louvain_shared(f.g, {.seed = 123}, 1);
     for (const int threads : {4, 16}) {
-      expect_bitwise_equal(Plan::shared(threads).seed(123).run(f.g), one,
+      expect_bitwise_equal(louvain::louvain_shared(f.g, {.seed = 123}, threads), one,
                            std::string("shared ") + f.name + " t" +
                                std::to_string(threads));
     }

@@ -129,17 +129,6 @@ TEST(Tracing, GoldenConstantsHoldWithTracingEnabled) {
   std::filesystem::remove(path);
 }
 
-TEST(Tracing, SerialEngineWritesAnEmptyButValidTrace) {
-  const auto path = scratch_file("dl_trace_serial.json");
-  (void)Plan::serial().seed(123).trace(path.string()).run(rmat8());
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream buf;
-  buf << in.rdbuf();
-  EXPECT_NE(buf.str().find("\"traceEvents\""), std::string::npos);
-  std::filesystem::remove(path);
-}
-
 TEST(Tracing, RebuildSpanHoldsItsStepsAndNotTheLoadSampling) {
   // The rebuild span times what breakdown.rebuild times: the Fig. 1 steps
   // and the chain update, each under its own child span, and not the
@@ -457,19 +446,6 @@ TEST(Manifest, PhasesDetailCarriesLoadLambdasAndDiscardedFlag) {
   for (const auto& ph : r.distributed->phase_telemetry) {
     EXPECT_GE(ph.load_lambda, 1.0);
     EXPECT_GE(ph.time_lambda, 1.0);
-  }
-}
-
-TEST(Manifest, SerialAndSharedEnginesEmitValidManifests) {
-  const auto g = rmat8();
-  for (const auto& r :
-       {Plan::serial().seed(123).run(g), Plan::shared(2).seed(123).run(g)}) {
-    const auto json = r.to_json();
-    expect_balanced_json(json);
-    EXPECT_NE(json.find("\"schema\":\"dlouvain-run-manifest/7\""),
-              std::string::npos);
-    EXPECT_NE(json.find("\"updates\":{"), std::string::npos);
-    EXPECT_NE(json.find("\"recovery\":{"), std::string::npos);
   }
 }
 

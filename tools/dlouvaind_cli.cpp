@@ -165,7 +165,8 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_int("max-queue", 64, "queued-job admission bound"));
   sched.cache_capacity =
       static_cast<std::size_t>(cli.get_int("cache-capacity", 32, "LRU result-cache entries"));
-  sched.max_ranks = static_cast<int>(cli.get_int("max-ranks", 64, "per-job rank limit"));
+  sched.max_ranks = static_cast<int>(
+      cli.get_int("max-ranks", 64, "per-job limit on ranks and on ranks x threads"));
   sched.max_edges = cli.get_int("max-edges", 50'000'000,
                                "per-job limit on the edge count and the vertex count");
   const std::string ready_file =

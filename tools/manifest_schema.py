@@ -11,7 +11,7 @@ docs/OBSERVABILITY.md.
 
 SCHEMA = "dlouvain-run-manifest/7"
 
-# The named-counter catalog of distributed manifests (util/metrics.hpp
+# The named-counter catalog every manifest carries (util/metrics.hpp
 # counter_name() plus the pool busy-seconds gauge).
 COUNTERS = (
     "comm.messages", "comm.bytes", "comm.duplicates_dropped",
@@ -66,8 +66,8 @@ def problems(manifest):
         if isinstance(service, dict) and service.get("drain") not in DRAIN_STATES:
             out.append(f"service drain state '{service.get('drain')}' is not "
                        f"one of {'/'.join(DRAIN_STATES)}")
-    if manifest.get("engine") != "distributed":
-        return out  # serial/shared manifests carry no counters by design
+    if "engine" in manifest and manifest["engine"] != "distributed":
+        out.append(f"engine '{manifest['engine']}' is not 'distributed'")
     counters = manifest.get("counters", {})
     out += _missing(counters, COUNTERS, "counters")
     out += _missing(manifest.get("breakdown"), BREAKDOWN_KEYS, "breakdown")
