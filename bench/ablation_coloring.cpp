@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
 
   util::Cli cli(argc, argv);
   const double scale = cli.get_double("scale", 0.5, "surrogate size multiplier");
-  const int ranks = static_cast<int>(cli.get_int("ranks", 4, "in-process ranks"));
+  const int ranks = cli.get_int<int>("ranks", 4, "in-process ranks");
   if (!cli.finish()) return 1;
 
   bench::banner("Ablation: distance-1 colored sweeps (paper Section VI future work)",

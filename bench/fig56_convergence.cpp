@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
 
   util::Cli cli(argc, argv);
   const double scale = cli.get_double("scale", 0.5, "surrogate size multiplier");
-  const int ranks = static_cast<int>(cli.get_int("ranks", 8, "in-process ranks"));
+  const int ranks = cli.get_int<int>("ranks", 8, "in-process ranks");
   const auto csv = cli.get_string("csv", "", "write per-iteration series to CSV");
   const auto metrics_out =
       cli.get_string("metrics-out", "", "write a JSON array of run manifests here");

@@ -21,8 +21,8 @@ int main(int argc, char** argv) {
 
   util::Cli cli(argc, argv);
   const double scale = cli.get_double("scale", 4.0, "surrogate size multiplier");
-  const int threads = static_cast<int>(cli.get_int("threads", 8, "compute threads"));
-  const int repeats = static_cast<int>(cli.get_int("repeats", 3, "timing repeats (min taken)"));
+  const int threads = cli.get_int<int>("threads", 8, "compute threads");
+  const int repeats = cli.get_int<int>("repeats", 3, "timing repeats (min taken)");
   const auto cli_ranks = cli.get_int("ranks", 4, "ranks for the distributed V-C section");
   if (!cli.finish()) return 1;
 

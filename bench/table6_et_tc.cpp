@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const double scale = cli.get_double("scale", 0.6, "surrogate size multiplier");
   const auto ranks = cli.get_int_list("ranks", {2, 4, 8, 16}, "rank counts");
-  const int repeats = static_cast<int>(cli.get_int("repeats", 3, "timing repeats (min)"));
+  const int repeats = cli.get_int<int>("repeats", 3, "timing repeats (min)");
   if (!cli.finish()) return 1;
 
   bench::banner("Table VI: ET(0.25) combined with Threshold Cycling (soc-friendster)",

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const auto sizes = cli.get_int_list("sizes", {1000, 1700, 2800, 4200, 5600},
                                       "LFR network sizes (vertices)");
-  const int ranks = static_cast<int>(cli.get_int("ranks", 4, "in-process ranks"));
+  const int ranks = cli.get_int<int>("ranks", 4, "in-process ranks");
   const double mu = cli.get_double("mu", 0.12, "LFR mixing parameter");
   if (!cli.finish()) return 1;
 

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
 
   util::Cli cli(argc, argv);
   const VertexId n = cli.get_int("n", 4000, "vertices of the generated graph");
-  const int ranks = static_cast<int>(cli.get_int("ranks", 4, "in-process ranks"));
+  const int ranks = cli.get_int<int>("ranks", 4, "in-process ranks");
   const auto path = cli.get_string(
       "file", (std::filesystem::temp_directory_path() / "dlouvain_pipeline.dlel").string(),
       "binary edge-list path");

@@ -22,10 +22,10 @@ int main(int argc, char** argv) {
   using namespace dlouvain;
 
   util::Cli cli(argc, argv);
-  const int complexes = static_cast<int>(cli.get_int("complexes", 40, "protein complexes"));
+  const int complexes = cli.get_int<int>("complexes", 40, "protein complexes");
   const VertexId size = cli.get_int("size", 12, "proteins per complex");
-  const int hubs = static_cast<int>(cli.get_int("hubs", 10, "promiscuous hub proteins"));
-  const int ranks = static_cast<int>(cli.get_int("ranks", 4, "in-process ranks"));
+  const int hubs = cli.get_int<int>("hubs", 10, "promiscuous hub proteins");
+  const int ranks = cli.get_int<int>("ranks", 4, "in-process ranks");
   if (!cli.finish()) return 1;
 
   // Complexes as dense blocks...

@@ -18,9 +18,8 @@ int main(int argc, char** argv) {
   using namespace dlouvain;
 
   util::Cli cli(argc, argv);
-  const int ranks = static_cast<int>(cli.get_int("ranks", 4, "in-process ranks"));
-  const int threads =
-      static_cast<int>(cli.get_int("threads", 1, "compute threads per rank"));
+  const int ranks = cli.get_int<int>("ranks", 4, "in-process ranks");
+  const int threads = cli.get_int<int>("threads", 1, "compute threads per rank");
   if (!cli.finish()) return 1;
 
   // A graph with obvious structure: 4 cliques of 5 vertices, linked in a

@@ -22,8 +22,8 @@ int main(int argc, char** argv) {
   params.mu = cli.get_double("mu", 0.3, "mixing: fraction of cross-community ties");
   params.avg_degree = cli.get_double("deg", 20, "average friend count");
   params.max_degree = params.avg_degree * 3;
-  params.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42, ""));
-  const int ranks = static_cast<int>(cli.get_int("ranks", 4, "in-process ranks"));
+  params.seed = cli.get_int<std::uint64_t>("seed", 42, "");
+  const int ranks = cli.get_int<int>("ranks", 4, "in-process ranks");
   const double alpha = cli.get_double("alpha", 0.25, "ET aggressiveness");
   if (!cli.finish()) return 1;
 

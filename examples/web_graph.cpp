@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const auto name = cli.get_string("graph", "uk-2007", "surrogate graph name");
   const double scale = cli.get_double("scale", 0.3, "surrogate size multiplier");
-  const int ranks = static_cast<int>(cli.get_int("ranks", 4, "in-process ranks"));
+  const int ranks = cli.get_int<int>("ranks", 4, "in-process ranks");
   if (!cli.finish()) return 1;
 
   const auto generated = gen::surrogate(name, scale);

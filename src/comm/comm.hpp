@@ -57,12 +57,12 @@ class PendingAlltoallv {
   PendingAlltoallv(PendingAlltoallv&&) = default;
   PendingAlltoallv& operator=(PendingAlltoallv&&) = default;
 
-  /// Complete the exchange (blocking), then finalize the wait/hidden split:
-  /// wait_seconds is time spent blocked in here; hidden_seconds sums, per
-  /// peer buffer, the in-flight span from launch to the earlier of "this
-  /// buffer arrived" and "caller started waiting" -- exchange latency that
-  /// overlapped the caller's own work instead of a blocking wait (a buffer
-  /// already delivered at launch contributes zero). Idempotent.
+  /// Complete the exchange (blocking), then finalize hidden_seconds: the
+  /// sum, per peer buffer, of the in-flight span from launch to the earlier
+  /// of "this buffer arrived" and "caller started waiting" -- exchange
+  /// latency that overlapped the caller's own work instead of a blocking
+  /// wait (a buffer already delivered at launch contributes zero).
+  /// Idempotent.
   void wait() {
     if (finished_) return;
     const auto wait_begin = Clock::now();
@@ -78,7 +78,6 @@ class PendingAlltoallv {
       pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
       orig.erase(orig.begin() + static_cast<std::ptrdiff_t>(i));
     }
-    wait_seconds_ = sec(Clock::now() - wait_begin);
     hidden_seconds_ = 0;
     for (const auto arrival : arrivals_) {
       const auto covered = arrival < wait_begin ? arrival : wait_begin;
@@ -94,8 +93,6 @@ class PendingAlltoallv {
     return std::move(inbox_);
   }
 
-  /// Time spent blocked inside wait() (0 until wait() ran).
-  [[nodiscard]] double wait_seconds() const noexcept { return wait_seconds_; }
   /// Exchange latency that elapsed before the caller blocked (0 until
   /// wait() ran; ~0 when wait() directly follows the launch).
   [[nodiscard]] double hidden_seconds() const noexcept { return hidden_seconds_; }
@@ -118,7 +115,6 @@ class PendingAlltoallv {
   std::vector<Clock::time_point> arrivals_;  ///< delivery instant per absorbed buffer
   bool finished_{false};
   Clock::time_point launch_{};
-  double wait_seconds_{0};
   double hidden_seconds_{0};
 };
 

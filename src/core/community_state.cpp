@@ -386,10 +386,4 @@ Weight CommunityLedger::owned_degree_term() const {
   return term;
 }
 
-VertexId CommunityLedger::owned_survivors() const {
-  VertexId count = 0;
-  for (const auto& entry : owned_) count += entry.size > 0 ? 1 : 0;
-  return count;
-}
-
 }  // namespace dlouvain::core

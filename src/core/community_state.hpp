@@ -151,10 +151,6 @@ class CommunityLedger {
   /// degree term).
   [[nodiscard]] Weight owned_degree_term() const;
 
-  /// Number of owned communities with at least one member (the surviving
-  /// local clusters counted during graph reconstruction).
-  [[nodiscard]] VertexId owned_survivors() const;
-
   /// Owned community info by local index (for the rebuild's renumbering).
   [[nodiscard]] const std::vector<CommunityInfo>& owned() const { return owned_; }
 

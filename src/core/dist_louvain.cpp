@@ -7,7 +7,6 @@
 #include "core/coloring.hpp"
 #include "core/community_state.hpp"
 #include "core/ghost_exchange.hpp"
-#include "core/metrics.hpp"
 #include "core/rebuild.hpp"
 #include "louvain/early_term.hpp"
 #include "util/metrics.hpp"
@@ -103,32 +102,6 @@ Weight singleton_modularity(comm::Comm& comm, const graph::DistGraph& graph,
   return modularity_of(sums[0], sums[1], graph.total_weight(), gamma);
 }
 
-/// Per-phase breakdown timers. Owned by dist_louvain and REUSED across
-/// phases; clear() at the top of run_phase is load-bearing -- timers that
-/// survive a phase un-cleared would silently fold phases 0..N-1 into phase
-/// N's breakdown (the satellite-2 bug class). test_telemetry pins
-/// sum over phases of PhaseTelemetry::breakdown == DistResult::breakdown and
-/// each phase's breakdown.total() <= its wall seconds.
-struct PhaseTimers {
-  util::AccumTimer ghost;
-  util::AccumTimer cinfo;
-  util::AccumTimer compute;
-  util::AccumTimer delta;
-  util::AccumTimer allreduce;
-  double compute_busy{0};
-  double comm_hidden{0};
-
-  void clear() {
-    ghost.clear();
-    cinfo.clear();
-    compute.clear();
-    delta.clear();
-    allreduce.clear();
-    compute_busy = 0;
-    comm_hidden = 0;
-  }
-};
-
 /// One Louvain phase on the current distributed graph. Returns the final
 /// owned assignment (by local vertex index) and the phase's exact final
 /// modularity, with telemetry filled in.
@@ -144,11 +117,12 @@ struct PhaseResult {
 };
 
 /// `singleton_mod` is the modularity of `g`'s singleton partition -- where
-/// a cold phase starts.
+/// a cold phase starts. Each stage's span feeds its bucket of
+/// `telemetry.breakdown`, which is fresh (zero) for every phase.
 PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
                       const DistConfig& cfg, int phase, double tau,
-                      util::ThreadPool& pool, PhaseTimers& timers,
-                      PhaseTelemetry& telemetry, Weight singleton_mod,
+                      util::ThreadPool& pool, PhaseTelemetry& telemetry,
+                      Weight singleton_mod,
                       const WarmStart* warm = nullptr) {
   const VertexId local_n = g.local_count();
   const VertexId global_n = g.global_n();
@@ -173,7 +147,7 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
   if (warm != nullptr) et.seed_activity(warm->reactivated);
   std::vector<char> moved(static_cast<std::size_t>(local_n), 0);
 
-  timers.clear();  // this phase's breakdown starts from zero, every phase
+  TimeBreakdown& bd = telemetry.breakdown;
   util::TraceBuffer* tb = comm.trace();
   const util::TraceSpan phase_span(tb, "phase", "phase", phase);
 
@@ -241,21 +215,21 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
       owned_comm_slot[lvi] = to_slot;
     }
     {
-      util::ScopedAccum scope(timers.delta);
-      const util::TraceSpan span(tb, "warm_adopt", "collective", phase);
+      const util::TraceSpan span(tb, &bd.delta_exchange, "warm_adopt", "collective",
+                                 phase);
       state.ledger.flush_deltas(comm);
     }
     // Publish the adopted assignment to ghost mirrors and retarget their
     // slots -- the same absorb/retarget/refresh protocol an iteration runs,
     // done once here so iteration 0 starts from a fully consistent view.
     {
-      util::ScopedAccum scope(timers.ghost);
-      const util::TraceSpan span(tb, "warm_ghost", "collective", phase);
+      const util::TraceSpan span(tb, &bd.ghost_exchange, "warm_ghost", "collective",
+                                 phase);
       state.ghosts.exchange(comm, state.owned_community, sparse);
     }
     {
-      util::ScopedAccum scope(timers.cinfo);
-      const util::TraceSpan span(tb, "warm_refresh", "collective", phase);
+      const util::TraceSpan span(tb, &bd.community_info, "warm_refresh", "collective",
+                                 phase);
       for (const auto& change : state.ghosts.last_changes()) {
         state.ledger.release(change.old_value);
         ghost_comm_slot[static_cast<std::size_t>(change.slot)] = state.ledger.retain(
@@ -272,7 +246,8 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
       for (VertexId lv = 0; lv < local_n; ++lv)
         owned_active[static_cast<std::size_t>(lv)] =
             warm->reactivated[static_cast<std::size_t>(lv)] != 0 ? 1 : 0;
-      util::ScopedAccum scope(timers.ghost);
+      const util::TraceSpan span(tb, &bd.ghost_exchange, "warm_active", "collective",
+                                 phase);
       ghost_active.exchange(comm, owned_active, sparse);
     }
     affected.assign(static_cast<std::size_t>(local_n), 0);
@@ -299,7 +274,7 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
     // Phase-initial modularity of the SEEDED partition (not the singleton
     // one): the warm phase's convergence checks measure gain over what the
     // previous converged state is worth on the updated graph.
-    util::ScopedAccum scope(timers.allreduce);
+    const util::TraceSpan span(tb, &bd.allreduce, "warm_modularity", "collective", phase);
     const Weight intra =
         local_intra_weight(pool, g, state.owned_community, state.ghosts);
     const Weight degree_term = state.ledger.owned_degree_term();
@@ -376,8 +351,8 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
     // interior batches below; the payload snapshots owned_community NOW,
     // before any of this iteration's moves.
     {
-      util::ScopedAccum scope(timers.ghost);
-      const util::TraceSpan span(tb, "ghost_exchange", "collective", phase, iter);
+      const util::TraceSpan span(tb, &bd.ghost_exchange, "ghost_exchange", "collective",
+                                 phase, iter);
       state.ghosts.exchange_begin(comm, state.owned_community, sparse);
     }
 
@@ -511,12 +486,12 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
 
     // (ii) interior micro-batches, overlapped with the in-flight exchange.
     {
-      util::ScopedAccum scope(timers.compute);
-      const util::TraceSpan span(tb, "overlap_interior", "overlap", phase, iter);
+      const util::TraceSpan span(tb, &bd.compute, "overlap_interior", "overlap", phase,
+                                 iter);
       pool.reset_busy();
       run_batches(0, split_batch, static_cast<std::size_t>(state.ledger.slot_count()));
       const double busy = pool.busy_seconds();
-      timers.compute_busy += busy;
+      bd.compute_busy += busy;
       comm.counters().busy_seconds += busy;
     }
 
@@ -525,10 +500,10 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
     // ghost_exchange.hpp). The transfer seconds that elapsed while (ii)
     // computed are the latency the schedule hid.
     {
-      util::ScopedAccum scope(timers.ghost);
-      const util::TraceSpan span(tb, "ghost_wait", "wait", phase, iter);
+      const util::TraceSpan span(tb, &bd.ghost_exchange, "ghost_wait", "wait", phase,
+                                 iter);
       state.ghosts.exchange_finish(comm);
-      timers.comm_hidden += state.ghosts.last_exchange_stats().hidden_seconds;
+      bd.comm_hidden += state.ghosts.last_hidden_seconds();
     }
 
     // (iv) authoritative a_c / |c| for every community our vertices or their
@@ -537,8 +512,8 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
     // mirror), then the subscriber-push refresh fetches only what this rank
     // newly needs and absorbs owners' pushes for records that changed.
     {
-      util::ScopedAccum scope(timers.cinfo);
-      const util::TraceSpan span(tb, "community_info", "collective", phase, iter);
+      const util::TraceSpan span(tb, &bd.community_info, "community_info", "collective",
+                                 phase, iter);
       for (const auto& change : state.ghosts.last_changes()) {
         state.ledger.release(change.old_value);
         ghost_comm_slot[static_cast<std::size_t>(change.slot)] = state.ledger.retain(
@@ -551,13 +526,12 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
     // slot cap is re-read: the absorb/refresh may have slotted new
     // communities these vertices can now target.
     {
-      util::ScopedAccum scope(timers.compute);
-      const util::TraceSpan span(tb, "compute", "compute", phase, iter);
+      const util::TraceSpan span(tb, &bd.compute, "compute", "compute", phase, iter);
       pool.reset_busy();
       run_batches(split_batch, kSweepBatches,
                   static_cast<std::size_t>(state.ledger.slot_count()));
       const double busy = pool.busy_seconds();
-      timers.compute_busy += busy;
+      bd.compute_busy += busy;
       comm.counters().busy_seconds += busy;
     }
 
@@ -566,8 +540,8 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
     // modularity step reads no ledger state, but an earlier group's refresh
     // would.
     {
-      util::ScopedAccum scope(timers.delta);
-      const util::TraceSpan span(tb, "delta_exchange", "collective", phase, iter);
+      const util::TraceSpan span(tb, &bd.delta_exchange, "delta_exchange", "collective",
+                                 phase, iter);
       state.ledger.flush_deltas_begin(comm);
       if (&order != &groups.back()) state.ledger.flush_deltas_finish(comm);
     }
@@ -582,8 +556,8 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
     std::int64_t global_moved;
     Weight intra;
     {
-      util::ScopedAccum scope(timers.allreduce);
-      const util::TraceSpan span(tb, "overlap_delta", "overlap", phase, iter);
+      const util::TraceSpan span(tb, &bd.allreduce, "overlap_delta", "overlap", phase,
+                                 iter);
       if (warm != nullptr) {
         // Only affected rows can have changed; the frozen remainder is a
         // constant, computed once against the post-adoption state (valid at
@@ -601,14 +575,14 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
       }
     }
     {
-      util::ScopedAccum scope(timers.delta);
-      const util::TraceSpan span(tb, "delta_wait", "wait", phase, iter);
+      const util::TraceSpan span(tb, &bd.delta_exchange, "delta_wait", "wait", phase,
+                                 iter);
       state.ledger.flush_deltas_finish(comm);
-      timers.comm_hidden += state.ledger.flush_hidden_seconds();
+      bd.comm_hidden += state.ledger.flush_hidden_seconds();
     }
     {
-      util::ScopedAccum scope(timers.allreduce);
-      const util::TraceSpan span(tb, "allreduce", "collective", phase, iter);
+      const util::TraceSpan span(tb, &bd.allreduce, "allreduce", "collective", phase,
+                                 iter);
       const Weight degree_term = state.ledger.owned_degree_term();
       const auto sums = comm.allreduce_sum_vec<Weight>(
           {intra, degree_term, static_cast<Weight>(local_moved),
@@ -647,8 +621,8 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
     // keyed on `warm`, identical on every rank, so the collectives stay
     // aligned.
     if (cfg.variant == Variant::kEtc && warm == nullptr) {
-      util::ScopedAccum scope(timers.allreduce);
-      const util::TraceSpan span(tb, "allreduce", "collective", phase, iter);
+      const util::TraceSpan span(tb, &bd.allreduce, "allreduce", "collective", phase,
+                                 iter);
       const auto global_inactive = comm.allreduce_sum<std::int64_t>(et.inactive_count());
       telemetry.iteration_detail.back().inactive_vertices = global_inactive;
       if (static_cast<double>(global_inactive) >=
@@ -663,13 +637,12 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
   // final assignments, then the same reduction. (The change log is not
   // consumed -- no sweep reads the ledger after this point.)
   {
-    util::ScopedAccum scope(timers.ghost);
-    const util::TraceSpan span(tb, "ghost_exchange", "collective", phase);
+    const util::TraceSpan span(tb, &bd.ghost_exchange, "ghost_exchange", "collective",
+                               phase);
     state.ghosts.exchange(comm, state.owned_community, sparse);
   }
   {
-    util::ScopedAccum scope(timers.allreduce);
-    const util::TraceSpan span(tb, "allreduce", "collective", phase);
+    const util::TraceSpan span(tb, &bd.allreduce, "allreduce", "collective", phase);
     const Weight intra = local_intra_weight(pool, g, state.owned_community, state.ghosts);
     const Weight degree_term = state.ledger.owned_degree_term();
     const auto sums = comm.allreduce_sum_vec<Weight>({intra, degree_term});
@@ -680,15 +653,9 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
   telemetry.threads = pool.num_threads();
   telemetry.graph_vertices = global_n;
   telemetry.graph_arcs = g.global_arcs();
+  telemetry.load_lambda = g.arc_imbalance();
   telemetry.threshold_used = tau;
   telemetry.modularity_after = state.final_modularity;
-  telemetry.breakdown.ghost_exchange = timers.ghost.seconds();
-  telemetry.breakdown.community_info = timers.cinfo.seconds();
-  telemetry.breakdown.compute = timers.compute.seconds();
-  telemetry.breakdown.compute_busy = timers.compute_busy;
-  telemetry.breakdown.delta_exchange = timers.delta.seconds();
-  telemetry.breakdown.allreduce = timers.allreduce.seconds();
-  telemetry.breakdown.comm_hidden = timers.comm_hidden;
   return state;
 }
 
@@ -770,10 +737,6 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
   Weight graph_modularity = prev_outer_mod;
   VertexId graph_communities = graph.global_n();
 
-  // Breakdown timers live OUTSIDE the phase loop (one allocation, reused)
-  // but are cleared by run_phase at every phase start -- see PhaseTimers.
-  PhaseTimers timers;
-
   for (int phase = start_phase; phase < cfg.base.max_phases; ++phase) {
     if (phase_progress != nullptr && comm.rank() == 0)
       phase_progress->store(phase, std::memory_order_relaxed);
@@ -817,7 +780,7 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
     // A checkpoint resume supplies its own (coarsened) state instead, and
     // every later phase runs on a graph the seed's indices no longer match.
     const WarmStart* phase_warm = (phase == 0 && !resumed) ? warm : nullptr;
-    auto phase_state = run_phase(comm, graph, cfg, phase, tau, pool, timers, telemetry,
+    auto phase_state = run_phase(comm, graph, cfg, phase, tau, pool, telemetry,
                                  graph_modularity, phase_warm);
 
     // The exit decision depends only on collectively-identical modularities,
@@ -846,12 +809,11 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
 
     // Graph reconstruction + assignment-chain update, so the phase's moves
     // are reflected in the output mapping (skipped only for a discarded
-    // phase). The span and breakdown.rebuild time the same block, which ends
-    // before the load sampling below.
+    // phase). The span feeds breakdown.rebuild.
     RebuildOutput next;
     if (!discard) {
-      util::WallTimer rebuild_timer;
-      const util::TraceSpan rebuild_span(tb, "rebuild", "collective", phase);
+      const util::TraceSpan rebuild_span(tb, &telemetry.breakdown.rebuild, "rebuild",
+                                         "collective", phase);
       next = rebuild(comm, graph, phase_state.owned_community, phase_state.ghosts,
                      phase_state.ledger, &pool, /*build_graph=*/!renumber_only, phase);
 
@@ -877,36 +839,9 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
         const auto owner = static_cast<std::size_t>(graph.owner(cur));
         cur = answers[owner][cursor[owner]++];
       }
-      telemetry.breakdown.rebuild = rebuild_timer.seconds();
     }
     telemetry.seconds = phase_timer.seconds();
 
-    // Per-phase load-imbalance lambdas, so the coarsening skew is
-    // observable. One O(p) allgather per phase: this rank's owned-arc count
-    // of the graph the phase just ran on and its measured compute + rebuild
-    // wall (scheduler-dependent, so observability only). Sampling traffic
-    // is reclassified into the load_sample.* counters, so comm.messages
-    // counts algorithm traffic only.
-    {
-      const util::TraceSpan span(tb, "load_sample", "collective", phase);
-      const util::TrafficReclassScope reclass(ctr, util::Counter::kLoadSampleMessages,
-                                              util::Counter::kLoadSampleBytes);
-      struct LoadSample {
-        std::int64_t arcs;
-        double seconds;
-      };
-      const auto samples = comm.allgather(LoadSample{
-          static_cast<std::int64_t>(graph.local().num_arcs()),
-          telemetry.breakdown.compute + telemetry.breakdown.rebuild});
-      std::vector<std::int64_t> arcs(samples.size());
-      std::vector<double> walls(samples.size());
-      for (std::size_t i = 0; i < samples.size(); ++i) {
-        arcs[i] = samples[i].arcs;
-        walls[i] = samples[i].seconds;
-      }
-      telemetry.load_lambda = load_imbalance(arcs);
-      telemetry.time_lambda = load_imbalance(walls);
-    }
     // Section V-D quality-assessment mode: gather the per-phase vertex-
     // community associations of the ORIGINAL graph at the root ("extra
     // collective operations per Louvain method phase").

@@ -42,12 +42,6 @@ namespace dlouvain::core {
 ///   2 * changed_entries <= kDeltaCrossover * mirror_list_size.
 inline constexpr double kDeltaCrossover = 0.5;
 
-/// Wait/hidden timing of the last completed exchange (overlap telemetry).
-struct GhostExchangeStats {
-  double wait_seconds{0};    ///< blocked in exchange_finish
-  double hidden_seconds{0};  ///< exchange latency that overlapped compute
-};
-
 template <typename T>
 class GhostField {
  public:
@@ -172,13 +166,12 @@ class GhostField {
   /// Second half of exchange(): complete the in-flight collective (peer
   /// buffers drain in arrival order) and absorb every update in FIXED peer
   /// order -- so changes_ ordering, and everything downstream of it, is
-  /// independent of message timing. Records the wait/hidden stats.
+  /// independent of message timing. Records the hidden seconds.
   void exchange_finish(comm::Comm& comm) {
     if (!pending_.has_value())
       throw std::logic_error("GhostField: no exchange in flight");
     pending_->wait();
-    stats_.wait_seconds = pending_->wait_seconds();
-    stats_.hidden_seconds = pending_->hidden_seconds();
+    hidden_seconds_ = pending_->hidden_seconds();
     const auto inbox = pending_->take();
     if (pending_neighbor_) {
       const auto& neighbors = graph_->neighbor_ranks();
@@ -193,10 +186,9 @@ class GhostField {
     pending_.reset();
   }
 
-  /// Timing of the last completed exchange (zeros before the first one).
-  [[nodiscard]] const GhostExchangeStats& last_exchange_stats() const noexcept {
-    return stats_;
-  }
+  /// Exchange latency of the last completed exchange that overlapped the
+  /// caller's compute (overlap telemetry; 0 before the first one).
+  [[nodiscard]] double last_hidden_seconds() const noexcept { return hidden_seconds_; }
 
   /// Slots the last exchange() call overwrote with a DIFFERENT value, with
   /// the value each held before (in ascending slot order per source rank).
@@ -261,7 +253,7 @@ class GhostField {
   std::vector<SlotChange> changes_;   ///< slots the last exchange rewrote
   std::optional<comm::PendingAlltoallv<T>> pending_;  ///< in-flight collective
   bool pending_neighbor_{false};      ///< topology of pending_
-  GhostExchangeStats stats_;          ///< last completed exchange's timing
+  double hidden_seconds_{0};          ///< last completed exchange's hidden time
 };
 
 /// The Louvain community field: ghosts start in their own community.

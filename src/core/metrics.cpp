@@ -1,36 +1,9 @@
 #include "core/metrics.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <stdexcept>
 
 namespace dlouvain::core {
-
-namespace {
-
-template <typename T>
-double imbalance_of(std::span<const T> loads) {
-  if (loads.empty()) return 1.0;
-  double sum = 0;
-  double max = 0;
-  for (const T v : loads) {
-    if (v < T{0}) throw std::invalid_argument("load_imbalance: negative load");
-    sum += static_cast<double>(v);
-    max = std::max(max, static_cast<double>(v));
-  }
-  if (sum <= 0) return 1.0;
-  const double mean = sum / static_cast<double>(loads.size());
-  return max / mean;
-}
-
-}  // namespace
-
-double load_imbalance(std::span<const std::int64_t> loads) {
-  return imbalance_of(loads);
-}
-
-double load_imbalance(std::span<const double> loads) { return imbalance_of(loads); }
 
 std::string json_escape(std::string_view s) {
   std::string out;
@@ -144,7 +117,6 @@ std::string dist_result_to_json(const DistResult& r) {
     out += ",\"breakdown\":";
     append_breakdown_json(out, ph.breakdown);
     out += ",\"load_lambda\":" + json_number(ph.load_lambda);
-    out += ",\"time_lambda\":" + json_number(ph.time_lambda);
     out += ",\"discarded\":";
     out += ph.discarded ? "true" : "false";
     out += '}';

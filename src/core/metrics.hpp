@@ -8,14 +8,13 @@
 // built from these helpers.
 //
 // Manifest schema (stable, versioned): see docs/OBSERVABILITY.md. The
-// top-level "schema" key is "dlouvain-run-manifest/7". The tooling
+// top-level "schema" key is "dlouvain-run-manifest/8". The tooling
 // (tools/manifest_schema.py, shared by validate_trace.py,
 // check_bench_regression.py and service_smoke.py) validates this one version
 // against one counter catalog.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <string_view>
 
@@ -24,13 +23,7 @@
 
 namespace dlouvain::core {
 
-inline constexpr std::string_view kManifestSchema = "dlouvain-run-manifest/7";
-
-/// max/mean of a non-negative per-rank load vector (the manifest's per-phase
-/// load_lambda and time_lambda). 1.0 (perfect balance) for empty vectors or
-/// all-zero loads -- a graph with no arcs cannot be imbalanced.
-[[nodiscard]] double load_imbalance(std::span<const std::int64_t> loads);
-[[nodiscard]] double load_imbalance(std::span<const double> loads);
+inline constexpr std::string_view kManifestSchema = "dlouvain-run-manifest/8";
 
 /// JSON string escaping (quotes, backslash, control characters).
 std::string json_escape(std::string_view s);

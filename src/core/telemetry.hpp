@@ -77,10 +77,8 @@ struct PhaseTelemetry {
   TimeBreakdown breakdown;
   /// Arc-count load imbalance (max/mean over ranks of owned arcs) of the
   /// partition this phase ran on: how unevenly coarsening left the work.
+  /// DistGraph::arc_imbalance() of the phase's graph.
   double load_lambda{1.0};
-  /// Measured wall-time imbalance (per-rank compute + rebuild seconds,
-  /// max/mean). Observability only: scheduler-noise-dependent.
-  double time_lambda{1.0};
   /// The phase ended below the modularity it started from, so its moves
   /// were dropped: no rebuild, no chain update, and the run ended on the
   /// previous phase's partition. It still counts in phases and

@@ -17,7 +17,6 @@ core::DistConfig Plan::dist_config() const {
   cfg.base.et_alpha = alpha_;
   cfg.base.seed = seed_;
   cfg.variant = variant_;
-  cfg.add_threshold_cycling = cycling_;
   cfg.use_coloring = coloring_;
   cfg.threads_per_rank = threads_;
   // Effective checkpoint directory: checkpointing() wins when both are set

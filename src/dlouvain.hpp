@@ -200,7 +200,7 @@ struct Result {
   /// maintained by Session::update). The manifest's v2 "updates" section.
   core::UpdateTelemetry updates;
 
-  /// Machine-readable run manifest (schema "dlouvain-run-manifest/7"; see
+  /// Machine-readable run manifest (schema "dlouvain-run-manifest/8"; see
   /// docs/OBSERVABILITY.md). A run that failed for good has no `distributed`
   /// result; its manifest has the same shape with zeroed result fields.
   /// Same content `Plan::metrics(path)` writes to disk.
@@ -243,9 +243,6 @@ class Plan {
   Plan& seed(std::uint64_t s) { seed_ = s; return *this; }
   Plan& max_phases(int n) { max_phases_ = n; return *this; }
   Plan& max_iterations(int n) { max_iterations_ = n; return *this; }
-  /// Add the Fig. 2 threshold-cycling schedule on top of the variant (the
-  /// paper's Table VI combination); implied by kThresholdCycling itself.
-  Plan& threshold_cycling(bool on = true) { cycling_ = on; return *this; }
   /// Colour-constrained sweeps (paper Section VI).
   Plan& coloring(bool on = true) { coloring_ = on; return *this; }
 
@@ -349,7 +346,6 @@ class Plan {
   std::uint64_t seed_{7777};
   int max_phases_{64};
   int max_iterations_{512};
-  bool cycling_{false};
   bool coloring_{false};
   std::string checkpoint_dir_;
   int checkpoint_every_{1};

@@ -105,7 +105,16 @@ void DistGraph::derive_totals(comm::Comm& comm) {
   Weight local_weight = 0;
   for (const Weight k : degrees_) local_weight += k;
   total_weight_ = comm.allreduce_sum(local_weight);
-  global_arcs_ = comm.allreduce_sum(local_.num_arcs());
+  // Every rank's arc count, folded in rank order.
+  const auto arcs = comm.allgather(local_.num_arcs());
+  global_arcs_ = 0;
+  double max = 0;
+  for (const EdgeId a : arcs) {
+    global_arcs_ += a;
+    max = std::max(max, static_cast<double>(a));
+  }
+  const auto sum = static_cast<double>(global_arcs_);
+  arc_imbalance_ = sum > 0 ? max / (sum / static_cast<double>(arcs.size())) : 1.0;
 }
 
 namespace {

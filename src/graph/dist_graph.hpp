@@ -123,8 +123,13 @@ class DistGraph {
 
   [[nodiscard]] const Partition1D& partition() const noexcept { return part_; }
 
-  /// Global arc count (allreduced at build).
+  /// Global arc count (gathered at build).
   [[nodiscard]] EdgeId global_arcs() const noexcept { return global_arcs_; }
+
+  /// Arc-count load imbalance: max/mean over ranks of local().num_arcs(),
+  /// from the per-rank counts gathered at build. 1.0 when no rank owns an
+  /// arc -- a graph with no arcs cannot be imbalanced.
+  [[nodiscard]] double arc_imbalance() const noexcept { return arc_imbalance_; }
 
   /// Build a rank's slice from an arbitrary scatter of edges: every rank
   /// passes whatever (undirected, when symmetrize) edges it happens to hold
@@ -186,7 +191,8 @@ class DistGraph {
   /// The tail every full build shares: weighted degrees of all rows,
   /// derive_totals, then discover_ghosts.
   void derive_from_rows(comm::Comm& comm, util::ThreadPool* pool);
-  /// Allreduced total weight (serial sum of the degrees first) and arc count.
+  /// Allreduced total weight (serial sum of the degrees first); gathered
+  /// arc counts, their sum and arc_imbalance().
   void derive_totals(comm::Comm& comm);
   /// Paper Algorithm 4 over every local arc: ghosts, dst slots, boundary
   /// flags, ghosts_by_owner, mirrors, neighbour ranks.
@@ -200,6 +206,7 @@ class DistGraph {
   std::vector<Weight> degrees_;
   Weight total_weight_{0};
   EdgeId global_arcs_{0};
+  double arc_imbalance_{1.0};
   std::vector<VertexId> ghosts_;
   std::vector<std::int64_t> dst_slots_;
   std::vector<char> boundary_flags_;

@@ -1,6 +1,5 @@
 #include "util/cli.hpp"
 
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
@@ -62,18 +61,10 @@ std::string Cli::get_string(const std::string& name, std::string def,
   return raw(name).value_or(std::move(def));
 }
 
-std::int64_t Cli::get_int(const std::string& name, std::int64_t def,
-                          const std::string& help) {
-  help_lines_.push_back("  --" + name + " <int>  (default: " + std::to_string(def) +
-                        ") " + help);
-  if (auto v = raw(name)) return std::stoll(*v);
-  return def;
-}
-
 double Cli::get_double(const std::string& name, double def, const std::string& help) {
   help_lines_.push_back("  --" + name + " <num>  (default: " + std::to_string(def) +
                         ") " + help);
-  if (auto v = raw(name)) return std::stod(*v);
+  if (auto v = raw(name)) return parse<double>(name, *v);
   return def;
 }
 
@@ -94,7 +85,7 @@ std::vector<std::int64_t> Cli::get_int_list(const std::string& name,
   std::stringstream ss(*v);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(std::stoll(item));
+    if (!item.empty()) out.push_back(parse<std::int64_t>(name, item));
   }
   return out;
 }
@@ -109,7 +100,7 @@ std::vector<double> Cli::get_double_list(const std::string& name,
   std::stringstream ss(*v);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(std::stod(item));
+    if (!item.empty()) out.push_back(parse<double>(name, item));
   }
   return out;
 }

@@ -49,8 +49,6 @@ enum class Counter : int {
   kArqBackoffMs,          ///< summed ARQ backoff milliseconds scheduled
   kArqEscalations,        ///< messages whose link retry budget was exhausted
   kHeartbeatExtensions,   ///< receive deadlines extended on slow-not-dead verdicts
-  kLoadSampleMessages,    ///< messages reclassified as per-phase load sampling
-  kLoadSampleBytes,       ///< payload bytes reclassified as load sampling
   kCount
 };
 
@@ -75,8 +73,6 @@ inline constexpr std::size_t kNumCounters = static_cast<std::size_t>(Counter::kC
     case Counter::kArqBackoffMs: return "arq.backoff_ms";
     case Counter::kArqEscalations: return "arq.escalations";
     case Counter::kHeartbeatExtensions: return "heartbeat.slow_extensions";
-    case Counter::kLoadSampleMessages: return "load_sample.messages";
-    case Counter::kLoadSampleBytes: return "load_sample.bytes";
     case Counter::kCount: break;
   }
   return "unknown";

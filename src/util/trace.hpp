@@ -10,8 +10,9 @@
 //   * tracing never feeds back into the algorithm: span contents are wall
 //     timestamps only, never read by compute code.
 //
-// A null TraceBuffer* disables a span entirely (two branch instructions), so
-// the trace-off hot path is unchanged.
+// A null TraceBuffer* disables a span's recording (two branch instructions),
+// so the trace-off hot path is unchanged; a span that feeds a breakdown
+// bucket still reads the clock twice.
 //
 // Span taxonomy note: alongside the timed phase/iteration spans, the Session
 // recovery driver records zero-length MARKER spans in the "recovery"
@@ -22,6 +23,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -90,18 +92,35 @@ class TraceBuffer {
 
 /// RAII span. Constructed against a rank's TraceBuffer (or nullptr for
 /// trace-off); records a complete "X" event at destruction.
+///
+/// A span may also feed a breakdown bucket (`bucket`, e.g. one of a phase's
+/// TimeBreakdown fields): it then reads the clock at entry and exit even
+/// with tracing off and adds the elapsed seconds to `*bucket`. The recorded
+/// event and the bucket share the same two time points, so the spans that
+/// feed a bucket sum to it exactly.
 class TraceSpan {
  public:
   TraceSpan(TraceBuffer* buffer, const char* name, const char* cat,
             int phase = -1, std::int64_t iteration = -1)
-      : buffer_(buffer), name_(name), cat_(cat), phase_(phase), iteration_(iteration) {
-    if (buffer_ != nullptr) start_ = TraceBuffer::Clock::now();
+      : TraceSpan(buffer, nullptr, name, cat, phase, iteration) {}
+
+  TraceSpan(TraceBuffer* buffer, double* bucket, const char* name, const char* cat,
+            int phase = -1, std::int64_t iteration = -1)
+      : buffer_(buffer),
+        bucket_(bucket),
+        name_(name),
+        cat_(cat),
+        phase_(phase),
+        iteration_(iteration) {
+    if (buffer_ != nullptr || bucket_ != nullptr) start_ = TraceBuffer::Clock::now();
   }
 
   ~TraceSpan() {
-    if (buffer_ != nullptr)
-      buffer_->record(name_, cat_, start_, TraceBuffer::Clock::now(), phase_,
-                      iteration_);
+    if (buffer_ == nullptr && bucket_ == nullptr) return;
+    const auto end = TraceBuffer::Clock::now();
+    if (bucket_ != nullptr)
+      *bucket_ += std::chrono::duration<double>(end - start_).count();
+    if (buffer_ != nullptr) buffer_->record(name_, cat_, start_, end, phase_, iteration_);
   }
 
   TraceSpan(const TraceSpan&) = delete;
@@ -109,6 +128,7 @@ class TraceSpan {
 
  private:
   TraceBuffer* buffer_;
+  double* bucket_;
   const char* name_;
   const char* cat_;
   int phase_;
@@ -156,10 +176,16 @@ class TraceStore {
           << ",\"tid\":0,\"ts\":0,\"args\":{\"name\":\"rank " << buffer.pid()
           << "\"}}";
       for (const auto& e : buffer.drain()) {
+        // Microseconds to the steady clock's nanosecond, so ts and dur read
+        // back exactly (six significant digits would round a timestamp 1 s
+        // into the run to 10 us).
+        char times[64];
+        std::snprintf(times, sizeof times, "\"ts\":%.3f,\"dur\":%.3f", e.ts_us,
+                      e.dur_us);
         out << ",{\"name\":\"" << e.name << "\",\"cat\":\"" << e.cat
-            << "\",\"ph\":\"X\",\"pid\":" << buffer.pid() << ",\"tid\":0,\"ts\":"
-            << e.ts_us << ",\"dur\":" << e.dur_us << ",\"args\":{\"phase\":" << e.phase
-            << ",\"iteration\":" << e.iteration << "}}";
+            << "\",\"ph\":\"X\",\"pid\":" << buffer.pid() << ",\"tid\":0," << times
+            << ",\"args\":{\"phase\":" << e.phase << ",\"iteration\":" << e.iteration
+            << "}}";
       }
     }
     out << "]}";

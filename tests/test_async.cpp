@@ -208,7 +208,6 @@ TEST(ArrivalOrder, PendingAlltoallvTakeAbsorbsEveryPeer) {
     for (int src = 0; src < 3; ++src)
       EXPECT_EQ(inbox[static_cast<std::size_t>(src)],
                 (std::vector<int>{comm.rank()}));
-    EXPECT_GE(pending.wait_seconds(), 0.0);
     EXPECT_GE(pending.hidden_seconds(), 0.0);
   });
 }

@@ -493,7 +493,7 @@ TEST(ManifestV2, UpdatesSectionAlwaysPresent) {
 
   const auto one_shot = Plan::distributed(2).run(csr);
   const auto json = one_shot.to_json();
-  EXPECT_NE(json.find("\"schema\":\"dlouvain-run-manifest/7\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\":\"dlouvain-run-manifest/8\""), std::string::npos);
   EXPECT_NE(json.find("\"updates\":{\"batches_applied\":0"), std::string::npos);
 }
 

@@ -11,13 +11,19 @@
 //    recovery.wasted_messages/bytes, never in Result::messages;
 //  * satellite 2: per-phase TimeBreakdowns sum to the run breakdown and
 //    never exceed their phase's wall time (no double counting);
+//  * one clock per stage: each breakdown bucket is exactly the sum of the
+//    trace spans that feed it, on a cold run and on a warm update;
+//  * load_lambda is DistGraph::arc_imbalance(), the same on every build
+//    path of a graph;
 //  * resumed runs report whole-job counters: the checkpoint's state.bin
 //    record carries the pre-checkpoint totals across a resume.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -34,7 +40,9 @@
 #include "core/metrics.hpp"
 #include "dlouvain.hpp"
 #include "gen/rmat.hpp"
+#include "gen/simple.hpp"
 #include "gen/surrogate.hpp"
+#include "graph/binary_io.hpp"
 #include "graph/csr.hpp"
 #include "graph/dist_graph.hpp"
 #include "util/crc32.hpp"
@@ -44,7 +52,6 @@
 namespace {
 
 using namespace dlouvain;
-using core::load_imbalance;
 namespace dc = dlouvain::comm;
 
 graph::Csr rmat10() {
@@ -131,10 +138,11 @@ TEST(Tracing, GoldenConstantsHoldWithTracingEnabled) {
 
 TEST(Tracing, RebuildSpanHoldsItsStepsAndNotTheLoadSampling) {
   // The rebuild span times what breakdown.rebuild times: the Fig. 1 steps
-  // and the chain update, each under its own child span, and not the
-  // per-phase load-sampling allgather (a `load_sample` span on every run).
-  // The last phase's coarse graph is never read, so its rebuild renumbers
-  // and updates the chain but neither coalesces nor ships.
+  // and the chain update, each under its own child span. It ends its
+  // phase: no span of the phase starts after it, because load_lambda comes
+  // from the arc counts the graph build gathers and needs no sampling
+  // round. The last phase's coarse graph is never read, so its rebuild
+  // renumbers and updates the chain but neither coalesces nor ships.
   constexpr int kRanks = 4;
   auto store = std::make_shared<util::TraceStore>(kRanks);
   dc::RunOptions options;
@@ -151,16 +159,12 @@ TEST(Tracing, RebuildSpanHoldsItsStepsAndNotTheLoadSampling) {
     for (const auto& e : events)
       if (std::string_view(e.name) == "rebuild") rebuilds.push_back(e);
     ASSERT_EQ(static_cast<int>(rebuilds.size()), result.phases) << "rank " << r;
-    int samples = 0;
-    for (const auto& e : events) {
-      if (std::string_view(e.name) != "load_sample") continue;
-      ++samples;
-      for (const auto& b : rebuilds)
-        EXPECT_FALSE(inside(e, b)) << "rank " << r << ": phase " << e.phase
-                                   << " load_sample span inside phase " << b.phase
-                                   << "'s rebuild span";
+    for (const auto& b : rebuilds) {
+      for (const auto& e : events)
+        EXPECT_FALSE(e.phase == b.phase && e.ts_us > b.ts_us + b.dur_us)
+            << "rank " << r << ": " << e.name << " starts after phase " << b.phase
+            << "'s rebuild span";
     }
-    EXPECT_EQ(samples, result.phases) << "rank " << r;
     for (const auto& b : rebuilds) {
       const bool last = b.phase == result.phases - 1;
       for (const std::string_view step :
@@ -287,8 +291,6 @@ TEST(Breakdown, PhaseBreakdownsSumToRunBreakdownAndFitTheirPhase) {
   EXPECT_LE(d.breakdown.total(), d.seconds + 0.25);
 }
 
-// ---- satellite 1: restart traffic is wasted, not leaked ---------------------
-
 TEST(Breakdown, ComputeBusyIsCountedAtOneThread) {
   // A one-thread pool runs the sweep inline on the rank thread; that time
   // still counts as the pool's busy time, and never exceeds the compute wall
@@ -300,6 +302,108 @@ TEST(Breakdown, ComputeBusyIsCountedAtOneThread) {
   EXPECT_LE(b.compute_busy, b.compute);
   EXPECT_GT(r.distributed->counters.busy_seconds, 0.0);
 }
+
+/// One complete ("X") event of a Chrome trace written by util::TraceStore.
+struct TracedSpan {
+  std::string name;
+  int pid;
+  int phase;
+  double dur_us;
+};
+
+/// The complete events of the trace at `path`, in the order written
+/// (per rank, oldest first).
+std::vector<TracedSpan> read_spans(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  std::vector<TracedSpan> spans;
+  for (auto ph = text.find("\"ph\":\"X\""); ph != std::string::npos;
+       ph = text.find("\"ph\":\"X\"", ph + 1)) {
+    const auto name = text.rfind("{\"name\":\"", ph) + 9;
+    const auto field = [&](std::string_view key) {
+      return std::strtod(text.c_str() + text.find(key, ph) + key.size(), nullptr);
+    };
+    spans.push_back({text.substr(name, text.find('"', name) - name),
+                     static_cast<int>(field("\"pid\":")),
+                     static_cast<int>(field("\"phase\":")), field("\"dur\":")});
+  }
+  return spans;
+}
+
+/// The breakdown bucket each engine span feeds (docs/OBSERVABILITY.md);
+/// null for spans that feed none.
+double* bucket_of(core::TimeBreakdown& b, std::string_view span) {
+  for (const std::string_view s :
+       {"ghost_exchange", "ghost_wait", "warm_ghost", "warm_active"})
+    if (span == s) return &b.ghost_exchange;
+  for (const std::string_view s : {"community_info", "warm_refresh"})
+    if (span == s) return &b.community_info;
+  for (const std::string_view s : {"overlap_interior", "compute"})
+    if (span == s) return &b.compute;
+  for (const std::string_view s : {"delta_exchange", "delta_wait", "warm_adopt"})
+    if (span == s) return &b.delta_exchange;
+  for (const std::string_view s : {"overlap_delta", "allreduce", "warm_modularity"})
+    if (span == s) return &b.allreduce;
+  if (span == "rebuild") return &b.rebuild;
+  return nullptr;
+}
+
+/// Rank 0's spans of one dist_louvain run, summed per phase into the
+/// buckets they feed, must reproduce that run's per-phase breakdown.
+void expect_buckets_sum_their_spans(const std::vector<TracedSpan>& spans,
+                                    const core::DistResult& d, const std::string& label) {
+  std::vector<core::TimeBreakdown> summed(d.phase_telemetry.size());
+  for (const auto& s : spans) {
+    if (s.pid != 0 || s.phase < 0) continue;
+    ASSERT_LT(static_cast<std::size_t>(s.phase), summed.size())
+        << label << ": " << s.name;
+    if (double* b = bucket_of(summed[static_cast<std::size_t>(s.phase)], s.name))
+      *b += s.dur_us * 1e-6;
+  }
+  for (const auto& ph : d.phase_telemetry) {
+    const auto& got = summed[static_cast<std::size_t>(ph.phase)];
+    const auto& want = ph.breakdown;
+    const auto where = label + " phase " + std::to_string(ph.phase);
+    EXPECT_NEAR(got.ghost_exchange, want.ghost_exchange, 1e-9) << where;
+    EXPECT_NEAR(got.community_info, want.community_info, 1e-9) << where;
+    EXPECT_NEAR(got.compute, want.compute, 1e-9) << where;
+    EXPECT_NEAR(got.delta_exchange, want.delta_exchange, 1e-9) << where;
+    EXPECT_NEAR(got.allreduce, want.allreduce, 1e-9) << where;
+    EXPECT_NEAR(got.rebuild, want.rebuild, 1e-9) << where;
+  }
+}
+
+TEST(Breakdown, EachBucketIsTheSumOfItsSpans) {
+  // One clock per stage: every bucket of a phase's breakdown is the sum of
+  // the spans that feed it -- the same two time points per span -- on a
+  // cold run and on a warm update, whose phase 0 adds the warm_* spans.
+  const auto cold_path = scratch_file("dl_bucket_cold.json");
+  const auto cold =
+      Plan::distributed(4).threads(1).seed(123).trace(cold_path.string()).run(rmat10());
+  ASSERT_GE(cold.phases, 2);
+  expect_buckets_sum_their_spans(read_spans(cold_path), *cold.distributed, "cold run");
+
+  const auto warm_path = scratch_file("dl_bucket_warm.json");
+  auto session =
+      Plan::distributed(2).threads(1).seed(123).trace(warm_path.string()).open(rmat8());
+  std::size_t initial = 0;
+  for (const auto& s : read_spans(warm_path)) initial += s.pid == 0 ? 1 : 0;
+  const auto stats = session.update(EdgeBatch().add(0, 200, 1.0).add(3, 150, 2.0));
+  ASSERT_FALSE(stats.fell_back_to_full);
+  // Rank 0's spans after the initial run's are the update's.
+  std::vector<TracedSpan> update_spans;
+  std::size_t seen = 0;
+  for (const auto& s : read_spans(warm_path))
+    if (s.pid == 0 && ++seen > initial) update_spans.push_back(s);
+  EXPECT_TRUE(std::any_of(update_spans.begin(), update_spans.end(),
+                          [](const TracedSpan& s) { return s.name == "warm_active"; }));
+  expect_buckets_sum_their_spans(update_spans, *session.result().distributed, "update");
+  std::filesystem::remove(cold_path);
+  std::filesystem::remove(warm_path);
+}
+
+// ---- satellite 1: restart traffic is wasted, not leaked ---------------------
 
 TEST(Recovery, CrashedRunReportsCleanTrafficPlusWaste) {
   // Both plans pin the kEvenVertices original partition: a resume re-slices
@@ -415,7 +519,7 @@ TEST(Manifest, ToJsonIsValidStableAndDeterministic) {
   expect_balanced_json(json);
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"schema\":\"dlouvain-run-manifest/7\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\":\"dlouvain-run-manifest/8\""), std::string::npos);
   EXPECT_NE(json.find("\"engine\":\"distributed\""), std::string::npos);
   EXPECT_NE(json.find("\"updates\":{\"batches_applied\":0"), std::string::npos);
   EXPECT_NE(json.find("\"comm.messages\":"), std::string::npos);
@@ -441,12 +545,8 @@ TEST(Manifest, PhasesDetailCarriesLoadLambdasAndDiscardedFlag) {
   const auto r = Plan::distributed(4).seed(123).run(g);
   const std::string json = r.to_json();
   EXPECT_NE(json.find("\"load_lambda\":"), std::string::npos);
-  EXPECT_NE(json.find("\"time_lambda\":"), std::string::npos);
   EXPECT_NE(json.find("\"discarded\":"), std::string::npos);
-  for (const auto& ph : r.distributed->phase_telemetry) {
-    EXPECT_GE(ph.load_lambda, 1.0);
-    EXPECT_GE(ph.time_lambda, 1.0);
-  }
+  for (const auto& ph : r.distributed->phase_telemetry) EXPECT_GE(ph.load_lambda, 1.0);
 }
 
 TEST(Manifest, MetricsOutWritesTheManifestToDisk) {
@@ -502,16 +602,86 @@ TEST(TraceStore, WritesChromeTraceShape) {
   EXPECT_NE(json.find("\"compute\""), std::string::npos);
 }
 
-TEST(Metrics, LoadImbalanceIsMaxOverMean) {
-  EXPECT_EQ(load_imbalance(std::vector<std::int64_t>{}), 1.0);
-  EXPECT_EQ(load_imbalance(std::vector<std::int64_t>{7}), 1.0);
-  EXPECT_EQ(load_imbalance(std::vector<std::int64_t>{10, 10, 10, 10}), 1.0);
-  EXPECT_EQ(load_imbalance(std::vector<std::int64_t>{0, 0, 0}), 1.0);
-  // mean = 15, max = 30.
-  EXPECT_DOUBLE_EQ(load_imbalance(std::vector<std::int64_t>{30, 10, 10, 10}), 2.0);
-  EXPECT_DOUBLE_EQ(load_imbalance(std::vector<double>{3.0, 1.0}), 1.5);
-  EXPECT_THROW((void)load_imbalance(std::vector<std::int64_t>{5, -1}),
-               std::invalid_argument);
+/// max/mean over ranks of local().num_arcs() (collective).
+double gathered_arc_ratio(comm::Comm& comm, const graph::DistGraph& g) {
+  const auto arcs = comm.allgather(g.local().num_arcs());
+  const double max = static_cast<double>(*std::max_element(arcs.begin(), arcs.end()));
+  double sum = 0;
+  for (const EdgeId a : arcs) sum += static_cast<double>(a);
+  return max / (sum / static_cast<double>(arcs.size()));
+}
+
+TEST(Metrics, ArcImbalanceIsMaxOverMeanOnEveryBuildPath) {
+  // One graph, four build paths -- from_replicated, build, load_distributed
+  // and with_edge_changes re-adding a removed edge -- on one partition.
+  const auto g = rmat8();
+  const VertexId u = 0;
+  const auto row = g.neighbors(u);
+  const auto cut_it =
+      std::find_if(row.begin(), row.end(), [&](const HalfEdge& e) { return e.dst != u; });
+  ASSERT_NE(cut_it, row.end());
+  const HalfEdge cut = *cut_it;
+  std::vector<Edge> all;
+  std::vector<Edge> without_cut;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    for (const auto& e : g.neighbors(v)) {
+      if (v > e.dst) continue;
+      all.push_back({v, e.dst, e.weight});
+      if (!(v == u && e.dst == cut.dst)) without_cut.push_back({v, e.dst, e.weight});
+    }
+  }
+  const auto g_cut = graph::from_edges(g.num_vertices(), without_cut);
+  const auto file = scratch_file("dl_arc_imbalance.dlel");
+  constexpr auto kKind = graph::PartitionKind::kEvenVertices;
+  dc::run(4, [&](dc::Comm& comm) {
+    const auto replicated = graph::DistGraph::from_replicated(comm, g, kKind);
+    const double lambda = replicated.arc_imbalance();
+    EXPECT_DOUBLE_EQ(lambda, gathered_arc_ratio(comm, replicated));
+    EXPECT_GT(lambda, 1.0);
+
+    const auto built = graph::DistGraph::build(comm, replicated.partition(), all);
+    graph::write_distributed(comm, replicated, file.string());
+    comm.barrier();
+    const auto loaded = graph::load_distributed(comm, file.string(), kKind);
+    const std::array<graph::EdgeChange, 1> readd{
+        graph::EdgeChange{u, cut.dst, cut.weight, false}};
+    const auto changed = graph::DistGraph::from_replicated(comm, g_cut, kKind)
+                             .with_edge_changes(comm, readd);
+    for (const auto* other : {&built, &loaded, &changed}) {
+      EXPECT_EQ(other->partition(), replicated.partition());
+      EXPECT_EQ(other->local().num_arcs(), replicated.local().num_arcs());
+      EXPECT_EQ(other->arc_imbalance(), lambda);
+    }
+  });
+  std::filesystem::remove(file);
+
+  // A star on 4 ranks of 2 vertices: arcs 8, 2, 2, 2 -> max 8 over mean 3.5.
+  std::vector<Edge> star;
+  for (VertexId leaf = 1; leaf < 8; ++leaf) star.push_back({0, leaf, 1.0});
+  dc::run(4, [&](dc::Comm& comm) {
+    const auto dist =
+        graph::DistGraph::from_replicated(comm, graph::from_edges(8, star), kKind);
+    EXPECT_DOUBLE_EQ(dist.arc_imbalance(), 8.0 / 3.5);
+  });
+  // Balanced on one rank, and on no arcs at all.
+  dc::run(1, [&](dc::Comm& comm) {
+    EXPECT_EQ(graph::DistGraph::from_replicated(comm, g).arc_imbalance(), 1.0);
+  });
+  dc::run(3, [&](dc::Comm& comm) {
+    const auto edgeless =
+        graph::DistGraph::from_replicated(comm, graph::from_edges(6, {}));
+    EXPECT_EQ(edgeless.arc_imbalance(), 1.0);
+  });
+
+  // A run's phase 0 reports its input slices' value as load_lambda.
+  const auto r = Plan::distributed(4).threads(1).seed(123).run(g);
+  double input_lambda = 0;
+  dc::run(4, [&](dc::Comm& comm) {
+    const auto dist = graph::DistGraph::from_replicated(comm, g);
+    if (comm.rank() == 0) input_lambda = dist.arc_imbalance();
+  });
+  ASSERT_FALSE(r.distributed->phase_telemetry.empty());
+  EXPECT_EQ(r.distributed->phase_telemetry[0].load_lambda, input_lambda);
 }
 
 TEST(Metrics, ReclassScopeMovesTrafficAndNests) {

@@ -110,25 +110,25 @@ int run_cli(int argc, char** argv) {
   const double scale = cli.get_double("scale", 1.0, "generator size multiplier");
   const auto variant_name = cli.get_string("variant", "baseline", "baseline|tc|et|etc");
   const double alpha = cli.get_double("alpha", 0.25, "ET aggressiveness");
-  const int ranks = static_cast<int>(cli.get_int("ranks", 4, "in-process ranks"));
+  const int ranks = cli.get_int<int>("ranks", 4, "in-process ranks");
   const int threads =
-      static_cast<int>(cli.get_int("threads", 1, "compute threads per rank (<=0 = auto)"));
+      cli.get_int<int>("threads", 1, "compute threads per rank (<=0 = auto)");
   const bool coloring = cli.get_flag("coloring", false, "colour-constrained sweeps");
   const auto output = cli.get_string("output", "", "write 'vertex community' lines");
   const bool stats =
       cli.get_flag("stats", false, "also print the connected-component count");
-  const int summary = static_cast<int>(
-      cli.get_int("summary", 0, "print the N largest communities' summaries"));
+  const int summary =
+      cli.get_int<int>("summary", 0, "print the N largest communities' summaries");
   const double comm_timeout =
       cli.get_double("comm-timeout", 0, "deadline (s) for blocked receives");
   const auto checkpoint_dir =
       cli.get_string("checkpoint-dir", "", "phase-boundary checkpoint directory");
-  const int checkpoint_every = static_cast<int>(
-      cli.get_int("checkpoint-every", 1, "checkpoint cadence in phases"));
+  const int checkpoint_every =
+      cli.get_int<int>("checkpoint-every", 1, "checkpoint cadence in phases");
   const bool resume =
       cli.get_flag("resume", false, "resume from the newest checkpoint");
-  const int max_restarts = static_cast<int>(
-      cli.get_int("max-restarts", 3, "restart attempts on comm failure"));
+  const int max_restarts =
+      cli.get_int<int>("max-restarts", 3, "restart attempts on comm failure");
   const auto crash_spec =
       cli.get_string("crash", "", "inject transient rank crashes: r:ph[:it][,...]");
   const auto kill_spec =
@@ -143,10 +143,10 @@ int run_cli(int argc, char** argv) {
       cli.get_double("delay", 0, "per-message delivery-delay probability");
   const double delay_ms =
       cli.get_double("delay-ms", 2.0, "visibility delay for delayed messages");
-  const auto fault_seed = static_cast<std::uint64_t>(
-      cli.get_int("fault-seed", 1, "seed for deterministic fault fates"));
-  const int retransmit = static_cast<int>(cli.get_int(
-      "retransmit", 0, "ARQ retransmit budget per message (0 = off)"));
+  const auto fault_seed =
+      cli.get_int<std::uint64_t>("fault-seed", 1, "seed for deterministic fault fates");
+  const int retransmit =
+      cli.get_int<int>("retransmit", 0, "ARQ retransmit budget per message (0 = off)");
   const double retransmit_backoff_ms = cli.get_double(
       "retransmit-backoff-ms", 1.0, "base backoff between retransmits");
   const bool shrink_on_rank_loss = cli.get_flag(

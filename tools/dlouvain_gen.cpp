@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   const VertexId max_clique = cli.get_int("max-clique", 100, "SSCA#2 clique cap");
   const auto name = cli.get_string("name", "soc-friendster", "surrogate name");
   const double scale = cli.get_double("scale", 1.0, "surrogate scale");
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42, ""));
+  const auto seed = cli.get_int<std::uint64_t>("seed", 42, "");
   const auto out = cli.get_string("out", "graph.dlel", "output path");
   const auto truth = cli.get_string("truth", "", "ground-truth output path (optional)");
   if (!cli.finish()) return 1;

@@ -142,9 +142,7 @@ int finish_reply(const service::Frame& reply) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_cli(int argc, char** argv) {
   util::Cli cli(argc, argv);
 
   const bool serve = cli.get_flag("serve", false, "run the daemon");
@@ -156,17 +154,17 @@ int main(int argc, char** argv) {
 
   const std::string socket_path =
       cli.get_string("socket", "", "unix socket path (daemon and clients)");
-  const auto port = static_cast<int>(cli.get_int("port", -1, "loopback TCP port (0 = pick)"));
+  const int port = cli.get_int<int>("port", -1, "loopback TCP port (0 = pick)");
 
   // daemon knobs
   service::SchedulerOptions sched;
-  sched.workers = static_cast<int>(cli.get_int("workers", 2, "concurrent job executions"));
+  sched.workers = cli.get_int<int>("workers", 2, "concurrent job executions");
   sched.max_queue =
-      static_cast<std::size_t>(cli.get_int("max-queue", 64, "queued-job admission bound"));
+      cli.get_int<std::size_t>("max-queue", 64, "queued-job admission bound");
   sched.cache_capacity =
-      static_cast<std::size_t>(cli.get_int("cache-capacity", 32, "LRU result-cache entries"));
-  sched.max_ranks = static_cast<int>(
-      cli.get_int("max-ranks", 64, "per-job limit on ranks and on ranks x threads"));
+      cli.get_int<std::size_t>("cache-capacity", 32, "LRU result-cache entries");
+  sched.max_ranks =
+      cli.get_int<int>("max-ranks", 64, "per-job limit on ranks and on ranks x threads");
   sched.max_edges = cli.get_int("max-edges", 50'000'000,
                                "per-job limit on the edge count and the vertex count");
   const std::string ready_file =
@@ -178,24 +176,24 @@ int main(int argc, char** argv) {
   const std::string gen = cli.get_string("gen", "karate",
                                          "graph: karate | planted | cliques");
   const auto n = cli.get_int("n", 256, "planted: vertices");
-  const auto blocks = static_cast<int>(cli.get_int("blocks", 8, "planted: communities"));
+  const int blocks = cli.get_int<int>("blocks", 8, "planted: communities");
   const double p_in = cli.get_double("p-in", 0.3, "planted: intra-community edge prob");
   const double p_out = cli.get_double("p-out", 0.01, "planted: inter-community edge prob");
-  const auto gseed = static_cast<std::uint64_t>(cli.get_int("gen-seed", 42, "generator seed"));
+  const auto gseed = cli.get_int<std::uint64_t>("gen-seed", 42, "generator seed");
   const auto cliques = cli.get_int("cliques", 8, "cliques: count");
   const auto clique_size = cli.get_int("clique-size", 12, "cliques: size");
 
   service::JobConfig config;
-  config.ranks = static_cast<int>(cli.get_int("ranks", 4, "in-process ranks"));
-  config.threads = static_cast<int>(cli.get_int("threads", 1, "threads per rank"));
+  config.ranks = cli.get_int<int>("ranks", 4, "in-process ranks");
+  config.threads = cli.get_int<int>("threads", 1, "threads per rank");
   const std::string variant_name =
       cli.get_string("variant", "baseline", "baseline | cycling | et | etc");
   config.alpha = cli.get_double("alpha", 0.25, "ET aggressiveness");
   config.threshold = cli.get_double("threshold", 1e-6, "convergence threshold");
   config.resolution = cli.get_double("resolution", 1.0, "resolution gamma");
-  config.seed = static_cast<std::uint64_t>(cli.get_int("seed", 7777, "algorithm seed"));
-  config.max_phases = static_cast<int>(cli.get_int("max-phases", 64, ""));
-  config.max_iterations = static_cast<int>(cli.get_int("max-iterations", 512, ""));
+  config.seed = cli.get_int<std::uint64_t>("seed", 7777, "algorithm seed");
+  config.max_phases = cli.get_int<int>("max-phases", 64, "");
+  config.max_iterations = cli.get_int<int>("max-iterations", 512, "");
 
   const std::string changes_spec =
       cli.get_string("changes", "", "update batch: add:u:v[:w],del:u:v,...");
@@ -216,64 +214,70 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  if (serve) {
+    service::EndpointOptions ep;
+    ep.unix_path = socket_path;
+    ep.tcp_port = port;
+    return run_daemon(sched, ep, ready_file, final_manifest_path);
+  }
+
+  auto client = connect(socket_path, port);
+
+  if (stats) return finish_reply(client.call(service::FrameType::kStats));
+
+  if (!close_name.empty()) {
+    service::WireWriter w;
+    w.put_string(close_name);
+    return finish_reply(client.call(service::FrameType::kCloseSession,
+                                    std::span<const std::byte>(w.bytes())));
+  }
+
+  if (!update_name.empty()) {
+    bool ok = false;
+    service::UpdateRequest req;
+    req.session_name = update_name;
+    req.changes = parse_changes(changes_spec, ok);
+    if (!ok || req.changes.empty())
+      return fail("--update needs --changes add:u:v[:w],del:u:v,...");
+    const auto payload = service::encode_update_request(req);
+    return finish_reply(client.call(service::FrameType::kUpdate, payload));
+  }
+
+  // --submit / --open: build the graph locally, ship it inline.
+  bool variant_ok = false;
+  service::JobRequest req;
+  req.config = config;
+  req.config.variant = parse_variant(variant_name, variant_ok);
+  if (!variant_ok) return fail("unknown --variant '" + variant_name + "'");
+  req.session_name = open_name;
+
+  gen::GeneratedGraph g;
+  if (gen == "karate")
+    g = gen::karate_club();
+  else if (gen == "planted")
+    g = gen::planted_partition(n, blocks, p_in, p_out, gseed);
+  else if (gen == "cliques")
+    g = gen::clique_chain(cliques, clique_size);
+  else
+    return fail("unknown --gen '" + gen + "' (karate | planted | cliques)");
+
+  // Normalize through a CSR so equal graphs ship equal bytes (equal
+  // fingerprints) no matter how the generator ordered its edge list.
+  const graph::Csr csr = graph::from_edges(g.num_vertices, g.edges);
+  req.num_vertices = csr.num_vertices();
+  req.edges = service::canonical_edges(csr);
+
+  const auto payload = service::encode_job_request(req);
+  return finish_reply(client.call(
+      open_name.empty() ? service::FrameType::kSubmit : service::FrameType::kOpenSession,
+      payload));
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
   try {
-    if (serve) {
-      service::EndpointOptions ep;
-      ep.unix_path = socket_path;
-      ep.tcp_port = port;
-      return run_daemon(sched, ep, ready_file, final_manifest_path);
-    }
-
-    auto client = connect(socket_path, port);
-
-    if (stats) return finish_reply(client.call(service::FrameType::kStats));
-
-    if (!close_name.empty()) {
-      service::WireWriter w;
-      w.put_string(close_name);
-      return finish_reply(client.call(service::FrameType::kCloseSession,
-                                      std::span<const std::byte>(w.bytes())));
-    }
-
-    if (!update_name.empty()) {
-      bool ok = false;
-      service::UpdateRequest req;
-      req.session_name = update_name;
-      req.changes = parse_changes(changes_spec, ok);
-      if (!ok || req.changes.empty())
-        return fail("--update needs --changes add:u:v[:w],del:u:v,...");
-      const auto payload = service::encode_update_request(req);
-      return finish_reply(client.call(service::FrameType::kUpdate, payload));
-    }
-
-    // --submit / --open: build the graph locally, ship it inline.
-    bool variant_ok = false;
-    service::JobRequest req;
-    req.config = config;
-    req.config.variant = parse_variant(variant_name, variant_ok);
-    if (!variant_ok) return fail("unknown --variant '" + variant_name + "'");
-    req.session_name = open_name;
-
-    gen::GeneratedGraph g;
-    if (gen == "karate")
-      g = gen::karate_club();
-    else if (gen == "planted")
-      g = gen::planted_partition(n, blocks, p_in, p_out, gseed);
-    else if (gen == "cliques")
-      g = gen::clique_chain(cliques, clique_size);
-    else
-      return fail("unknown --gen '" + gen + "' (karate | planted | cliques)");
-
-    // Normalize through a CSR so equal graphs ship equal bytes (equal
-    // fingerprints) no matter how the generator ordered its edge list.
-    const graph::Csr csr = graph::from_edges(g.num_vertices, g.edges);
-    req.num_vertices = csr.num_vertices();
-    req.edges = service::canonical_edges(csr);
-
-    const auto payload = service::encode_job_request(req);
-    return finish_reply(client.call(
-        open_name.empty() ? service::FrameType::kSubmit : service::FrameType::kOpenSession,
-        payload));
+    return run_cli(argc, argv);
   } catch (const std::exception& e) {
     return fail(e.what());
   }

@@ -1,6 +1,6 @@
 """The one run-manifest schema the tooling validates.
 
-`dlouvain-run-manifest/7` is what `Result::to_json()`, `dlouvain_cli
+`dlouvain-run-manifest/8` is what `Result::to_json()`, `dlouvain_cli
 --metrics-out` and every `dlouvaind` reply emit (core/metrics.hpp). The
 validators -- tools/validate_trace.py, tools/check_bench_regression.py
 --manifest and tools/service_smoke.py -- all call problems() below, so the
@@ -9,7 +9,7 @@ them in sync with util/metrics.hpp, core/metrics.cpp and
 docs/OBSERVABILITY.md.
 """
 
-SCHEMA = "dlouvain-run-manifest/7"
+SCHEMA = "dlouvain-run-manifest/8"
 
 # The named-counter catalog every manifest carries (util/metrics.hpp
 # counter_name() plus the pool busy-seconds gauge).
@@ -20,7 +20,6 @@ COUNTERS = (
     "checkpoint.messages", "checkpoint.bytes", "checkpoint.file_bytes",
     "arq.nacks", "arq.retransmits", "arq.backoff_ms", "arq.escalations",
     "heartbeat.slow_extensions",
-    "load_sample.messages", "load_sample.bytes",
     "pool.busy_seconds",
 )
 
@@ -30,8 +29,7 @@ BREAKDOWN_KEYS = (
 )
 
 PHASE_KEYS = (
-    "phase", "iterations", "seconds", "breakdown", "load_lambda",
-    "time_lambda", "discarded",
+    "phase", "iterations", "seconds", "breakdown", "load_lambda", "discarded",
 )
 
 # The optional per-response "service" section of manifests replied by

@@ -8,12 +8,12 @@ then checks:
     all carry name/ph/pid/ts, complete ("X") events carry dur, and at least
     --ranks distinct pids appear (one per simulated rank);
   * the manifest passes the one run-manifest schema check
-    (tools/manifest_schema.py: dlouvain-run-manifest/7, its counter catalog
+    (tools/manifest_schema.py: dlouvain-run-manifest/8, its counter catalog
     and sections) and recorded real traffic (comm.messages > 0 for a
     multi-rank run);
-  * the per-phase load sampling shows up as `load_sample` spans;
-  * a trace with a `rebuild` span also carries its step spans
-    (REBUILD_STEPS: the paper's Fig. 1 steps and the chain update).
+  * every breakdown column has a span that feeds it (BREAKDOWN_SPANS),
+    and the `rebuild` span's steps show up too (REBUILD_STEPS: the paper's
+    Fig. 1 steps and the chain update).
 
 Exit code 0 = both artifacts valid, 1 = validation failure, 2 = the CLI
 itself failed.
@@ -31,6 +31,11 @@ import tempfile
 
 import manifest_schema
 
+
+# One span per breakdown column, named after it; every run records each
+# (docs/OBSERVABILITY.md lists every span that feeds a column).
+BREAKDOWN_SPANS = ("ghost_exchange", "community_info", "compute",
+                   "delta_exchange", "allreduce", "rebuild")
 
 # Child spans of every `rebuild`: steps 1-3, step 4, step 5, steps 6-7 and
 # the original->meta chain update.
@@ -68,12 +73,7 @@ def check_trace(path, min_pids):
     if spans == 0:
         fail(f"{path}: no complete ('X') span events recorded")
     names = {ev["name"] for ev in events if ev["ph"] == "X"}
-    # load_sample: the per-phase load-lambda sampling collective runs on
-    # every run, so its span must always appear.
-    required = ["phase", "iteration", "compute", "load_sample"]
-    if "rebuild" in names:
-        required.extend(REBUILD_STEPS)
-    for name in required:
+    for name in ("phase", "iteration", *BREAKDOWN_SPANS, *REBUILD_STEPS):
         if name not in names:
             fail(f"{path}: span taxonomy missing '{name}' "
                  f"(got {sorted(names)})")
