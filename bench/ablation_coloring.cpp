@@ -13,10 +13,11 @@
 #include "graph/dist_graph.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(dlouvain::util::Cli& cli) {
   using namespace dlouvain;
 
-  util::Cli cli(argc, argv);
   const double scale = cli.get_double("scale", 0.5, "surrogate size multiplier");
   const int ranks = cli.get_int<int>("ranks", 4, "in-process ranks");
   if (!cli.finish()) return 1;
@@ -59,3 +60,7 @@ int main(int argc, char** argv) {
                " act on stale neighbour state)\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dlouvain::util::run_main(argc, argv, run); }

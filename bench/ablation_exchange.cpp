@@ -16,10 +16,11 @@
 #include "graph/csr.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(dlouvain::util::Cli& cli) {
   using namespace dlouvain;
 
-  util::Cli cli(argc, argv);
   const auto rank_list = cli.get_int_list("ranks", {4, 8, 16}, "rank counts");
   const double scale = cli.get_double("scale", 0.5, "surrogate size multiplier");
   if (!cli.finish()) return 1;
@@ -98,3 +99,7 @@ int main(int argc, char** argv) {
   wire.print(std::cout);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dlouvain::util::run_main(argc, argv, run); }

@@ -14,10 +14,11 @@
 #include "louvain/serial.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(dlouvain::util::Cli& cli) {
   using namespace dlouvain;
 
-  util::Cli cli(argc, argv);
   const VertexId n = cli.get_int("n", 3000, "graph vertices");
   const auto gammas = cli.get_double_list("gamma", {0.1, 0.3, 1.0, 3.0, 10.0},
                                           "resolution values");
@@ -52,3 +53,7 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dlouvain::util::run_main(argc, argv, run); }

@@ -16,10 +16,11 @@
 #include "core/dist_louvain.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(dlouvain::util::Cli& cli) {
   using namespace dlouvain;
 
-  util::Cli cli(argc, argv);
   const double scale = cli.get_double("scale", 1.0, "surrogate size multiplier");
   const auto ranks = cli.get_int_list("ranks", {2, 4, 8}, "rank counts to sweep");
   const auto only = cli.get_string("graphs", "", "comma list of graph names (default all)");
@@ -110,3 +111,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dlouvain::util::run_main(argc, argv, run); }

@@ -17,10 +17,11 @@
 #include "graph/csr.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(dlouvain::util::Cli& cli) {
   using namespace dlouvain;
 
-  util::Cli cli(argc, argv);
   const auto ranks = cli.get_int_list("ranks", {1, 2, 4, 8}, "rank counts (graph grows with p)");
   const VertexId per_rank = cli.get_int("per-rank", 1500, "vertices per rank");
   const VertexId max_clique = cli.get_int("max-clique", 30, "SSCA#2 clique cap");
@@ -62,3 +63,7 @@ int main(int argc, char** argv) {
                " criteria across sizes)\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dlouvain::util::run_main(argc, argv, run); }

@@ -47,12 +47,9 @@ void append_manifest(std::string& out, const std::string& graph,
          "\",\"manifest\":" + dlouvain::core::dist_result_to_json(result) + "}";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(dlouvain::util::Cli& cli) {
   using namespace dlouvain;
 
-  util::Cli cli(argc, argv);
   const double scale = cli.get_double("scale", 0.5, "surrogate size multiplier");
   const int ranks = cli.get_int<int>("ranks", 8, "in-process ranks");
   const auto csv = cli.get_string("csv", "", "write per-iteration series to CSV");
@@ -142,3 +139,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dlouvain::util::run_main(argc, argv, run); }

@@ -16,10 +16,11 @@
 #include "louvain/shared.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(dlouvain::util::Cli& cli) {
   using namespace dlouvain;
 
-  util::Cli cli(argc, argv);
   const double scale = cli.get_double("scale", 4.0, "surrogate size multiplier");
   const int threads = cli.get_int<int>("threads", 8, "compute threads");
   const int repeats = cli.get_int<int>("repeats", 3, "timing repeats (min taken)");
@@ -87,3 +88,7 @@ int main(int argc, char** argv) {
   dist_table.print(std::cout);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dlouvain::util::run_main(argc, argv, run); }

@@ -8,10 +8,11 @@
 #include "louvain/shared.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(dlouvain::util::Cli& cli) {
   using namespace dlouvain;
 
-  util::Cli cli(argc, argv);
   const double scale = cli.get_double("scale", 1.0, "surrogate size multiplier");
   if (!cli.finish()) return 1;
 
@@ -36,3 +37,7 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dlouvain::util::run_main(argc, argv, run); }

@@ -13,10 +13,11 @@
 #include "louvain/shared.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(dlouvain::util::Cli& cli) {
   using namespace dlouvain;
 
-  util::Cli cli(argc, argv);
   const double scale = cli.get_double("scale", 0.6, "surrogate size multiplier");
   const auto sizes = cli.get_int_list("threads", {4, 8, 16, 32, 64},
                                       "thread/rank counts to sweep");
@@ -51,3 +52,7 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dlouvain::util::run_main(argc, argv, run); }

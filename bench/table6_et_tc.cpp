@@ -7,10 +7,11 @@
 #include "core/dist_louvain.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(dlouvain::util::Cli& cli) {
   using namespace dlouvain;
 
-  util::Cli cli(argc, argv);
   const double scale = cli.get_double("scale", 0.6, "surrogate size multiplier");
   const auto ranks = cli.get_int_list("ranks", {2, 4, 8, 16}, "rank counts");
   const int repeats = cli.get_int<int>("repeats", 3, "timing repeats (min)");
@@ -53,3 +54,7 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dlouvain::util::run_main(argc, argv, run); }

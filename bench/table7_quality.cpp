@@ -11,10 +11,11 @@
 #include "quality/nmi.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(dlouvain::util::Cli& cli) {
   using namespace dlouvain;
 
-  util::Cli cli(argc, argv);
   const auto sizes = cli.get_int_list("sizes", {1000, 1700, 2800, 4200, 5600},
                                       "LFR network sizes (vertices)");
   const int ranks = cli.get_int<int>("ranks", 4, "in-process ranks");
@@ -57,3 +58,7 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dlouvain::util::run_main(argc, argv, run); }

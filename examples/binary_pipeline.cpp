@@ -14,10 +14,11 @@
 #include "graph/binary_io.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(dlouvain::util::Cli& cli) {
   using namespace dlouvain;
 
-  util::Cli cli(argc, argv);
   const VertexId n = cli.get_int("n", 4000, "vertices of the generated graph");
   const int ranks = cli.get_int<int>("ranks", 4, "in-process ranks");
   const auto path = cli.get_string(
@@ -55,3 +56,7 @@ int main(int argc, char** argv) {
   std::filesystem::remove(path);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dlouvain::util::run_main(argc, argv, run); }

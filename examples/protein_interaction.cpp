@@ -18,10 +18,11 @@
 #include "util/prng.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(dlouvain::util::Cli& cli) {
   using namespace dlouvain;
 
-  util::Cli cli(argc, argv);
   const int complexes = cli.get_int<int>("complexes", 40, "protein complexes");
   const VertexId size = cli.get_int("size", 12, "proteins per complex");
   const int hubs = cli.get_int<int>("hubs", 10, "promiscuous hub proteins");
@@ -75,3 +76,7 @@ int main(int argc, char** argv) {
                " merges -- the resolution limit in action)\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dlouvain::util::run_main(argc, argv, run); }

@@ -14,10 +14,11 @@
 #include "graph/csr.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(dlouvain::util::Cli& cli) {
   using namespace dlouvain;
 
-  util::Cli cli(argc, argv);
   const int ranks = cli.get_int<int>("ranks", 4, "in-process ranks");
   const int threads = cli.get_int<int>("threads", 1, "compute threads per rank");
   if (!cli.finish()) return 1;
@@ -50,3 +51,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dlouvain::util::run_main(argc, argv, run); }

@@ -13,10 +13,11 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(dlouvain::util::Cli& cli) {
   using namespace dlouvain;
 
-  util::Cli cli(argc, argv);
   gen::LfrParams params;
   params.num_vertices = cli.get_int("n", 2000, "members of the network");
   params.mu = cli.get_double("mu", 0.3, "mixing: fraction of cross-community ties");
@@ -59,3 +60,7 @@ int main(int argc, char** argv) {
   }() << " planted communities)\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dlouvain::util::run_main(argc, argv, run); }

@@ -12,10 +12,11 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(dlouvain::util::Cli& cli) {
   using namespace dlouvain;
 
-  util::Cli cli(argc, argv);
   const auto name = cli.get_string("graph", "uk-2007", "surrogate graph name");
   const double scale = cli.get_double("scale", 0.3, "surrogate size multiplier");
   const int ranks = cli.get_int<int>("ranks", 4, "in-process ranks");
@@ -70,3 +71,7 @@ int main(int argc, char** argv) {
   phases.print(std::cout);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dlouvain::util::run_main(argc, argv, run); }

@@ -34,16 +34,9 @@ constexpr std::int64_t kSweepBatches = 64;
 /// each directed arc is counted once, by its source's owner). Threaded over
 /// the fixed-chunk deterministic reduction, so the value -- and therefore
 /// every modularity bit -- is identical at any thread count.
-///
-/// `row_mask`, when non-null, restricts the sum to rows whose flag equals
-/// `masked_value` -- the warm-start split: rows no phase-0 move can touch
-/// (vertex and all neighbours frozen) contribute a constant, computed once,
-/// while only the affected rows are rescanned per iteration.
 Weight local_intra_weight(util::ThreadPool& pool, const graph::DistGraph& g,
                           std::span<const CommunityId> owned_community,
-                          const GhostCommunities& ghosts,
-                          const std::vector<char>* row_mask = nullptr,
-                          bool masked_value = true) {
+                          const GhostCommunities& ghosts) {
   const auto& row = g.local().offsets();
   const auto& arcs = g.local().edges();
   const auto& dst_slot = g.dst_slots();
@@ -53,9 +46,6 @@ Weight local_intra_weight(util::ThreadPool& pool, const graph::DistGraph& g,
       &pool, g.local_count(), [&](std::int64_t begin, std::int64_t end) {
         Weight intra = 0;
         for (VertexId lv = begin; lv < end; ++lv) {
-          if (row_mask != nullptr &&
-              ((*row_mask)[static_cast<std::size_t>(lv)] != 0) != masked_value)
-            continue;
           const VertexId gv = g.to_global(lv);
           const CommunityId cv = owned_community[static_cast<std::size_t>(lv)];
           const auto a_end = static_cast<std::size_t>(row[static_cast<std::size_t>(lv) + 1]);
@@ -191,15 +181,6 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
   // and with it every modularity bit -- is fixed at any thread count. After
   // the adoption the phase runs the unmodified iteration protocol; frozen
   // vertices are simply never active.
-  //
-  // `affected` rows (vertex or some neighbour reactivated) are the only rows
-  // whose intra-community weight can change during this phase; the
-  // complement contributes a constant computed once at first use
-  // (static_intra), which turns the per-iteration O(arcs) modularity scan
-  // into O(affected arcs).
-  std::vector<char> affected;
-  Weight static_intra = 0;
-  bool static_intra_done = false;
   Weight prev_mod = singleton_mod;
   if (warm != nullptr) {
     for (VertexId lv = 0; lv < local_n; ++lv) {
@@ -236,39 +217,6 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
             state.ghosts.values()[static_cast<std::size_t>(change.slot)]);
       }
       state.ledger.refresh(comm);
-    }
-
-    // Affected-row mask: reactivated, or adjacent to a reactivated vertex
-    // (locally or across a rank boundary -- one dense flag exchange).
-    GhostField<std::int64_t> ghost_active(g, 0);
-    {
-      std::vector<std::int64_t> owned_active(static_cast<std::size_t>(local_n), 0);
-      for (VertexId lv = 0; lv < local_n; ++lv)
-        owned_active[static_cast<std::size_t>(lv)] =
-            warm->reactivated[static_cast<std::size_t>(lv)] != 0 ? 1 : 0;
-      const util::TraceSpan span(tb, &bd.ghost_exchange, "warm_active", "collective",
-                                 phase);
-      ghost_active.exchange(comm, owned_active, sparse);
-    }
-    affected.assign(static_cast<std::size_t>(local_n), 0);
-    for (VertexId lv = 0; lv < local_n; ++lv) {
-      const auto lvi = static_cast<std::size_t>(lv);
-      if (warm->reactivated[lvi] != 0) {
-        affected[lvi] = 1;
-        continue;
-      }
-      const auto a_end = static_cast<std::size_t>(row[lvi + 1]);
-      for (auto a = static_cast<std::size_t>(row[lvi]); a < a_end; ++a) {
-        const std::int64_t d = dst_slot[a];
-        const bool nbr_active =
-            d < local_n
-                ? warm->reactivated[static_cast<std::size_t>(d)] != 0
-                : ghost_active.values()[static_cast<std::size_t>(d - local_n)] != 0;
-        if (nbr_active) {
-          affected[lvi] = 1;
-          break;
-        }
-      }
     }
 
     // Phase-initial modularity of the SEEDED partition (not the singleton
@@ -558,21 +506,7 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
     {
       const util::TraceSpan span(tb, &bd.allreduce, "overlap_delta", "overlap", phase,
                                  iter);
-      if (warm != nullptr) {
-        // Only affected rows can have changed; the frozen remainder is a
-        // constant, computed once against the post-adoption state (valid at
-        // any iteration: neither those rows' communities nor any of their
-        // neighbours' ever change within the warm phase).
-        if (!static_intra_done) {
-          static_intra = local_intra_weight(pool, g, state.owned_community,
-                                            state.ghosts, &affected, false);
-          static_intra_done = true;
-        }
-        intra = static_intra + local_intra_weight(pool, g, state.owned_community,
-                                                  state.ghosts, &affected, true);
-      } else {
-        intra = local_intra_weight(pool, g, state.owned_community, state.ghosts);
-      }
+      intra = local_intra_weight(pool, g, state.owned_community, state.ghosts);
     }
     {
       const util::TraceSpan span(tb, &bd.delta_exchange, "delta_wait", "wait", phase,
@@ -661,8 +595,9 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
 
 }  // namespace
 
-DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConfig& cfg,
-                        std::atomic<int>* phase_progress, const WarmStart* warm) {
+DistResult dist_louvain(comm::Comm& comm, const graph::DistGraph& input,
+                        const DistConfig& cfg, std::atomic<int>* phase_progress,
+                        const WarmStart* warm) {
   util::WallTimer total_timer;
   // This rank's counter block and its entry snapshot: everything this run
   // reports is a delta against the snapshot, so back-to-back runs on one
@@ -677,7 +612,7 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
   util::ThreadPool pool(cfg.threads_per_rank);
 
   if (warm != nullptr &&
-      (warm->seed_community.size() != static_cast<std::size_t>(graph.local_count()) ||
+      (warm->seed_community.size() != static_cast<std::size_t>(input.local_count()) ||
        warm->reactivated.size() != warm->seed_community.size()))
     throw std::invalid_argument(
         "dist_louvain: WarmStart arrays must cover the rank's owned vertices");
@@ -686,9 +621,15 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
 
   // original-vertex -> current-meta-vertex chain, held by the ORIGINAL
   // owner of each vertex (the original partition never changes).
-  std::vector<VertexId> orig_to_cur(static_cast<std::size_t>(graph.local_count()));
-  std::iota(orig_to_cur.begin(), orig_to_cur.end(), graph.v_begin());
-  VertexId orig_global_n = graph.global_n();
+  std::vector<VertexId> orig_to_cur(static_cast<std::size_t>(input.local_count()));
+  std::iota(orig_to_cur.begin(), orig_to_cur.end(), input.v_begin());
+  VertexId orig_global_n = input.global_n();
+
+  // The graph each phase runs on: the caller's, read and never copied, until
+  // a checkpoint resume or the first coarsening replaces it with one this
+  // run owns.
+  graph::DistGraph owned;
+  const graph::DistGraph* graph = &input;
 
   const std::uint64_t fingerprint =
       cfg.checkpoint.dir.empty() ? 0 : config_fingerprint(cfg);
@@ -701,7 +642,8 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
   if (cfg.checkpoint.resume && !cfg.checkpoint.dir.empty()) {
     const util::TraceSpan span(tb, "checkpoint_load", "checkpoint");
     if (auto loaded = checkpoint_load(comm, cfg.checkpoint.dir, fingerprint)) {
-      graph = std::move(loaded->graph);
+      owned = std::move(loaded->graph);
+      graph = &owned;
       orig_to_cur = std::move(loaded->orig_to_cur);
       orig_global_n = loaded->orig_global_n;
       start_phase = loaded->state.next_phase;
@@ -725,7 +667,7 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
     // Initial modularity of the singleton partition (needed for the first
     // outer convergence check). Skipped on resume: the checkpoint restored
     // the exact outer-loop watermark instead.
-    prev_outer_mod = singleton_modularity(comm, graph, cfg.base.resolution);
+    prev_outer_mod = singleton_modularity(comm, *graph, cfg.base.resolution);
   }
 
   const double tau_min = cfg.min_threshold();
@@ -735,7 +677,7 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
   // phase's exact final modularity and survivor count. The next cold phase
   // starts from this value, and the last one is the run's result.
   Weight graph_modularity = prev_outer_mod;
-  VertexId graph_communities = graph.global_n();
+  VertexId graph_communities = graph->global_n();
 
   for (int phase = start_phase; phase < cfg.base.max_phases; ++phase) {
     if (phase_progress != nullptr && comm.rank() == 0)
@@ -768,7 +710,7 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
       st.counters.seconds = result.restored.seconds + total_timer.seconds();
       st.counters.messages = result.restored.messages + sums[0];
       st.counters.bytes = result.restored.bytes + sums[1];
-      checkpoint_save(comm, cfg.checkpoint.dir, graph, orig_to_cur, orig_global_n, st,
+      checkpoint_save(comm, cfg.checkpoint.dir, *graph, orig_to_cur, orig_global_n, st,
                       fingerprint);
     }
 
@@ -780,7 +722,7 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
     // A checkpoint resume supplies its own (coarsened) state instead, and
     // every later phase runs on a graph the seed's indices no longer match.
     const WarmStart* phase_warm = (phase == 0 && !resumed) ? warm : nullptr;
-    auto phase_state = run_phase(comm, graph, cfg, phase, tau, pool, telemetry,
+    auto phase_state = run_phase(comm, *graph, cfg, phase, tau, pool, telemetry,
                                  graph_modularity, phase_warm);
 
     // The exit decision depends only on collectively-identical modularities,
@@ -814,7 +756,7 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
     if (!discard) {
       const util::TraceSpan rebuild_span(tb, &telemetry.breakdown.rebuild, "rebuild",
                                          "collective", phase);
-      next = rebuild(comm, graph, phase_state.owned_community, phase_state.ghosts,
+      next = rebuild(comm, *graph, phase_state.owned_community, phase_state.ghosts,
                      phase_state.ledger, &pool, /*build_graph=*/!renumber_only, phase);
 
       // Route each original vertex's current id to the rank owning it in the
@@ -823,20 +765,20 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
       const int p = comm.size();
       std::vector<std::vector<VertexId>> requests(static_cast<std::size_t>(p));
       for (const VertexId cur : orig_to_cur)
-        requests[static_cast<std::size_t>(graph.owner(cur))].push_back(cur);
+        requests[static_cast<std::size_t>(graph->owner(cur))].push_back(cur);
       const auto incoming = comm.alltoallv<VertexId>(requests);
       std::vector<std::vector<VertexId>> replies(static_cast<std::size_t>(p));
       for (int r = 0; r < p; ++r) {
         replies[static_cast<std::size_t>(r)].reserve(incoming[static_cast<std::size_t>(r)].size());
         for (const VertexId cur : incoming[static_cast<std::size_t>(r)])
           replies[static_cast<std::size_t>(r)].push_back(
-              next.new_vertex_of_current[static_cast<std::size_t>(graph.to_local(cur))]);
+              next.new_vertex_of_current[static_cast<std::size_t>(graph->to_local(cur))]);
       }
       const auto answers = comm.alltoallv<VertexId>(std::move(replies));
       // Answers arrive per rank in the same order we asked; walk both.
       std::vector<std::size_t> cursor(static_cast<std::size_t>(p), 0);
       for (auto& cur : orig_to_cur) {
-        const auto owner = static_cast<std::size_t>(graph.owner(cur));
+        const auto owner = static_cast<std::size_t>(graph->owner(cur));
         cur = answers[owner][cursor[owner]++];
       }
     }
@@ -861,7 +803,8 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
     graph_modularity = phase_state.final_modularity;
     graph_communities = next.new_global_n;
     if (renumber_only) break;
-    graph = std::move(next.graph);
+    owned = std::move(next.graph);
+    graph = &owned;
 
     if (gain <= tau) {
       if (cfg.uses_cycling() && tau > tau_min && !forced_final) {
@@ -915,8 +858,8 @@ DistResult dist_louvain_inprocess(int nranks, const graph::Csr& global,
   comm::run(
       nranks,
       [&](comm::Comm& comm) {
-        auto dist = graph::DistGraph::from_replicated(comm, global, kind);
-        auto local_result = dist_louvain(comm, std::move(dist), cfg, phase_progress);
+        const auto dist = graph::DistGraph::from_replicated(comm, global, kind);
+        auto local_result = dist_louvain(comm, dist, cfg, phase_progress);
         if (comm.rank() == 0) result = std::move(local_result);
       },
       options);

@@ -42,15 +42,17 @@ struct WarmStart {
   double exit_threshold{0};
 };
 
-/// Run distributed Louvain over `graph` (consumed: coarsening replaces it
-/// phase by phase). With DistConfig::checkpoint configured, phase-boundary
-/// checkpoints are written (and resumed from) per core/checkpoint.hpp.
+/// Run distributed Louvain over `graph`, which is read, not consumed: the run
+/// owns only the coarse graphs it builds (or the graph a checkpoint resume
+/// loads), so the caller's slice is never copied. With DistConfig::checkpoint
+/// configured, phase-boundary checkpoints are written (and resumed from) per
+/// core/checkpoint.hpp.
 /// `phase_progress`, when non-null, is updated by rank 0 with the index of
 /// each phase as it starts -- the recovery driver's window into how far an
 /// attempt got before it failed. `warm`, when non-null, seeds phase 0 from
 /// a previous assignment and restricts its sweeps to the reactivated set
 /// (ignored when a checkpoint resume supplies the state instead).
-DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph,
+DistResult dist_louvain(comm::Comm& comm, const graph::DistGraph& graph,
                         const DistConfig& config = {},
                         std::atomic<int>* phase_progress = nullptr,
                         const WarmStart* warm = nullptr);

@@ -1,8 +1,8 @@
 // Per-iteration ghost field exchange (paper Algorithm 3 lines 4-5).
 //
-// A GhostField<T> holds one T per ghost vertex of a DistGraph and knows how
-// to refresh all of them from their owners in one collective step. The
-// structural lists from DistGraph's Algorithm-4 setup make this cheap:
+// A GhostField<T> holds one integer T per ghost vertex of a DistGraph and
+// knows how to refresh all of them from their owners in one collective step.
+// The structural lists from DistGraph's Algorithm-4 setup make this cheap:
 // mirrors()[r] on this rank and ghosts_by_owner()[me] on rank r are the SAME
 // list in the same order, so an update message needs no (vertex, value)
 // pairs -- either the full value array aligned with that list (dense), or,
@@ -21,8 +21,9 @@
 // (last_changes(), with the previous value) -- the hook the distributed
 // engine's incremental community-cache bookkeeping hangs off.
 //
-// Used with T = CommunityId for the Louvain community push, and with
-// T = std::int64_t for ghost colors in the distance-1 coloring.
+// Both uses are std::int64_t: T = CommunityId for the Louvain community
+// push, and ghost colors in the distance-1 coloring. T must be integral: a
+// delta entry stores its list index in a T, and the header tag is a T.
 #pragma once
 
 #include <algorithm>
@@ -44,6 +45,8 @@ inline constexpr double kDeltaCrossover = 0.5;
 
 template <typename T>
 class GhostField {
+  static_assert(std::is_integral_v<T>, "GhostField values are integers");
+
  public:
   /// A slot the last exchange changed, with the value it replaced.
   struct SlotChange {
@@ -62,9 +65,7 @@ class GhostField {
 
   /// Identity start: every ghost slot holds the ghost's own global id --
   /// the "each vertex in its own community" phase-start state.
-  static GhostField identity(const graph::DistGraph& g)
-    requires std::is_convertible_v<VertexId, T>
-  {
+  static GhostField identity(const graph::DistGraph& g) {
     GhostField field(g, T{});
     std::copy(g.ghosts().begin(), g.ghosts().end(), field.values_.begin());
     for (VertexId lv = 0; lv < g.local_count(); ++lv)
@@ -94,25 +95,23 @@ class GhostField {
     const auto build_payload = [&](Rank r) {
       const auto& mirror_list = graph_->mirrors()[static_cast<std::size_t>(r)];
       std::vector<T> payload;
-      if constexpr (std::is_integral_v<T>) {
-        std::size_t changed = 0;
-        for (const VertexId gv : mirror_list) {
-          const auto lv = static_cast<std::size_t>(graph_->to_local(gv));
-          if (owned[lv] != prev_owned_[lv]) ++changed;
-        }
-        if (2.0 * static_cast<double>(changed) <=
-            kDeltaCrossover * static_cast<double>(mirror_list.size())) {
-          payload.reserve(1 + 2 * changed);
-          payload.push_back(static_cast<T>(1));
-          for (std::size_t i = 0; i < mirror_list.size(); ++i) {
-            const auto lv = static_cast<std::size_t>(graph_->to_local(mirror_list[i]));
-            if (owned[lv] != prev_owned_[lv]) {
-              payload.push_back(static_cast<T>(i));
-              payload.push_back(owned[lv]);
-            }
+      std::size_t changed = 0;
+      for (const VertexId gv : mirror_list) {
+        const auto lv = static_cast<std::size_t>(graph_->to_local(gv));
+        if (owned[lv] != prev_owned_[lv]) ++changed;
+      }
+      if (2.0 * static_cast<double>(changed) <=
+          kDeltaCrossover * static_cast<double>(mirror_list.size())) {
+        payload.reserve(1 + 2 * changed);
+        payload.push_back(static_cast<T>(1));
+        for (std::size_t i = 0; i < mirror_list.size(); ++i) {
+          const auto lv = static_cast<std::size_t>(graph_->to_local(mirror_list[i]));
+          if (owned[lv] != prev_owned_[lv]) {
+            payload.push_back(static_cast<T>(i));
+            payload.push_back(owned[lv]);
           }
-          return payload;
         }
+        return payload;
       }
       payload.reserve(1 + mirror_list.size());
       payload.push_back(static_cast<T>(0));
@@ -220,18 +219,13 @@ class GhostField {
       for (std::size_t i = 0; i < count; ++i) store_slot(base + i, received[i + 1]);
       return;
     }
-    if constexpr (std::is_integral_v<T>) {
-      if (received.front() != static_cast<T>(1) || received.size() % 2 != 1)
-        throw std::logic_error("GhostField: malformed delta update");
-      for (std::size_t i = 1; i + 1 < received.size(); i += 2) {
-        const auto idx = static_cast<std::size_t>(received[i]);
-        if (idx >= count)
-          throw std::logic_error("GhostField: delta index out of range");
-        store_slot(base + idx, received[i + 1]);
-      }
-      return;
+    if (received.front() != static_cast<T>(1) || received.size() % 2 != 1)
+      throw std::logic_error("GhostField: malformed delta update");
+    for (std::size_t i = 1; i + 1 < received.size(); i += 2) {
+      const auto idx = static_cast<std::size_t>(received[i]);
+      if (idx >= count) throw std::logic_error("GhostField: delta index out of range");
+      store_slot(base + idx, received[i + 1]);
     }
-    throw std::logic_error("GhostField: delta update for non-integral field");
   }
 
   void init_offsets() {

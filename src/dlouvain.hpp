@@ -95,7 +95,7 @@ class SessionPoisoned : public std::runtime_error {
 /// once. test_incremental's EdgeBatchSemantics pins these rules.
 class EdgeBatch {
  public:
-  /// Add weight `w` (> 0) to edge {u, v}, creating it if absent.
+  /// Add weight `w` (finite, > 0) to edge {u, v}, creating it if absent.
   EdgeBatch& add(VertexId u, VertexId v, Weight w = 1.0) {
     changes_.push_back(graph::EdgeChange{u, v, w, false});
     return *this;
@@ -440,8 +440,9 @@ class Session {
   /// Ranks currently running the session: Plan::ranks at open, decremented
   /// by every rung-3 shrink. Updates run at this size too.
   int active_ranks_{0};
-  /// Each rank's slice of the CURRENT fine graph, mutated in place by
-  /// update(); index = rank (re-sized on shrink).
+  /// Each rank's slice of the CURRENT fine graph, which the session's runs
+  /// read in place; update() swaps in the post-batch slices once it
+  /// succeeds. Index = rank (re-sized on shrink).
   std::vector<graph::DistGraph> rank_graphs_;
   /// Session-lifetime run options: the fault injector (crash triggers stay
   /// one-shot across the whole stream) and the trace store (update spans

@@ -1,6 +1,7 @@
 #include "graph/dist_graph.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <iterator>
 #include <map>
 #include <stdexcept>
@@ -142,8 +143,9 @@ DistGraph DistGraph::with_edge_changes(comm::Comm& comm,
       throw std::invalid_argument("with_edge_changes: endpoint out of range");
     if (c.u == c.v)
       throw std::invalid_argument("with_edge_changes: self loops not supported");
-    if (!c.remove && !(c.weight > 0))
-      throw std::invalid_argument("with_edge_changes: added weight must be > 0");
+    if (!c.remove && !(c.weight > 0 && std::isfinite(c.weight)))
+      throw std::invalid_argument(
+          "with_edge_changes: added weight must be finite and > 0");
   }
 
   // A batch of k edges must not cost a full rebuild of |arcs| -- shipping

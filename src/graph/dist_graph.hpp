@@ -26,8 +26,8 @@ enum class PartitionKind {
 
 /// One undirected edge mutation of a streaming batch (see
 /// DistGraph::with_edge_changes and dlouvain::EdgeBatch). `remove` drops
-/// the whole edge {u, v} regardless of weight; otherwise weight (> 0) is
-/// ADDED to the edge, creating it if absent.
+/// the whole edge {u, v} regardless of weight; otherwise weight (finite,
+/// > 0) is ADDED to the edge, creating it if absent.
 struct EdgeChange {
   VertexId u{kInvalidVertex};
   VertexId v{kInvalidVertex};
@@ -165,10 +165,11 @@ class DistGraph {
   /// (removing an edge the graph does not have throws std::invalid_argument
   /// on every rank, before anything is built); additions are applied
   /// afterwards and merge weights with surviving or duplicate arcs. Self
-  /// loops and out-of-range endpoints are rejected. The partition is
-  /// unchanged -- vertices never move ranks, so a fixed (graph, batch
-  /// sequence) yields an identical DistGraph at any rank/thread count, and
-  /// the result equals build() of the same rows.
+  /// loops, out-of-range endpoints and added weights that are not finite
+  /// and positive are rejected. The partition is unchanged -- vertices never
+  /// move ranks, so a fixed (graph, batch sequence) yields an identical
+  /// DistGraph at any rank/thread count, and the result equals build() of
+  /// the same rows.
   ///
   /// Cost: one copy of the slice plus work in the batch. Untouched rows are
   /// copied with their dst slots remapped; touched rows come from a sorted

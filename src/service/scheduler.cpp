@@ -1,5 +1,6 @@
 #include "service/scheduler.hpp"
 
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -44,6 +45,7 @@ Plan make_plan(const JobConfig& c) {
 /// Why `req` falls outside the per-job envelope, or "" when it does not.
 /// The vertex count is held to the edge limit: it is paid for in per-vertex
 /// arrays (CSR offsets, then every rank's slice) before any edge is read.
+/// Edge weights follow the `.dlel` reader's rule: finite and non-negative.
 std::string envelope_error(const JobRequest& req, const SchedulerOptions& opts) {
   if (req.config.ranks < 1 || req.config.ranks > opts.max_ranks)
     return "ranks " + std::to_string(req.config.ranks) + " outside the service limit [1, " +
@@ -61,6 +63,11 @@ std::string envelope_error(const JobRequest& req, const SchedulerOptions& opts) 
   if (req.num_vertices < 0 || req.num_vertices > opts.max_edges)
     return "graph of " + std::to_string(req.num_vertices) +
            " vertices exceeds the service limit [0, " + std::to_string(opts.max_edges) + "]";
+  for (std::size_t i = 0; i < req.edges.size(); ++i) {
+    if (const Weight w = req.edges[i].weight; !std::isfinite(w) || w < 0)
+      return "edge " + std::to_string(i) + " has invalid weight " +
+             std::to_string(w);
+  }
   if (req.config.variant > 3) return "unknown variant " + std::to_string(req.config.variant);
   try {
     make_plan(req.config).validate();

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <fstream>
 #include <functional>
@@ -186,17 +187,18 @@ void Session::run_initial(const graph::Csr& g) {
     // accounted to recovery.wasted_*, never carried into the next
     // attempt's counters. Sized to the CURRENT world (shrinks resize).
     options_.metrics = std::make_shared<util::MetricsRegistry>(active_ranks_);
-    // Retain this attempt's fine slices for update(): distinct
-    // elements, written by distinct rank-threads.
+    // Each rank builds its fine slice straight into the session, which
+    // keeps it for update(), and runs on it: distinct elements, written by
+    // distinct rank-threads.
     rank_graphs_.assign(static_cast<std::size_t>(active_ranks_), {});
     try {
       core::DistResult r;
       comm::run(
           active_ranks_,
           [&](comm::Comm& comm) {
-            auto dist = graph::DistGraph::from_replicated(comm, g, plan_.partition_);
-            rank_graphs_[static_cast<std::size_t>(comm.rank())] = dist;
-            auto local = core::dist_louvain(comm, std::move(dist), cfg, &progress);
+            auto& dist = rank_graphs_[static_cast<std::size_t>(comm.rank())];
+            dist = graph::DistGraph::from_replicated(comm, g, plan_.partition_);
+            auto local = core::dist_louvain(comm, dist, cfg, &progress);
             if (comm.rank() == 0) r = std::move(local);
           },
           options_);
@@ -254,8 +256,8 @@ UpdateStats Session::update(const EdgeBatch& batch) {
     if (c.u < 0 || c.u >= n || c.v < 0 || c.v >= n)
       throw std::invalid_argument("EdgeBatch: endpoint outside [0, num_vertices)");
     if (c.u == c.v) throw std::invalid_argument("EdgeBatch: self loops not allowed");
-    if (!c.remove && !(c.weight > 0))
-      throw std::invalid_argument("EdgeBatch: added weight must be > 0");
+    if (!c.remove && !(c.weight > 0 && std::isfinite(c.weight)))
+      throw std::invalid_argument("EdgeBatch: added weight must be finite and > 0");
   }
 
   const util::WallTimer timer;
@@ -315,7 +317,8 @@ UpdateStats Session::update(const EdgeBatch& batch) {
             // graphs swap only after the whole collective succeeds, so a
             // crashed/failed update retries (or throws) against pristine
             // state.
-            auto g = rank_graphs_[rk].with_edge_changes(comm, batch.changes());
+            updated[rk] = rank_graphs_[rk].with_edge_changes(comm, batch.changes());
+            const graph::DistGraph& g = updated[rk];
 
             // Warm start: batch endpoints and their (post-batch)
             // neighbourhoods reactivate; everyone else is frozen into the
@@ -348,9 +351,7 @@ UpdateStats Session::update(const EdgeBatch& batch) {
             const auto global_reactivated =
                 comm.allreduce_sum<std::int64_t>(local_reactivated);
 
-            auto warm_graph = g;
-            auto local = core::dist_louvain(comm, std::move(warm_graph), cfg,
-                                            nullptr, &warm);
+            auto local = core::dist_louvain(comm, g, cfg, nullptr, &warm);
             const long iterations0 =
                 local.phase_telemetry.empty() ? 0 : local.phase_telemetry.front().iterations;
 
@@ -359,12 +360,8 @@ UpdateStats Session::update(const EdgeBatch& batch) {
             // rank-symmetric (modularity is collective-identical), so every
             // rank takes the same branch.
             const bool fb = local.modularity < prev_mod - plan_.update_fallback_;
-            if (fb) {
-              auto scratch = g;
-              local = core::dist_louvain(comm, std::move(scratch), cfg);
-            }
+            if (fb) local = core::dist_louvain(comm, g, cfg);
 
-            updated[rk] = std::move(g);
             if (comm.rank() == 0) {
               r = std::move(local);
               fell_back = fb;

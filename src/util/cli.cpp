@@ -124,4 +124,14 @@ bool Cli::finish() const {
   return ok;
 }
 
+int run_main(int argc, const char* const* argv, int (*body)(Cli&)) {
+  try {
+    Cli cli(argc, argv);
+    return body(cli);
+  } catch (const std::exception& e) {
+    std::cerr << (argc > 0 ? argv[0] : "prog") << ": " << e.what() << '\n';
+    return 1;
+  }
+}
+
 }  // namespace dlouvain::util

@@ -3,7 +3,8 @@
 // Supports `--name value` and `--name=value` forms plus boolean switches.
 // Unknown flags are an error (catches typos in sweep scripts), and so is a
 // numeric value unless the whole token parses and fits the type the caller
-// stores.
+// stores. A program hands its body to run_main(), which reports such an
+// error in one line.
 #pragma once
 
 #include <charconv>
@@ -81,5 +82,11 @@ class Cli {
   mutable std::vector<std::string> help_lines_;
   bool help_requested_{false};
 };
+
+/// The `main` of a program whose flags are a Cli: parses argv and returns
+/// what `body` returns. A malformed command line -- or any other exception
+/// `body` lets out -- ends the program with one `<argv[0]>: <reason>` line
+/// on stderr and status 1, not in std::terminate.
+int run_main(int argc, const char* const* argv, int (*body)(Cli&));
 
 }  // namespace dlouvain::util

@@ -135,6 +135,37 @@ TEST(GoldenSeed, DistributedVariantsMatch) {
                 kDistP2TcRmat, "dist p2 tc");
 }
 
+// A 2-rank session on rmat10 after two warm updates: an addition of weight
+// 2.0, then the removal of vertex 0's first neighbour edge. The weights stay
+// integers, so the intra-weight sums are exact in any order (DESIGN §6) and
+// these bits hold however the warm phase splits its modularity pass.
+constexpr Golden kWarmP2Rmat{0x3fc6fc764508fd62ULL, 0x94c4da5bu, 225, 1, 5};
+constexpr long kWarmReconverge[] = {2, 5};
+
+TEST(GoldenSeed, WarmUpdateMatchesPinnedBits) {
+  const auto g = rmat10();
+  VertexId dropped = kInvalidVertex;
+  for (const auto& e : g.neighbors(0))
+    if (e.dst != 0) {
+      dropped = e.dst;
+      break;
+    }
+  ASSERT_NE(dropped, kInvalidVertex);
+  const EdgeBatch batches[] = {EdgeBatch().add(3, 700, 2.0),
+                               EdgeBatch().remove(0, dropped)};
+  for (const int threads : {1, 4}) {
+    const auto label = "warm p2 t" + std::to_string(threads);
+    auto session = Plan::distributed(2).threads(threads).seed(123).open(g);
+    for (std::size_t b = 0; b < std::size(batches); ++b) {
+      const auto where = label + " batch " + std::to_string(b);
+      const auto stats = session.update(batches[b]);
+      EXPECT_FALSE(stats.fell_back_to_full) << where;
+      EXPECT_EQ(stats.reconverge_iterations, kWarmReconverge[b]) << where;
+    }
+    expect_golden(session.result(), kWarmP2Rmat, label);
+  }
+}
+
 // ---- the wire-format pick ----------------------------------------------------
 
 std::int64_t counter(const Result& r, util::Counter c) {

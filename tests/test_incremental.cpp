@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <random>
 #include <set>
 #include <string>
@@ -428,6 +429,8 @@ TEST(Session, MalformedBatchThrowsWithoutMutating) {
   EXPECT_THROW(session.update(EdgeBatch().add(0, 1'000'000)), std::invalid_argument);
   EXPECT_THROW(session.update(EdgeBatch().add(3, 3)), std::invalid_argument);
   EXPECT_THROW(session.update(EdgeBatch().add(0, 1, -2.0)), std::invalid_argument);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(session.update(EdgeBatch().add(0, 1, inf)), std::invalid_argument);
   EXPECT_THROW(session.update(EdgeBatch().remove(0, 47)), std::invalid_argument);
 
   EXPECT_EQ(session.updates_applied(), 0);

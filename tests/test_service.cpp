@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +27,7 @@ namespace dg = dlouvain::graph;
 namespace svc = dlouvain::service;
 using dlouvain::Edge;
 using dlouvain::VertexId;
+using dlouvain::Weight;
 
 namespace {
 
@@ -244,8 +246,19 @@ TEST(Scheduler, RejectsBadPlansAndBadGraphsWithErrorReplies) {
   at_limit.num_vertices = 1000;  // karate's edges, padded with isolated vertices
   EXPECT_EQ(sched.submit(std::move(at_limit)).get().type, svc::FrameType::kManifest);
 
+  // A weight the .dlel reader would refuse (not finite, or negative) is
+  // refused at admission too.
+  for (const Weight w : {std::numeric_limits<Weight>::quiet_NaN(), Weight{-1},
+                         std::numeric_limits<Weight>::infinity()}) {
+    svc::JobRequest bad_weight = karate_job();
+    bad_weight.edges[1].weight = w;
+    const svc::Reply reply = sched.submit(std::move(bad_weight)).get();
+    EXPECT_EQ(reply.type, svc::FrameType::kError) << w;
+    EXPECT_NE(reply.body.find("invalid weight"), std::string::npos) << reply.body;
+  }
+
   // The bad edge is a failed job, not a rejection.
-  EXPECT_EQ(sched.stats().rejected, 3 + 4);
+  EXPECT_EQ(sched.stats().rejected, 3 + 4 + 3);
 }
 
 TEST(Scheduler, BoundsRanksTimesThreads) {

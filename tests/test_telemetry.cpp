@@ -334,8 +334,7 @@ std::vector<TracedSpan> read_spans(const std::filesystem::path& path) {
 /// The breakdown bucket each engine span feeds (docs/OBSERVABILITY.md);
 /// null for spans that feed none.
 double* bucket_of(core::TimeBreakdown& b, std::string_view span) {
-  for (const std::string_view s :
-       {"ghost_exchange", "ghost_wait", "warm_ghost", "warm_active"})
+  for (const std::string_view s : {"ghost_exchange", "ghost_wait", "warm_ghost"})
     if (span == s) return &b.ghost_exchange;
   for (const std::string_view s : {"community_info", "warm_refresh"})
     if (span == s) return &b.community_info;
@@ -396,8 +395,9 @@ TEST(Breakdown, EachBucketIsTheSumOfItsSpans) {
   std::size_t seen = 0;
   for (const auto& s : read_spans(warm_path))
     if (s.pid == 0 && ++seen > initial) update_spans.push_back(s);
-  EXPECT_TRUE(std::any_of(update_spans.begin(), update_spans.end(),
-                          [](const TracedSpan& s) { return s.name == "warm_active"; }));
+  EXPECT_TRUE(std::any_of(
+      update_spans.begin(), update_spans.end(),
+      [](const TracedSpan& s) { return s.name == "warm_modularity"; }));
   expect_buckets_sum_their_spans(update_spans, *session.result().distributed, "update");
   std::filesystem::remove(cold_path);
   std::filesystem::remove(warm_path);

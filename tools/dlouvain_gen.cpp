@@ -16,10 +16,11 @@
 #include "graph/binary_io.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(dlouvain::util::Cli& cli) {
   using namespace dlouvain;
 
-  util::Cli cli(argc, argv);
   const auto family = cli.get_string(
       "family", "lfr", "lfr|ssca2|rmat|er|ws|banded|planted|karate|surrogate");
   const VertexId n = cli.get_int("n", 10000, "vertices");
@@ -34,46 +35,41 @@ int main(int argc, char** argv) {
   if (!cli.finish()) return 1;
 
   gen::GeneratedGraph graph;
-  try {
-    if (family == "lfr") {
-      gen::LfrParams p;
-      p.num_vertices = n;
-      p.avg_degree = deg;
-      p.max_degree = static_cast<VertexId>(deg * 3);
-      p.mu = mu;
-      p.max_community = std::max<VertexId>(40, n / 20);
-      p.seed = seed;
-      graph = gen::lfr(p);
-    } else if (family == "ssca2") {
-      gen::Ssca2Params p;
-      p.num_vertices = n;
-      p.max_clique_size = max_clique;
-      p.seed = seed;
-      graph = gen::ssca2(p);
-    } else if (family == "rmat") {
-      gen::RmatParams p;
-      p.scale = 1;
-      while ((VertexId{1} << p.scale) < n) ++p.scale;
-      p.seed = seed;
-      graph = gen::rmat(p);
-    } else if (family == "er") {
-      graph = gen::erdos_renyi(n, deg / static_cast<double>(n - 1), seed);
-    } else if (family == "ws") {
-      graph = gen::watts_strogatz(n, static_cast<VertexId>(deg) & ~VertexId{1}, 0.1, seed);
-    } else if (family == "banded") {
-      graph = gen::banded(n, static_cast<VertexId>(deg / 2));
-    } else if (family == "planted") {
-      graph = gen::planted_partition(n, 8, 0.2, 0.01, seed);
-    } else if (family == "karate") {
-      graph = gen::karate_club();
-    } else if (family == "surrogate") {
-      graph = gen::surrogate(name, scale, seed);
-    } else {
-      std::cerr << "dlouvain_gen: unknown --family '" << family << "'\n";
-      return 1;
-    }
-  } catch (const std::exception& err) {
-    std::cerr << "dlouvain_gen: " << err.what() << '\n';
+  if (family == "lfr") {
+    gen::LfrParams p;
+    p.num_vertices = n;
+    p.avg_degree = deg;
+    p.max_degree = static_cast<VertexId>(deg * 3);
+    p.mu = mu;
+    p.max_community = std::max<VertexId>(40, n / 20);
+    p.seed = seed;
+    graph = gen::lfr(p);
+  } else if (family == "ssca2") {
+    gen::Ssca2Params p;
+    p.num_vertices = n;
+    p.max_clique_size = max_clique;
+    p.seed = seed;
+    graph = gen::ssca2(p);
+  } else if (family == "rmat") {
+    gen::RmatParams p;
+    p.scale = 1;
+    while ((VertexId{1} << p.scale) < n) ++p.scale;
+    p.seed = seed;
+    graph = gen::rmat(p);
+  } else if (family == "er") {
+    graph = gen::erdos_renyi(n, deg / static_cast<double>(n - 1), seed);
+  } else if (family == "ws") {
+    graph = gen::watts_strogatz(n, static_cast<VertexId>(deg) & ~VertexId{1}, 0.1, seed);
+  } else if (family == "banded") {
+    graph = gen::banded(n, static_cast<VertexId>(deg / 2));
+  } else if (family == "planted") {
+    graph = gen::planted_partition(n, 8, 0.2, 0.01, seed);
+  } else if (family == "karate") {
+    graph = gen::karate_club();
+  } else if (family == "surrogate") {
+    graph = gen::surrogate(name, scale, seed);
+  } else {
+    std::cerr << "dlouvain_gen: unknown --family '" << family << "'\n";
     return 1;
   }
 
@@ -97,3 +93,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return dlouvain::util::run_main(argc, argv, run); }
